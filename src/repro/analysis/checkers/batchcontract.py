@@ -1,11 +1,11 @@
 """Batch-contract: every scalar backend entry point has a batch twin.
 
-PR 6's batched evaluation (one field decomposition shared across N
-configs) only pays off if *every* registered backend exposes the batch
-surface: the sweep auto-batcher groups specs by signature and calls
-``<op>_batch`` blind, so a backend missing one falls back to the scalar
-path silently — correct numbers, none of the speedup, and a benchmark
-that quietly compares different code paths per backend.
+Batched evaluation (one field decomposition shared across N configs)
+only pays off if *every* registered backend exposes the batch surface:
+callers (``repro bench``, the batch parity harness) call ``<op>_batch``
+on any backend, so every backend must answer it — at worst with the
+base class's per-config loop, which keeps the numbers and drops the
+speedup.
 
 For every class in the :class:`ComputeBackend` family
 (``AnalysisConfig.backend_base_names`` roots, resolved over the program
@@ -16,16 +16,14 @@ counterpart somewhere in its MRO (inheriting the base class's generic
 loop satisfies the contract), and that counterpart's signature must be
 the scalar signature with the axis pluralized — same names, same order.
 Axis-free entry points (``imprecise_multiply``, the SFU ops) are exempt.
-A public ``*_batch`` method with no scalar twin is an orphan the
-auto-batcher can never reach.
+A public ``*_batch`` method with no scalar twin is an orphan with no
+per-config reference to be checked against.
 
 Opt-out rides the standard suppression syntax:
 ``# repro-lint: disable=batch-contract -- <reason>`` on the scalar def.
 """
 
 from __future__ import annotations
-
-import ast
 
 from ..findings import RawFinding
 
@@ -65,8 +63,8 @@ def check(module, config) -> list:
                     findings.append(_def_finding(
                         f"{CODE}-orphan", method.node,
                         f"`{cls.name}.{name}` has no scalar counterpart "
-                        f"`{scalar_name}` — the sweep auto-batcher can "
-                        "never dispatch to it",
+                        f"`{scalar_name}` — batch parity has no "
+                        "per-config path to check it against",
                     ))
                 continue
             params = _param_names(method.node)
@@ -78,9 +76,8 @@ def check(module, config) -> list:
                 findings.append(_def_finding(
                     f"{CODE}-missing", method.node,
                     f"scalar entry point `{cls.name}.{name}` has no "
-                    f"`{name}_batch` counterpart — the signature-grouped "
-                    "sweep auto-batcher falls back to the scalar path "
-                    "silently on this backend",
+                    f"`{name}_batch` counterpart — batched callers cannot "
+                    "run this backend",
                 ))
                 continue
             expected = [

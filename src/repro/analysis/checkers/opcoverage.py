@@ -14,8 +14,7 @@ The checker runs a small intra-procedural taint analysis per function:
 Seeds (tainted = "device value", i.e. flows through the imprecise units):
   * any call on a context receiver: ``ctx.add(...)``, ``context.array(...)``;
   * names assigned from ``make_context(...)`` / ``ArithmeticContext(...)``
-    / ``ContextBatch(...)`` are treated as context receivers themselves,
-    so batched entry points (``batch.add(...)``) count as covered ops;
+    are treated as context receivers themselves;
   * names listed in ``AnalysisConfig.context_names`` are context receivers
     a-priori (the repo-wide parameter naming convention).
 
@@ -77,11 +76,8 @@ _NP_ARITH = {
 _UNTAINT_CALLS = {"float", "int", "bool", "len", "range", "enumerate", "zip"}
 
 #: Constructor names whose result is a context receiver: calls on it are
-#: covered ops.  ``ContextBatch`` is the batched mirror of
-#: ``ArithmeticContext`` — its entry points (``batch.add`` -> the
-#: backend's ``imprecise_add_batch``) route through the imprecise units,
-#: so kernels adopting the batch API get no false suppression pressure.
-_CONTEXT_CONSTRUCTORS = ("ArithmeticContext", "ContextBatch")
+#: covered ops.
+_CONTEXT_CONSTRUCTORS = ("ArithmeticContext",)
 
 
 def _is_context_constructor(name: str) -> bool:

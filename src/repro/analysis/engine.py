@@ -137,7 +137,7 @@ class AnalysisConfig:
         "asyncio.start_server", "asyncio.to_thread",
     )
     worker_entrypoint_names: tuple = (
-        "_evaluate_chunk", "_evaluate_batch_chunk", "_call_chunk",
+        "_evaluate_chunk", "_call_chunk",
     )
     worker_state_layers: tuple = ("core", "runtime")
     #: Populated by the engine: every layer directory found under the root.

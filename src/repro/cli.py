@@ -324,8 +324,7 @@ def cmd_sweep(args, out) -> int:
               file=sys.stderr)
         return 2
     try:
-        results = runner.sweep(spec, configs, resume=args.resume,
-                               batch=not args.no_batch)
+        results = runner.sweep(spec, configs, resume=args.resume)
     except TaskFailedError as exc:
         # Completed work is already checkpointed (cache + manifest);
         # tell the operator how to pick it back up.
@@ -731,7 +730,7 @@ def cmd_bench(args, out) -> int:
 
     import numpy as np
 
-    from repro.core.backends import available_backend_names, backend_names
+    from repro.core.backends import backend_names
     from repro.core.backends.bench import run_benchmarks
     from repro.core.backends.threads import cpu_count
 
@@ -758,7 +757,7 @@ def cmd_bench(args, out) -> int:
                   f"{backend_names()}", file=sys.stderr)
             return 2
     else:
-        names = available_backend_names()
+        names = backend_names()
 
     payload = run_benchmarks(size=size, repeats=repeats, dtype=dtype,
                              backends=names, batch=args.batch,
@@ -768,9 +767,6 @@ def cmd_bench(args, out) -> int:
     print(f"size={payload['size']} repeats={payload['repeats']} "
           f"dtype={payload['dtype']}", file=out)
     for name, entry in payload["backends"].items():
-        if not entry["available"]:
-            print(f"{name:<10} unavailable: {entry.get('error', '')}", file=out)
-            continue
         if not entry["parity_ok"]:
             failed_parity.append(name)
             print(f"{name:<10} PARITY FAILED: "
@@ -805,10 +801,6 @@ def cmd_bench(args, out) -> int:
     if parallel_section is not None:
         threads = parallel_section["threads"]
         for name, entry in parallel_section["backends"].items():
-            if not entry["available"]:
-                print(f"{name:<14} unavailable: {entry.get('error', '')}",
-                      file=out)
-                continue
             if not entry["parity_ok"]:
                 failed_parity.append(name)
                 print(f"{name:<14} PARITY FAILED: "
@@ -820,11 +812,6 @@ def cmd_bench(args, out) -> int:
                 suffix = (f"  {speedup:5.2f}x vs fused ({threads} threads)"
                           if speedup else "")
                 print(f"{name:<14} {op:<17} {ms:9.2f} ms{suffix}", file=out)
-            compile_seconds = entry.get("compile_seconds")
-            if compile_seconds:
-                total = sum(compile_seconds.values())
-                print(f"{name:<14} one-time JIT compile: {total:.2f} s "
-                      f"({len(compile_seconds)} kernels)", file=out)
 
     if failed_parity:
         print(f"parity failures in: {', '.join(failed_parity)} — "
@@ -968,10 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=8,
                    help="completed tasks between sweep-manifest flushes "
                         "(0 disables checkpoint/resume manifests)")
-    p.add_argument("--no-batch", action="store_true",
-                   help="disable batch-compatible grouping of cache misses "
-                        "(results are identical; batching only schedules "
-                        "compatible configurations back-to-back)")
 
     p = sub.add_parser(
         "serve", help="serve power-quality tradeoff queries over HTTP"
@@ -1089,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CI smoke scale: 64k elements, 2 repeats")
     p.add_argument("--dtype", default="float32", choices=("float32", "float64"))
     p.add_argument("--backends", default=None,
-                   help="comma-separated backend names (default: all available)")
+                   help="comma-separated backend names (default: all registered)")
     p.add_argument("--out", default="BENCH_core.json",
                    help="JSON output path (default BENCH_core.json)")
     p.add_argument("--no-write", action="store_true",
@@ -1106,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-parallel", dest="parallel", action="store_false",
                    help="skip the multi-core backend section")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the parallel backends "
+                   help="worker threads for the threaded backend "
                         "(default: REPRO_THREADS or the machine core "
                         "count; values above the core count are refused)")
 

@@ -8,8 +8,6 @@ selects which units run imprecisely, and the instrumented
 
 from .adder import DEFAULT_THRESHOLD, imprecise_add, imprecise_subtract, max_threshold
 from .backends import (
-    BackendUnavailableError,
-    available_backend_names,
     backend_names,
     default_backend_name,
     get_backend,
@@ -21,9 +19,6 @@ from .config import (
     MULTIPLIER_MODES,
     SFU_MODES,
     UNIT_NAMES,
-    batch_compatible,
-    batch_groups,
-    batch_signature,
     config_family,
     parse_config_spec,
 )
@@ -33,7 +28,7 @@ from .configurable import (
     MultiplierConfig,
     configurable_multiply,
 )
-from .context import ArithmeticContext, ContextBatch, FPU_OPS, OP_UNIT_CLASS, SFU_OPS
+from .context import ArithmeticContext, FPU_OPS, OP_UNIT_CLASS, SFU_OPS
 from .dualmode import DualModeMultiplier
 from .floatops import (
     BINARY16,
@@ -79,17 +74,12 @@ from .truncation import round_mantissa, truncated_multiply, truncation_max_error
 
 __all__ = [
     "ArithmeticContext",
-    "ContextBatch",
-    "batch_compatible",
-    "batch_groups",
-    "batch_signature",
     "CONFIG_FAMILIES",
     "config_family",
     "parse_config_spec",
     "BINARY16",
     "BINARY32",
     "BINARY64",
-    "BackendUnavailableError",
     "ComputeBackend",
     "DEFAULT_THRESHOLD",
     "DualModeMultiplier",
@@ -118,7 +108,6 @@ __all__ = [
     "SFU_OPS",
     "SQRT_MAX_ERROR",
     "UNIT_NAMES",
-    "available_backend_names",
     "backend_names",
     "compose",
     "configurable_multiply",

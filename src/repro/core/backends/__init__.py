@@ -6,13 +6,9 @@ One semantic contract, several interchangeable execution engines:
 - ``fused`` — single-pass kernels with preallocated scratch buffers,
   in-place ufuncs, and lazy special-case handling (~2-3x on large arrays);
 - ``threaded`` — the fused kernels tiled across a thread pool (multi-core
-  without any compiled dependency);
-- ``numba`` — JIT-compiled scalar integer datapaths; optional, gracefully
-  absent when numba is not installed;
-- ``numba-parallel`` — the numba datapaths under ``prange``, with batched
-  element x config kernels; optional like ``numba``.
+  without any compiled dependency).
 
-The parallel backends accept a thread count (``get_backend(name,
+Only ``threaded`` accepts a thread count (``get_backend("threaded",
 threads=N)``); resolution and the runner-worker oversubscription contract
 live in :mod:`repro.core.backends.threads`.
 
@@ -34,18 +30,14 @@ Selection, in priority order:
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import weakref
 
 __all__ = [
     "ENV_VAR",
     "DEFAULT_BACKEND",
-    "BackendUnavailableError",
     "backend_names",
-    "backend_available",
     "backend_accepts_threads",
-    "available_backend_names",
     "default_backend_name",
     "get_backend",
     "scratch_nbytes",
@@ -56,10 +48,6 @@ __all__ = [
 ENV_VAR = "REPRO_BACKEND"
 
 DEFAULT_BACKEND = "reference"
-
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run here (missing optional dependency)."""
 
 
 #: Live backends holding scratch state, tracked weakly so instances die
@@ -94,58 +82,27 @@ def _make_fused():
     return FusedBackend()
 
 
-def _make_numba():
-    from .numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
 def _make_threaded(threads=None):
     from .threaded import ThreadedFusedBackend
 
     return ThreadedFusedBackend(threads=threads)
 
 
-def _make_numba_parallel(threads=None):
-    from .numba_backend import NumbaParallelBackend
-
-    return NumbaParallelBackend(threads=threads)
-
-
 _FACTORIES = {
     "reference": _make_reference,
     "fused": _make_fused,
     "threaded": _make_threaded,
-    "numba": _make_numba,
-    "numba-parallel": _make_numba_parallel,
 }
-
-#: Backends whose factory accepts a ``threads`` count.
-_THREADED_BACKENDS = ("threaded", "numba-parallel")
 
 
 def backend_accepts_threads(name: str) -> bool:
     """Whether the named backend's factory takes a thread count."""
-    return name in _THREADED_BACKENDS
+    return name == "threaded"
 
 
 def backend_names() -> tuple:
-    """Every registered backend name, available here or not."""
+    """Every registered backend name."""
     return tuple(_FACTORIES)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` can actually be constructed in this environment."""
-    if name not in _FACTORIES:
-        return False
-    if name in ("numba", "numba-parallel"):
-        return importlib.util.find_spec("numba") is not None
-    return True
-
-
-def available_backend_names() -> tuple:
-    """The registered backends constructible in this environment."""
-    return tuple(name for name in _FACTORIES if backend_available(name))
 
 
 def default_backend_name() -> str:
@@ -171,7 +128,7 @@ def get_backend(name=None, threads=None):
     ``name`` may be a backend name, an existing backend instance (returned
     as-is), or ``None`` for the environment/default resolution.  Each call
     returns a fresh instance because backends may hold per-context scratch
-    state.  ``threads`` is forwarded to the parallel backends' factories;
+    state.  ``threads`` is forwarded to the ``threaded`` factory;
     requesting threads from a backend without a thread pool is an error
     (``None`` is always accepted and means "resolve the default").
     """
@@ -185,16 +142,11 @@ def get_backend(name=None, threads=None):
         raise ValueError(
             f"unknown backend {name!r}; expected one of {backend_names()}"
         )
-    if not backend_available(name):
-        raise BackendUnavailableError(
-            f"backend {name!r} is registered but not available here "
-            "(missing optional dependency)"
-        )
-    if name in _THREADED_BACKENDS:
+    if backend_accepts_threads(name):
         return _FACTORIES[name](threads=threads)
     if threads is not None:
         raise ValueError(
             f"backend {name!r} does not take a thread count; "
-            f"threads applies to {_THREADED_BACKENDS}"
+            "threads applies to 'threaded' only"
         )
     return _FACTORIES[name]()

@@ -4,7 +4,7 @@ A :class:`ComputeBackend` executes the imprecise unit operations for an
 :class:`~repro.core.context.ArithmeticContext`.  The base class *is* the
 ``reference`` backend: every method delegates to the original vectorized
 NumPy unit in :mod:`repro.core`, which stays the single source of truth for
-the paper's semantics.  Alternative backends (``fused``, ``numba``)
+the paper's semantics.  Alternative backends (``fused``, ``threaded``)
 override the hot methods with faster implementations and are contractually
 bit-identical — the parity harness in :mod:`repro.core.backends.parity`
 asserts exact equality on random and adversarial operand vectors, so

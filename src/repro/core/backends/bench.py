@@ -21,8 +21,7 @@ import numpy as np
 from ..adder import DEFAULT_THRESHOLD
 from ..configurable import MultiplierConfig
 from ..floatops import format_for_dtype
-from . import (available_backend_names, backend_accepts_threads,
-               backend_available, backend_names, get_backend)
+from . import backend_accepts_threads, backend_names, get_backend
 from .parity import check_batch_parity, check_parity
 from .threads import resolve_thread_count
 
@@ -38,7 +37,9 @@ BENCH_OPS = ("add", "mul", "fma", "rcp", "sqrt")
 BATCH_SWEEP_THRESHOLDS = (1, 2, 4, 6, 8, 12, 16, 23)
 
 #: Backends timed by the ``parallel`` section against the fused baseline.
-PARALLEL_BACKENDS = ("threaded", "numba-parallel")
+PARALLEL_BACKENDS = tuple(
+    name for name in backend_names() if backend_accepts_threads(name)
+)
 
 #: The Mitchell multiplier-configuration sweep shared by the ``batch``
 #: and ``parallel`` sections (filtered to ``truncation <= mantissa_bits``).
@@ -82,7 +83,6 @@ def _machine_metadata(threads=None) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "numba_available": "numba" in available_backend_names(),
     }
     if threads is not None:
         meta["threads"] = int(threads)
@@ -191,15 +191,12 @@ def _parallel_section(size: int, repeats: int, fmt, parity_samples: int,
                       threads=None) -> dict:
     """Time the multi-core backends against the single-core fused baseline.
 
-    For each parallel backend (``threaded`` always, ``numba-parallel``
-    when numba is installed) this times the scalar ``add``/``mul``/``fma``
-    datapaths and the batched Mitchell configuration sweep on the same
-    large operand vectors as the fused baseline, reporting per-op speedup
-    vs fused.  Like every other section, a backend must pass both the
-    scalar and the batched parity harness before its numbers are
-    published.  JIT backends additionally report per-kernel one-time
-    compile times (``compile_seconds``) so steady-state throughput is
-    never conflated with warm-up cost.
+    For each parallel backend (:data:`PARALLEL_BACKENDS`) this times the
+    scalar ``add``/``mul``/``fma`` datapaths and the batched Mitchell
+    configuration sweep on the same large operand vectors as the fused
+    baseline, reporting per-op speedup vs fused.  Like every other
+    section, a backend must pass both the scalar and the batched parity
+    harness before its numbers are published.
     """
     threads = resolve_thread_count(threads)
     section = {
@@ -229,21 +226,9 @@ def _parallel_section(size: int, repeats: int, fmt, parity_samples: int,
     section["fused_seconds"] = fused_times
 
     for name in PARALLEL_BACKENDS:
-        entry = {"available": backend_available(name), "parity_ok": None,
-                 "ops": {}}
+        entry = {"parity_ok": None, "ops": {}}
         section["backends"][name] = entry
-        if not entry["available"]:
-            entry["error"] = "missing optional dependency numba"
-            continue
-        try:
-            backend = get_backend(name, threads=threads)
-        except Exception as exc:
-            entry["available"] = False
-            entry["error"] = str(exc)
-            continue
-        compile_seconds = getattr(backend, "compile_seconds", None)
-        if compile_seconds:
-            entry["compile_seconds"] = dict(compile_seconds)
+        backend = get_backend(name, threads=threads)
         failures = check_parity(backend, dtype=dt, n_random=parity_samples)
         failures = failures + check_batch_parity(backend, dtype=dt,
                                                  n_random=parity_samples)
@@ -303,13 +288,13 @@ def run_benchmarks(size: int = 1_000_000, repeats: int = 5,
     ``batch=False`` to skip it (``repro bench --no-batch``).  With
     ``parallel=True`` (default) it carries a ``parallel`` section timing
     the multi-core backends against the fused baseline (see
-    :func:`_parallel_section`).  ``threads`` caps the parallel backends'
+    :func:`_parallel_section`).  ``threads`` caps the threaded backend's
     worker count (``repro bench --threads N``); ``None`` resolves via
     ``REPRO_THREADS`` / the machine core count.
     """
     fmt = format_for_dtype(dtype)
     if backends is None:
-        backends = available_backend_names()
+        backends = backend_names()
     unknown = [name for name in backends if name not in backend_names()]
     if unknown:
         raise ValueError(
@@ -332,28 +317,20 @@ def run_benchmarks(size: int = 1_000_000, repeats: int = 5,
         "threshold": DEFAULT_THRESHOLD,
         "backends": {},
     }
-    if batch and "fused" in available_backend_names():
+    if batch:
         payload["batch"] = _batch_section(size, repeats, fmt, parity_samples)
-    if parallel and "fused" in available_backend_names():
+    if parallel:
         payload["parallel"] = _parallel_section(size, repeats, fmt,
                                                 parity_samples,
                                                 threads=resolved_threads)
 
     reference_times = {}
     for name in backends:
-        entry = {"available": True, "parity_ok": None, "ops": {}}
+        entry = {"parity_ok": None, "ops": {}}
         payload["backends"][name] = entry
-        try:
-            kwargs = ({"threads": resolved_threads}
-                      if backend_accepts_threads(name) else {})
-            backend = get_backend(name, **kwargs)
-        except Exception as exc:  # registered but unavailable
-            entry["available"] = False
-            entry["error"] = str(exc)
-            continue
-        compile_seconds = getattr(backend, "compile_seconds", None)
-        if compile_seconds:
-            entry["compile_seconds"] = dict(compile_seconds)
+        kwargs = ({"threads": resolved_threads}
+                  if backend_accepts_threads(name) else {})
+        backend = get_backend(name, **kwargs)
         if name == "reference":
             entry["parity_ok"] = True
         else:
@@ -377,7 +354,7 @@ def run_benchmarks(size: int = 1_000_000, repeats: int = 5,
         }
         for op in BENCH_OPS:
             fn = runs[op]
-            fn()  # warm-up (also triggers any JIT compilation)
+            fn()  # warm-up
             seconds = _time_best(fn, repeats)
             record = {"seconds": seconds}
             if name == "reference":

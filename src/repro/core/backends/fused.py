@@ -1009,12 +1009,14 @@ class FusedBackend(ComputeBackend):
                     np.copyto(bits, orig, where=spec)
 
         # Exact float64 product of the reduced operands, then result flush.
+        # NaN operands, overflow to inf and inf * 0 = NaN are intended.
         fa = self._f("fa", shape)
-        np.copyto(fa, ra.astype(fmt.uint).view(fmt.dtype))
         fb = self._f("fb", shape)
-        np.copyto(fb, rb.astype(fmt.uint).view(fmt.dtype))
-        np.multiply(fa, fb, out=fa)
-        product = fa.astype(fmt.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(fa, ra.astype(fmt.uint).view(fmt.dtype))
+            np.copyto(fb, rb.astype(fmt.uint).view(fmt.dtype))
+            np.multiply(fa, fb, out=fa)
+            product = fa.astype(fmt.dtype)
         return flush_subnormals(product, fmt)
 
     def truncated_multiply(self, a, b, truncation: int = 0, dtype=np.float32,
@@ -1109,7 +1111,8 @@ class FusedBackend(ComputeBackend):
         return mant, e
 
     def _quantize(self, values, fmt):
-        out = values.astype(fmt.dtype)
+        with np.errstate(over="ignore"):  # out-of-range results become inf
+            out = values.astype(fmt.dtype)
         return flush_subnormals(out, fmt)
 
     def imprecise_reciprocal(self, x, dtype=np.float32) -> np.ndarray:
@@ -1248,9 +1251,9 @@ class FusedBackend(ComputeBackend):
         rcp = self.imprecise_reciprocal(b, dtype=dtype)
         a, rcp = np.broadcast_arrays(a, rcp)
         fa = self._f("fa", a.shape)
-        np.copyto(fa, a)
         fb = self._f("fb", a.shape)
-        np.copyto(fb, rcp)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(fa, a)
+            np.copyto(fb, rcp)
             np.multiply(fa, fb, out=fa)
         return self._quantize(fa, fmt)

@@ -1,11 +1,11 @@
-"""Thread-count policy for the multi-core backends.
+"""Thread-count policy for the multi-core ``threaded`` backend.
 
-The parallel backends (``threaded``, ``numba-parallel``) split elementwise
-work across OS threads.  How many threads they may use is a *policy*
-question that has to compose with the process-level parallelism of
+The ``threaded`` backend splits elementwise work across OS threads.  How
+many threads it may use is a *policy* question that has to compose with
+the process-level parallelism of
 :class:`~repro.runtime.runner.ExperimentRunner`: a sweep already fans out
-over a ``ProcessPoolExecutor`` sized to the machine, so a parallel backend
-inside a pool worker must not multiply that out into ``workers x threads``
+over a ``ProcessPoolExecutor`` sized to the machine, so the backend inside
+a pool worker must not multiply that out into ``workers x threads``
 oversubscription.
 
 Resolution order (first match wins):

@@ -22,9 +22,6 @@ __all__ = [
     "UNIT_NAMES",
     "MULTIPLIER_MODES",
     "SFU_MODES",
-    "batch_signature",
-    "batch_compatible",
-    "batch_groups",
     "parse_config_spec",
     "config_family",
     "CONFIG_FAMILIES",
@@ -78,14 +75,14 @@ class IHWConfig:
         default) or ``"quadratic"`` (the higher-accuracy extension point).
     backend:
         Compute backend executing the unit operations (``"reference"``,
-        ``"fused"``, ``"threaded"``, ``"numba"``, ``"numba-parallel"``), or
-        ``None`` to defer to the ``REPRO_BACKEND`` environment variable.
+        ``"fused"`` or ``"threaded"``), or ``None`` to defer to the
+        ``REPRO_BACKEND`` environment variable.
         Backends are contractually bit-identical, so this is a pure
         execution-speed knob: it does not participate in :meth:`canonical`
         or :meth:`cache_key`, and cached results are shared across
         backends.
     backend_threads:
-        Thread count for the parallel backends, or ``None`` to defer to
+        Thread count for the ``threaded`` backend, or ``None`` to defer to
         the resolution chain in :mod:`repro.core.backends.threads` (worker
         pin, ``REPRO_THREADS``, CPU count).  Like ``backend``, it cannot
         change results and is excluded from the cache key.
@@ -300,26 +297,6 @@ class IHWConfig:
         return " ".join(parts)
 
 
-def batch_signature(config: IHWConfig) -> tuple:
-    """Module-level alias of :meth:`IHWConfig.batch_signature`."""
-    return config.batch_signature()
-
-
-def batch_compatible(configs) -> bool:
-    """Whether every configuration can share one batched evaluation.
-
-    True iff all configurations agree on :meth:`IHWConfig.batch_signature`
-    (enabled units, multiplier mode, SFU mode); an empty sequence is not
-    batchable.  The remaining knobs — adder threshold, Mitchell path and
-    truncation, ``bt_N`` truncation and rounding — vary freely per lane.
-    """
-    configs = list(configs)
-    if not configs:
-        return False
-    first = configs[0].batch_signature()
-    return all(c.batch_signature() == first for c in configs[1:])
-
-
 def parse_config_spec(spec: str, threshold: int = DEFAULT_THRESHOLD,
                       multiplier: str | None = None,
                       sfu_mode: str = "linear") -> IHWConfig:
@@ -385,16 +362,3 @@ def config_family(family: str, threshold: int = DEFAULT_THRESHOLD) -> dict:
         f"unknown family {family!r}; expected one of {CONFIG_FAMILIES}"
     )
 
-
-def batch_groups(named_configs: dict) -> list:
-    """Partition ``{name: config}`` into batch-compatible groups.
-
-    Returns a list of dicts, each a maximal batch-compatible subset, with
-    both group order and within-group order following first appearance in
-    ``named_configs`` — so regrouping never reorders results presented to
-    the user.
-    """
-    groups: dict = {}
-    for name, cfg in named_configs.items():
-        groups.setdefault(cfg.batch_signature(), {})[name] = cfg
-    return list(groups.values())

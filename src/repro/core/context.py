@@ -37,7 +37,7 @@ import numpy as np
 
 from .backends import backend_accepts_threads, default_backend_name, \
     get_backend
-from .config import IHWConfig, batch_compatible
+from .config import IHWConfig
 from .quadratic import (
     quadratic_log2,
     quadratic_reciprocal,
@@ -48,7 +48,6 @@ from .floatops import flush_subnormals
 
 __all__ = [
     "ArithmeticContext",
-    "ContextBatch",
     "OP_UNIT_CLASS",
     "FPU_OPS",
     "SFU_OPS",
@@ -408,251 +407,3 @@ class ArithmeticContext:
             precise,
         )
 
-
-class ContextBatch:
-    """One shared operand stream evaluated under N configurations at once.
-
-    The batched mirror of :class:`ArithmeticContext`: every operation takes
-    the *same* operands for all lanes and returns a list with one result
-    per lane, in ``configs`` order.  Operations whose structural parameter
-    varies across the batch (the threshold adder/FMA, the Mitchell and
-    ``bt_N`` multipliers) dispatch to the backend's batched entry points —
-    one sign/exponent/fraction decomposition feeding N cheap integer-domain
-    fixups — while configuration-invariant operations (the Table-1
-    multiplier, the SFUs, every precise path) run once and every lane
-    shares the result.  Each lane's result is contractually bit-identical
-    to evaluating that configuration through its own
-    :class:`ArithmeticContext`; batching is purely an execution-speed
-    choice, so result-cache keys are unaffected.
-
-    The configurations must agree on
-    :meth:`~repro.core.config.IHWConfig.batch_signature` (same enabled
-    units, multiplier mode, SFU mode) — check candidates with
-    :func:`~repro.core.config.batch_compatible` or partition them with
-    :func:`~repro.core.config.batch_groups`.
-
-    Lane *divergence* is deliberately out of scope: after one imprecise
-    operation the N outputs differ, so downstream work on per-lane operands
-    cannot share a decomposition.  Kernels needing per-lane state use
-    ``lanes[i]`` — full :class:`ArithmeticContext` instances sharing this
-    batch's backend (and thus one scratch pool) — whose counters this class
-    also feeds.
-    """
-
-    def __init__(self, configs, dtype=np.float32, backend=None):
-        configs = list(configs)
-        if not configs:
-            raise ValueError("ContextBatch needs at least one configuration")
-        if not batch_compatible(configs):
-            raise ValueError(
-                "configurations are not batch-compatible: a batch must "
-                "share enabled units, multiplier_mode, and sfu_mode "
-                "(thresholds and multiplier parameters may vary per lane)"
-            )
-        self.configs = configs
-        if backend is not None:
-            shared = get_backend(backend)
-        else:
-            shared = _config_backend(configs[0])
-        #: one full ArithmeticContext per configuration, all sharing a
-        #: single backend instance; per-lane performance counters live here
-        self.lanes = [
-            ArithmeticContext(cfg, dtype=dtype, backend=shared)
-            for cfg in configs
-        ]
-        self.backend = shared
-        self.dtype = self.lanes[0].dtype
-        #: shared switches (enabled units, sfu_mode, multiplier_mode); the
-        #: compatibility check above guarantees these agree across lanes
-        self.config = configs[0]
-
-    def __len__(self) -> int:
-        return len(self.lanes)
-
-    # ------------------------------------------------------------------
-    # Counting (delegates to the per-lane contexts)
-    # ------------------------------------------------------------------
-    def _count_all(self, op: str, outs, imprecise: bool):
-        for lane, out in zip(self.lanes, outs):
-            lane._count(op, out, imprecise)
-
-    def reset_counts(self):
-        """Clear every lane's performance counters."""
-        for lane in self.lanes:
-            lane.reset_counts()
-
-    def op_counts(self) -> list:
-        """Per-lane totals, one dict per configuration."""
-        return [lane.op_counts() for lane in self.lanes]
-
-    def _use_imprecise(self, op: str, precise: bool) -> bool:
-        # Unit switches are part of the batch signature, so lane 0 speaks
-        # for the whole batch.
-        return self.lanes[0]._use_imprecise(op, precise)
-
-    def _replicate(self, out) -> list:
-        return [out] * len(self.lanes)
-
-    # ------------------------------------------------------------------
-    # Batched FPU operations (structural parameter varies per lane)
-    # ------------------------------------------------------------------
-    def add(self, a, b, precise: bool = False) -> list:
-        """``a + b`` per lane; one decompose, per-lane threshold fixups."""
-        if self._use_imprecise("add", precise):
-            outs = self.backend.imprecise_add_batch(
-                a, b, [c.adder_threshold for c in self.configs],
-                dtype=self.dtype)
-            self._count_all("add", outs, True)
-        else:
-            outs = self._replicate(np.add(a, b, dtype=self.dtype))
-            self._count_all("add", outs, False)
-        return outs
-
-    def sub(self, a, b, precise: bool = False) -> list:
-        """``a - b`` per lane; shares the batched adder datapath."""
-        if self._use_imprecise("sub", precise):
-            outs = self.backend.imprecise_subtract_batch(
-                a, b, [c.adder_threshold for c in self.configs],
-                dtype=self.dtype)
-            self._count_all("sub", outs, True)
-        else:
-            outs = self._replicate(np.subtract(a, b, dtype=self.dtype))
-            self._count_all("sub", outs, False)
-        return outs
-
-    def fma(self, a, b, c, precise: bool = False) -> list:
-        """``a * b + c`` per lane; the product is computed once."""
-        if self._use_imprecise("fma", precise):
-            outs = self.backend.imprecise_fma_batch(
-                a, b, c, [cfg.adder_threshold for cfg in self.configs],
-                dtype=self.dtype)
-            self._count_all("fma", outs, True)
-        else:
-            outs = self._replicate(
-                np.add(np.multiply(a, b, dtype=self.dtype), c,
-                       dtype=self.dtype)
-            )
-            self._count_all("fma", outs, False)
-        return outs
-
-    def mul(self, a, b, precise: bool = False) -> list:
-        """``a * b`` per lane under the configured multiplier mode."""
-        if self._use_imprecise("mul", precise):
-            mode = self.config.multiplier_mode
-            if mode == "mitchell":
-                outs = self.backend.configurable_multiply_batch(
-                    a, b, [c.multiplier_config for c in self.configs],
-                    dtype=self.dtype)
-            elif mode == "truncated":
-                outs = self.backend.truncated_multiply_batch(
-                    a, b, [c.multiplier_truncation for c in self.configs],
-                    dtype=self.dtype,
-                    rounding=[c.multiplier_bt_rounding
-                              for c in self.configs])
-            else:
-                # Table-1 multiplier has no structural parameter: one
-                # evaluation serves every lane.
-                outs = self._replicate(
-                    self.backend.imprecise_multiply(a, b, dtype=self.dtype)
-                )
-            self._count_all("mul", outs, True)
-        else:
-            outs = self._replicate(np.multiply(a, b, dtype=self.dtype))
-            self._count_all("mul", outs, False)
-        return outs
-
-    # ------------------------------------------------------------------
-    # SFU operations (configuration-invariant across a batch: sfu_mode is
-    # part of the batch signature and the linear/quadratic SFUs have no
-    # per-config structural parameter, so one evaluation serves all lanes)
-    # ------------------------------------------------------------------
-    def _sfu(self, op: str, imprecise_fn, precise_fn, precise: bool) -> list:
-        if self._use_imprecise(op, precise):
-            outs = self._replicate(imprecise_fn())
-            self._count_all(op, outs, True)
-        else:
-            outs = self._replicate(precise_fn())
-            self._count_all(op, outs, False)
-        return outs
-
-    def div(self, a, b, precise: bool = False) -> list:
-        """``a / b`` per lane on the SFU divider."""
-        if self.config.sfu_mode == "quadratic":
-            imprecise = lambda: self.lanes[0]._quadratic_divide(a, b)
-        else:
-            imprecise = lambda: self.backend.imprecise_divide(
-                a, b, dtype=self.dtype)
-
-        def precise_fn():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.divide(a, b, dtype=self.dtype)
-
-        return self._sfu("div", imprecise, precise_fn, precise)
-
-    def rcp(self, x, precise: bool = False) -> list:
-        """``1 / x`` per lane on the SFU."""
-        if self.config.sfu_mode == "quadratic":
-            imprecise = lambda: quadratic_reciprocal(x, dtype=self.dtype)
-        else:
-            imprecise = lambda: self.backend.imprecise_reciprocal(
-                x, dtype=self.dtype)
-
-        def precise_fn():
-            with np.errstate(divide="ignore"):
-                return np.divide(np.array(1.0, self.dtype), x,
-                                 dtype=self.dtype)
-
-        return self._sfu("rcp", imprecise, precise_fn, precise)
-
-    def rsqrt(self, x, precise: bool = False) -> list:
-        """``1 / sqrt(x)`` per lane on the SFU."""
-        if self.config.sfu_mode == "quadratic":
-            imprecise = lambda: quadratic_rsqrt(x, dtype=self.dtype)
-        else:
-            imprecise = lambda: self.backend.imprecise_rsqrt(
-                x, dtype=self.dtype)
-
-        def precise_fn():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.divide(
-                    np.array(1.0, self.dtype),
-                    np.sqrt(x, dtype=self.dtype),
-                    dtype=self.dtype,
-                )
-
-        return self._sfu("rsqrt", imprecise, precise_fn, precise)
-
-    def sqrt(self, x, precise: bool = False) -> list:
-        """``sqrt(x)`` per lane on the SFU."""
-        if self.config.sfu_mode == "quadratic":
-            imprecise = lambda: quadratic_sqrt(x, dtype=self.dtype)
-        else:
-            imprecise = lambda: self.backend.imprecise_sqrt(
-                x, dtype=self.dtype)
-
-        def precise_fn():
-            with np.errstate(invalid="ignore"):
-                return np.sqrt(x, dtype=self.dtype)
-
-        return self._sfu("sqrt", imprecise, precise_fn, precise)
-
-    def log2(self, x, precise: bool = False) -> list:
-        """``log2(x)`` per lane on the SFU."""
-        if self.config.sfu_mode == "quadratic":
-            imprecise = lambda: quadratic_log2(x, dtype=self.dtype)
-        else:
-            imprecise = lambda: self.backend.imprecise_log2(
-                x, dtype=self.dtype)
-
-        def precise_fn():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log2(x, dtype=self.dtype)
-
-        return self._sfu("log2", imprecise, precise_fn, precise)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def array(self, values):
-        """Convert ``values`` to this batch's dtype (not counted)."""
-        return np.asarray(values, dtype=self.dtype)

@@ -58,7 +58,7 @@ def pow2_table() -> np.ndarray:
     global _POW2_TABLE
     if _POW2_TABLE is None:
         exponents = np.arange(-POW2_RANGE, POW2_RANGE + 1, dtype=np.int32)
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             table = np.ldexp(1.0, exponents)
         table.setflags(write=False)
         _POW2_TABLE = table

@@ -73,7 +73,8 @@ def _mantissa_and_exponent(x, fmt):
 
 def _quantize(values: np.ndarray, fmt) -> np.ndarray:
     """Cast the float64 datapath result to the target format, flush subnormals."""
-    out = values.astype(fmt.dtype)
+    with np.errstate(over="ignore"):  # out-of-range results become inf
+        out = values.astype(fmt.dtype)
     return flush_subnormals(out, fmt)
 
 
@@ -184,8 +185,9 @@ def imprecise_divide(a, b, dtype=np.float32) -> np.ndarray:
     a = flush_subnormals(np.asarray(a, dtype=fmt.dtype), fmt)
     b = np.asarray(b, dtype=fmt.dtype)
     rcp = imprecise_reciprocal(b, dtype=dtype)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         result = a.astype(np.float64) * rcp.astype(np.float64)
         # 0 * inf and inf * 0 from the reciprocal stage are NaN, matching
-        # IEEE division semantics for 0/0 and inf/inf.
+        # IEEE division semantics for 0/0 and inf/inf; finite products
+        # past float64's range overflow to inf.
     return _quantize(result, fmt)

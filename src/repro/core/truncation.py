@@ -84,9 +84,11 @@ def truncated_multiply(
     b_t = reduce(flush_subnormals(b, fmt), keep, fmt)
     # The exact product of the reduced operands, then result truncation.
     # For binary32 the float64 product is exact; for binary64 the float64
-    # rounding is far below the truncation error being modeled.
-    product = a_t.astype(np.float64) * b_t.astype(np.float64)
-    product = product.astype(fmt.dtype)
+    # rounding is far below the truncation error being modeled.  Overflow
+    # to inf and inf * 0 = NaN are the intended IEEE results.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a_t.astype(np.float64) * b_t.astype(np.float64)
+        product = product.astype(fmt.dtype)
     product = truncate_mantissa(product, fmt.mantissa_bits, fmt)
     return flush_subnormals(product, fmt)
 

@@ -145,8 +145,7 @@ class PowerQualityFramework:
             output=result.output,
         )
 
-    def evaluate_many(self, configs: dict, runner=None, client=None,
-                      batch: bool = True) -> dict:
+    def evaluate_many(self, configs: dict, runner=None, client=None) -> dict:
         """Evaluate a named set of configurations (insertion-ordered).
 
         With ``runner=None`` every configuration is evaluated here,
@@ -159,11 +158,6 @@ class PowerQualityFramework:
         Both remote paths require the framework to have been built from
         a spec (:meth:`from_spec`), since closures cannot cross
         processes.
-
-        ``batch`` (default on) lets the runner group batch-compatible
-        configurations (same enabled units, multiplier mode, SFU mode)
-        into homogeneous chunks — a pure scheduling choice: results,
-        cache entries, and resume behavior are identical either way.
         """
         if runner is not None and client is not None:
             raise ValueError("pass either runner= or client=, not both")
@@ -179,11 +173,11 @@ class PowerQualityFramework:
             evaluations = client.evaluate_many(self.spec,
                                                list(configs.values()))
             return dict(zip(names, evaluations))
-        return runner.sweep(self.spec, configs, batch=batch)
+        return runner.sweep(self.spec, configs)
 
-    def sweep(self, configs: dict, runner=None, batch: bool = True) -> dict:
+    def sweep(self, configs: dict, runner=None) -> dict:
         """Alias of :meth:`evaluate_many` (the historical name)."""
-        return self.evaluate_many(configs, runner=runner, batch=batch)
+        return self.evaluate_many(configs, runner=runner)
 
     def quality_evaluator(self) -> Callable:
         """An ``evaluate(config) -> quality`` closure for the tuning loop."""

@@ -68,8 +68,8 @@ def pareto_front(points) -> list:
     return sorted(front, key=lambda p: (p.cost, p.loss))
 
 
-def sweep_design_points(spec, configs, runner=None, cost=None, loss=None,
-                        batch: bool = True) -> list:
+def sweep_design_points(spec, configs, runner=None, cost=None,
+                        loss=None) -> list:
     """Evaluate configurations into :class:`DesignPoint`\\ s (both axes clamped at 0).
 
     The application sweep behind a Figure-14-style Pareto study, routed
@@ -91,11 +91,6 @@ def sweep_design_points(spec, configs, runner=None, cost=None, loss=None,
         ``loss(evaluation) -> float`` (lower is better).  Default: the
         raw quality value — correct for lower-is-better metrics such as
         MAE; pass e.g. ``lambda ev: 1 - ev.quality`` for SSIM.
-    batch:
-        Group batch-compatible configurations into homogeneous runner
-        chunks (default on).  A Figure-14-style family sweep — many
-        truncation levels of one multiplier mode — is exactly the shape
-        batching likes; results are identical either way.
     """
     from repro.runtime import ExperimentRunner
 
@@ -103,7 +98,7 @@ def sweep_design_points(spec, configs, runner=None, cost=None, loss=None,
         runner = ExperimentRunner(max_workers=1)
     cost = cost or (lambda ev: 1.0 - ev.savings.system_savings)
     loss = loss or (lambda ev: ev.quality)
-    evaluations = runner.sweep(spec, configs, batch=batch)
+    evaluations = runner.sweep(spec, configs)
     return [
         DesignPoint(
             name=name,

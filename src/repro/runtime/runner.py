@@ -131,7 +131,7 @@ def _error_summary(exc: BaseException) -> str:
 def _worker_init() -> None:
     """Pool-worker initializer: fresh telemetry, single-threaded backends.
 
-    The pin keeps a parallel backend inside a pool worker from multiplying
+    The pin keeps the threaded backend inside a pool worker from multiplying
     the pool's process parallelism into ``workers x threads``
     oversubscription: with the pin, a sweep over N workers uses N cores
     total no matter which backend the configurations select.  An explicit
@@ -184,25 +184,6 @@ def _evaluate_chunk(spec, tasks):
             rows.append(("err", name, _error_summary(exc)))
     _reclaim_scratch()
     return rows, telemetry.drain_worker()
-
-
-def _evaluate_batch_chunk(spec, tasks):
-    """Worker task for the batched sweep path: one compatible group.
-
-    Same row protocol, fault isolation, and per-task semantics as
-    :func:`_evaluate_chunk` — each configuration still lands its own
-    result row under its own cache key, so cache/resume/retry bookkeeping
-    is byte-identical to the unbatched path.  The difference is upstream:
-    the parent only forms these chunks from configurations sharing a
-    batch signature (:meth:`~repro.core.config.IHWConfig.batch_signature`),
-    so a group traverses one datapath shape back-to-back (hot framework
-    memo and reference run, one scratch reclamation per group), and
-    shared-operand consumers inside the evaluation can rely on
-    :class:`~repro.core.ContextBatch` compatibility across the chunk.
-    Failed rows are retried solo by the parent (retries never share a
-    chunk), which is exactly "split the batch into singles".
-    """
-    return _evaluate_chunk(spec, tasks)
 
 
 def _call_chunk(func, tasks):
@@ -291,7 +272,7 @@ class ExperimentRunner:
         self.checkpoint_every = checkpoint_every
         self.stats = RunnerStats(max_workers=self.max_workers)
         self._frameworks: dict = {}
-        # Parent-process thread resolution for the parallel backends; pool
+        # Parent-process thread resolution for the threaded backend; pool
         # workers are pinned to 1 by _worker_init, so workers x threads
         # stays bounded by max(workers, threads).
         from repro.core.backends.threads import resolve_thread_count
@@ -322,8 +303,7 @@ class ExperimentRunner:
             self.cache.put(spec, config, evaluation, seconds)
         return evaluation
 
-    def sweep(self, spec, configs, resume: bool = False,
-              batch: bool = True) -> dict:
+    def sweep(self, spec, configs, resume: bool = False) -> dict:
         """Evaluate ``{name: IHWConfig}`` and return ``{name: Evaluation}``.
 
         Insertion order is preserved; ``self.stats`` afterwards describes
@@ -335,15 +315,6 @@ class ExperimentRunner:
         (:class:`TaskFailedError`) the manifest still records every
         completed configuration, so the next ``resume=True`` run picks up
         where this one stopped.
-
-        With ``batch=True`` (the default) cache misses are grouped by
-        :meth:`~repro.core.config.IHWConfig.batch_signature` and each
-        dispatched chunk stays inside one batch-compatible group
-        (:func:`_evaluate_batch_chunk`).  Batching never changes what is
-        computed — every configuration keeps its own result, cache entry,
-        manifest mark, and retry budget, and results are bit-identical to
-        ``batch=False`` — it only changes how misses are scheduled, plus
-        scratch-pool reclamation between groups.
         """
         wall_start = time.perf_counter()
         injector = faults.active()
@@ -401,33 +372,12 @@ class ExperimentRunner:
                             events["resumed_skipped"] += 1
                     else:
                         misses.append(_PendingTask(name, name, config))
-                chunk_key = None
-                worker = _evaluate_chunk
-                if batch and misses:
-                    # Group-ordered dispatch: misses sharing a batch
-                    # signature run back-to-back and never split across a
-                    # chunk boundary with an incompatible configuration.
-                    # The backend-exempt fallback retry (with_backend)
-                    # preserves the signature, and retries dispatch solo
-                    # anyway, so the key stays stable for a task's life.
-                    groups: dict = {}
-                    for task in misses:
-                        key = task.payload.batch_signature()
-                        groups.setdefault(key, []).append(task)
-                    misses = [t for group in groups.values() for t in group]
-                    chunk_key = lambda task: task.payload.batch_signature()
-                    worker = _evaluate_batch_chunk
-                    if len(groups) > 1:
-                        events["notes"].append(
-                            f"batched {len(misses)} misses into "
-                            f"{len(groups)} compatible groups"
-                        )
                 chunk_size = self._chunk_size_for(len(misses))
                 self._execute(
                     tasks=misses,
                     chunk_size=chunk_size,
                     call_factory=lambda chunk: (
-                        worker,
+                        _evaluate_chunk,
                         spec,
                         tuple((t.key, t.payload, t.attempt) for t in chunk),
                     ),
@@ -438,7 +388,6 @@ class ExperimentRunner:
                     deliver=deliver,
                     events=events,
                     parent_span_id=sweep_span["id"] if sweep_span else None,
-                    chunk_key=chunk_key,
                 )
         finally:
             _reclaim_scratch()
@@ -529,8 +478,7 @@ class ExperimentRunner:
     # Fault-tolerant execution engine
     # ------------------------------------------------------------------
     def _execute(self, tasks, chunk_size, call_factory, inline_call,
-                 prepare_retry, deliver, events, parent_span_id=None,
-                 chunk_key=None):
+                 prepare_retry, deliver, events, parent_span_id=None):
         """Drive every task to completion (or exhaust its retries).
 
         Tasks flow: queue -> dispatched chunk -> delivered, with failures
@@ -538,11 +486,6 @@ class ExperimentRunner:
         spent.  ``max_workers == 1`` — or degradation after repeated pool
         losses — drains the queue through ``inline_call`` instead: the
         bit-identical sequential path.
-
-        ``chunk_key`` (optional, ``task -> hashable``) constrains chunk
-        formation: a chunk never mixes tasks with different keys.  The
-        batched sweep path uses it to keep every dispatched chunk inside
-        one batch-compatible configuration group.
         """
         policy = self.policy
         queue = deque(tasks)
@@ -571,16 +514,24 @@ class ExperimentRunner:
                     pool = ProcessPoolExecutor(
                         max_workers=workers, initializer=_worker_init
                     )
+                pool_broken = False
                 while queue:
                     chunk = [queue.popleft()]
                     while (
                         len(chunk) < chunk_size and queue
                         and chunk[0].attempt == 0 and queue[0].attempt == 0
-                        and (chunk_key is None
-                             or chunk_key(queue[0]) == chunk_key(chunk[0]))
                     ):
                         chunk.append(queue.popleft())
-                    future = pool.submit(*call_factory(chunk))
+                    try:
+                        future = pool.submit(*call_factory(chunk))
+                    except BrokenProcessPool:
+                        # A worker died while this round was still being
+                        # dispatched; the chunk never ran, so it goes back
+                        # uncharged and the pool is rebuilt below.
+                        self._requeue_chunk(chunk, queue, events,
+                                            reason="", charge_attempt=False)
+                        pool_broken = True
+                        break
                     deadline = policy.chunk_deadline_seconds(len(chunk))
                     pending[future] = (
                         chunk,
@@ -595,7 +546,6 @@ class ExperimentRunner:
                 done, _ = wait(pending, timeout=timeout,
                                return_when=FIRST_COMPLETED)
 
-                pool_broken = False
                 for future in done:
                     chunk, _deadline = pending.pop(future)
                     try:

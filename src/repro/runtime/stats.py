@@ -19,10 +19,9 @@ __all__ = [
 def group_key(config) -> str:
     """Human-readable signature-group label of one configuration.
 
-    Derived from :meth:`~repro.core.config.IHWConfig.batch_signature` —
-    the same partition the batched sweep dispatcher uses — so per-group
-    hit/miss accounting (``repro sweep --stats``) and the sweep service's
-    ``/queuez`` view group work identically.
+    Derived from :meth:`~repro.core.config.IHWConfig.batch_signature`, so
+    per-group hit/miss accounting (``repro sweep --stats``) and the sweep
+    service's ``/queuez`` view group work identically.
     """
     enabled, multiplier_mode, sfu_mode = config.batch_signature()
     units = "+".join(enabled) if enabled else "precise"

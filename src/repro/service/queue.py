@@ -11,7 +11,7 @@ cost exactly one computation and one cache write
 Worker threads drain the queue; each pops one item, then gathers every
 other pending item of the *same experiment* (up to ``batch_limit``) and
 evaluates them as one :meth:`~repro.runtime.ExperimentRunner.sweep` call,
-so the runner's batch-signature grouping still applies.  Results are
+so they share one runner dispatch and cache pass.  Results are
 re-read through the cache (:meth:`~repro.runtime.cache.ResultCache.document`)
 and delivered to waiters as sanitized entry documents — the identical
 bytes a warm request would have been served, which is what makes service
@@ -324,7 +324,7 @@ class SweepQueue:
                 # the work: the trace crosses the queue boundary intact.
                 span_doc["parent"] = batch[0].parent_span_id
             try:
-                runner.sweep(spec, configs, batch=True)
+                runner.sweep(spec, configs)
             except Exception as exc:  # delivered to waiters, not raised
                 error = exc
         telemetry.histogram_observe("repro_service_execute_seconds",

@@ -13,9 +13,7 @@ from repro.core import ArithmeticContext, IHWConfig
 from repro.core.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    BackendUnavailableError,
-    available_backend_names,
-    backend_available,
+    backend_accepts_threads,
     backend_names,
     default_backend_name,
     get_backend,
@@ -26,19 +24,21 @@ from repro.core.backends.fused import FusedBackend, ScratchPool
 from repro.core.backends.parity import adversarial_operands, check_parity
 from repro.core.floatops import format_for_dtype
 
+# Kernels wrap their intended inf/NaN steps in np.errstate; any stray
+# RuntimeWarning is a regression.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ----------------------------------------------------------------------
 # Registry and selection
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered_names(self):
-        assert backend_names() == ("reference", "fused", "threaded",
-                                   "numba", "numba-parallel")
+        assert backend_names() == ("reference", "fused", "threaded")
 
     def test_reference_and_fused_always_available(self):
-        assert "reference" in available_backend_names()
-        assert "fused" in available_backend_names()
-        assert "threaded" in available_backend_names()
+        for name in backend_names():
+            assert get_backend(name).name == name
 
     def test_default_is_reference_when_env_unset(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -66,12 +66,13 @@ class TestRegistry:
     def test_fresh_instances_per_call(self):
         assert get_backend("fused") is not get_backend("fused")
 
-    def test_numba_absent_raises_or_constructs(self):
-        if backend_available("numba"):
-            assert get_backend("numba").name == "numba"
-        else:
-            with pytest.raises(BackendUnavailableError):
-                get_backend("numba")
+    def test_removed_numba_names_rejected(self, monkeypatch):
+        names = r"\('reference', 'fused', 'threaded'\)"
+        with pytest.raises(ValueError, match=names):
+            get_backend("numba")
+        monkeypatch.setenv(ENV_VAR, "numba-parallel")
+        with pytest.raises(ValueError, match=names):
+            get_backend()
 
     def test_config_backend_resolution(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -90,7 +91,7 @@ class TestRegistry:
 # Parity: the contractual bit-identity of every backend
 # ----------------------------------------------------------------------
 def _parity_backends():
-    return [name for name in available_backend_names() if name != "reference"]
+    return [name for name in backend_names() if name != "reference"]
 
 
 class TestParity:
@@ -340,6 +341,10 @@ class TestBench:
         parallel = payload["parallel"]
         assert parallel["baseline"] == "fused"
         assert parallel["backends"]["threaded"]["parity_ok"] is True
+        # A stale entry for a backend this tree no longer registers fails.
+        assert set(parallel["backends"]) == {
+            name for name in backend_names() if backend_accepts_threads(name)
+        }
 
 
 # ----------------------------------------------------------------------

@@ -1,31 +1,21 @@
-"""The batch axis: batched backend entry points, ContextBatch, runner grouping.
+"""The batch axis: batched backend entry points and mixed-signature sweeps.
 
 One decompose, N configurations — and every lane bit-identical to the
-per-config path.  Covers the four layers of the batch contract:
+per-config path.  Covers:
 
 - backend: ``*_batch`` entry points vs per-config reference calls over
   random + adversarial + special-value operands (``check_batch_parity``),
   mixed config lists including duplicates and single-config batches;
-- context: :class:`ContextBatch` lane results vs per-config
-  :class:`ArithmeticContext`, per-lane counters, compatibility validation;
-- config: batch signatures, grouping, and cache-key independence;
-- runtime: batched sweeps produce identical results, cache entries, and
-  resume behavior as the unbatched path, and scratch pools are reclaimed
-  between tasks with the high-water gauge published.
+- config: batch signatures and cache-key independence;
+- runtime: sweeps over mixed batch signatures produce identical results,
+  cache entries, and resume behavior pooled and sequential, and scratch
+  pools are reclaimed between tasks with the high-water gauge published.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ArithmeticContext,
-    ContextBatch,
-    IHWConfig,
-    batch_compatible,
-    batch_groups,
-)
+from repro.core import IHWConfig
 from repro.core.backends import (
     get_backend,
     release_all_scratch,
@@ -33,8 +23,12 @@ from repro.core.backends import (
 )
 from repro.core.backends.base import BATCH_OPS, ComputeBackend
 from repro.core.backends.parity import BATCH_PARITY_OPS, check_batch_parity
-from repro.core.configurable import MultiplierConfig
 from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
+from repro.runtime.stats import group_key
+
+# Kernels wrap their intended inf/NaN steps in np.errstate; any stray
+# RuntimeWarning is a regression.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPEC = ExperimentSpec.create(
     "hotspot", metric="mae", rows=16, cols=16, iterations=3
@@ -58,11 +52,9 @@ class TestBatchedBackendParity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_batch_parity(self, dtype):
         """Random + adversarial + special vectors, duplicates, singletons."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            failures = check_batch_parity(
-                get_backend("fused"), dtype=dtype, n_random=2048
-            )
+        failures = check_batch_parity(
+            get_backend("fused"), dtype=dtype, n_random=2048
+        )
         assert failures == []
 
     def test_harness_covers_every_batch_op(self):
@@ -96,114 +88,6 @@ class TestBatchedBackendParity:
 
 
 # ----------------------------------------------------------------------
-# Context layer
-# ----------------------------------------------------------------------
-class TestContextBatch:
-    def _operands(self, n=512, dtype=np.float32, seed=9):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=n).astype(dtype)
-        b = rng.normal(size=n).astype(dtype)
-        c = rng.normal(size=n).astype(dtype)
-        return a, b, c
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_threshold_lanes_match_scalar_contexts(self, dtype):
-        from repro.core.adder import max_threshold
-
-        limit = max_threshold(dtype)
-        configs = [
-            IHWConfig.all_imprecise(adder_threshold=t).with_backend("fused")
-            for t in (1, 4, 8, 8, limit)  # duplicate on purpose
-        ]
-        batch = ContextBatch(configs, dtype=dtype)
-        a, b, c = self._operands(dtype=dtype)
-        for op, outs in (
-            ("add", batch.add(a, b)),
-            ("sub", batch.sub(a, b)),
-            ("mul", batch.mul(a, b)),
-            ("fma", batch.fma(a, b, c)),
-            ("rcp", batch.rcp(a)),
-            ("sqrt", batch.sqrt(np.abs(a))),
-        ):
-            assert len(outs) == len(configs)
-            for cfg, out in zip(configs, outs):
-                ctx = ArithmeticContext(cfg, dtype=dtype)
-                expected = getattr(ctx, op)(*((a, b, c)[: {
-                    "add": 2, "sub": 2, "mul": 2, "fma": 3,
-                }.get(op, 1)] if op != "sqrt" else (np.abs(a),)))
-                _assert_identical(out, expected)
-
-    @pytest.mark.parametrize("mode,knob", [
-        ("mitchell", [MultiplierConfig.from_name(n)
-                      for n in ("fp_tr0", "lp_tr0", "lp_tr8", "lp_tr8")]),
-        ("truncated", [0, 4, 8, 8]),
-    ])
-    def test_multiplier_lanes_match_scalar_contexts(self, mode, knob):
-        base = IHWConfig.units("mul").with_backend("fused")
-        if mode == "mitchell":
-            configs = [base.with_multiplier("mitchell", config=k)
-                       for k in knob]
-        else:
-            configs = [base.with_multiplier("truncated", truncation=k)
-                       for k in knob]
-        batch = ContextBatch(configs)
-        a, b, _ = self._operands()
-        outs = batch.mul(a, b)
-        for cfg, out in zip(configs, outs):
-            _assert_identical(out, ArithmeticContext(cfg).mul(a, b))
-
-    def test_single_config_batch_degenerates(self):
-        cfg = IHWConfig.all_imprecise().with_backend("fused")
-        batch = ContextBatch([cfg])
-        a, b, _ = self._operands()
-        (out,) = batch.add(a, b)
-        _assert_identical(out, ArithmeticContext(cfg).add(a, b))
-
-    def test_per_lane_counters_match_scalar_contexts(self):
-        configs = [IHWConfig.all_imprecise(adder_threshold=t)
-                   for t in (4, 8)]
-        batch = ContextBatch(configs)
-        a, b, c = self._operands(n=100)
-        batch.add(a, b)
-        batch.fma(a, b, c)
-        batch.rcp(a)
-        for cfg, lane in zip(configs, batch.lanes):
-            ctx = ArithmeticContext(cfg)
-            ctx.add(a, b)
-            ctx.fma(a, b, c)
-            ctx.rcp(a)
-            assert lane.counts == ctx.counts
-        batch.reset_counts()
-        assert all(not lane.counts for lane in batch.lanes)
-
-    def test_precise_path_counts_per_lane(self):
-        configs = [IHWConfig.precise(), IHWConfig.precise()]
-        batch = ContextBatch(configs)
-        a, b, _ = self._operands(n=50)
-        outs = batch.add(a, b)
-        _assert_identical(outs[0], np.add(a, b, dtype=np.float32))
-        assert all(
-            lane.counts[("add", "precise")] == 50 for lane in batch.lanes
-        )
-
-    def test_incompatible_configs_rejected(self):
-        with pytest.raises(ValueError, match="batch-compatible"):
-            ContextBatch([
-                IHWConfig.units("add"),
-                IHWConfig.units("mul"),
-            ])
-        with pytest.raises(ValueError, match="at least one"):
-            ContextBatch([])
-
-    def test_lanes_share_one_backend_instance(self):
-        configs = [IHWConfig.all_imprecise(adder_threshold=t)
-                   for t in (4, 8)]
-        batch = ContextBatch(configs, backend="fused")
-        assert batch.lanes[0].backend is batch.lanes[1].backend
-        assert batch.lanes[0].backend is batch.backend
-
-
-# ----------------------------------------------------------------------
 # Config layer
 # ----------------------------------------------------------------------
 class TestBatchGrouping:
@@ -211,34 +95,17 @@ class TestBatchGrouping:
         a = IHWConfig.all_imprecise(adder_threshold=1)
         b = IHWConfig.all_imprecise(adder_threshold=23).with_backend("fused")
         assert a.batch_signature() == b.batch_signature()
-        assert batch_compatible([a, b])
 
     def test_signature_splits_on_structural_switches(self):
         base = IHWConfig.units("mul")
         mitchell = base.with_multiplier("mitchell", config="fp_tr0")
         truncated = base.with_multiplier("truncated", truncation=8)
         assert mitchell.batch_signature() != truncated.batch_signature()
-        assert not batch_compatible([mitchell, truncated])
         quad = IHWConfig.units("rcp").with_sfu_mode("quadratic")
         assert quad.batch_signature() != IHWConfig.units("rcp").batch_signature()
 
-    def test_batch_groups_preserve_first_appearance_order(self):
-        base = IHWConfig.units("mul")
-        named = {
-            "th1": IHWConfig.all_imprecise(adder_threshold=1),
-            "bt8": base.with_multiplier("truncated", truncation=8),
-            "th8": IHWConfig.all_imprecise(adder_threshold=8),
-            "bt16": base.with_multiplier("truncated", truncation=16),
-        }
-        groups = batch_groups(named)
-        assert [list(g) for g in groups] == [["th1", "th8"], ["bt8", "bt16"]]
-
-    def test_empty_inputs(self):
-        assert not batch_compatible([])
-        assert batch_groups({}) == []
-
     def test_cache_key_is_batch_invariant(self):
-        """Batching must never fragment the result cache."""
+        """The backend choice must never fragment the result cache."""
         cfg = IHWConfig.all_imprecise()
         assert cfg.cache_key() == cfg.with_backend("fused").cache_key()
 
@@ -267,69 +134,75 @@ def _evaluation_equal(a, b):
 
 
 class TestBatchedSweep:
-    def test_batched_matches_unbatched_and_shares_cache(self, tmp_path):
+    """Sweeps whose configurations span several batch signatures."""
+
+    def test_pooled_matches_sequential_and_shares_cache(self, tmp_path):
         configs = _mixed_configs()
-        batched_runner = ExperimentRunner(
-            max_workers=1, cache=ResultCache(tmp_path / "batched")
+        pooled_runner = ExperimentRunner(
+            max_workers=2, cache=ResultCache(tmp_path / "pooled")
         )
-        batched = batched_runner.sweep(SPEC, configs, batch=True)
-        plain_runner = ExperimentRunner(
-            max_workers=1, cache=ResultCache(tmp_path / "plain")
+        pooled = pooled_runner.sweep(SPEC, configs)
+        sequential_runner = ExperimentRunner(
+            max_workers=1, cache=ResultCache(tmp_path / "sequential")
         )
-        plain = plain_runner.sweep(SPEC, configs, batch=False)
+        sequential = sequential_runner.sweep(SPEC, configs)
 
-        assert list(batched) == list(configs)  # insertion order preserved
+        assert list(pooled) == list(configs)  # insertion order preserved
         for name in configs:
-            assert _evaluation_equal(batched[name], plain[name]), name
+            assert _evaluation_equal(pooled[name], sequential[name]), name
 
-        # Identical cache entries: the batched path serves the unbatched
-        # runner (and vice versa) with a 100% hit rate.
+        # Identical cache entries: the pooled run serves a sequential
+        # runner with a 100% hit rate.
         crossover = ExperimentRunner(
-            max_workers=1, cache=ResultCache(tmp_path / "batched")
+            max_workers=1, cache=ResultCache(tmp_path / "pooled")
         )
-        again = crossover.sweep(SPEC, configs, batch=False)
+        again = crossover.sweep(SPEC, configs)
         assert crossover.stats.cache_hits == len(configs)
         for name in configs:
-            assert _evaluation_equal(again[name], batched[name]), name
+            assert _evaluation_equal(again[name], pooled[name]), name
 
     def test_batched_sweep_in_worker_pool(self, tmp_path):
-        """The _evaluate_batch_chunk worker path, group-aligned chunks."""
+        """Fixed-size chunks that mix signatures, with per-group accounting."""
         configs = _mixed_configs()
         runner = ExperimentRunner(
             max_workers=2, chunk_size=3,
             cache=ResultCache(tmp_path / "pool"),
         )
-        pooled = runner.sweep(SPEC, configs, batch=True)
+        pooled = runner.sweep(SPEC, configs)
         sequential = ExperimentRunner(max_workers=1, cache=None).sweep(
-            SPEC, configs, batch=False
+            SPEC, configs
         )
         for name in configs:
             assert _evaluation_equal(pooled[name], sequential[name]), name
-        note_text = " ".join(runner.stats.notes)
-        assert "compatible groups" in note_text
+        assert runner.stats.chunk_size == 3
+        expected = {}
+        for config in configs.values():
+            key = group_key(config)
+            expected[key] = expected.get(key, 0) + 1
+        groups = runner.stats.signature_groups
+        assert {k: v["misses"] for k, v in groups.items()} == expected
+        assert all(v["hits"] == 0 for v in groups.values())
 
-    def test_resume_after_interruption_with_batching(self, tmp_path):
+    def test_resume_after_interruption_pooled(self, tmp_path):
         cache = ResultCache(tmp_path / "resume")
         configs = _mixed_configs()
         first = dict(list(configs.items())[:3])
-        ExperimentRunner(max_workers=1, cache=cache).sweep(
-            SPEC, first, batch=True
-        )
-        resumed_runner = ExperimentRunner(max_workers=1, cache=cache)
-        results = resumed_runner.sweep(SPEC, configs, resume=True, batch=True)
+        ExperimentRunner(max_workers=2, cache=cache).sweep(SPEC, first)
+        resumed_runner = ExperimentRunner(max_workers=2, cache=cache)
+        results = resumed_runner.sweep(SPEC, configs, resume=True)
         assert list(results) == list(configs)
         assert resumed_runner.stats.cache_hits == len(first)
 
-    def test_evaluate_many_batch_passthrough(self, tmp_path):
+    def test_evaluate_many_runner_passthrough(self):
         framework = SPEC.framework()
-        runner = ExperimentRunner(max_workers=1, cache=None)
+        runner = ExperimentRunner(max_workers=2, cache=None)
         configs = {"th4": IHWConfig.all_imprecise(adder_threshold=4),
                    "th8": IHWConfig.all_imprecise(adder_threshold=8)}
-        batched = framework.evaluate_many(configs, runner=runner, batch=True)
+        pooled = framework.evaluate_many(configs, runner=runner)
         direct = {name: SPEC.framework().evaluate(cfg)
                   for name, cfg in configs.items()}
         for name in configs:
-            assert _evaluation_equal(batched[name], direct[name]), name
+            assert _evaluation_equal(pooled[name], direct[name]), name
 
 
 class TestScratchReclamation:

@@ -251,6 +251,39 @@ class TestWorkerCrashRecovery:
             disturbed = runner.sweep(SPEC, configs)
         assert_results_identical(clean, disturbed)
 
+    def test_pool_broken_during_dispatch_is_rebuilt(self, tmp_path,
+                                                    monkeypatch):
+        # The pool can break between two submits of one dispatch round;
+        # the chunk whose submit failed never ran and must be requeued.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.runtime import runner as runner_mod
+
+        submits = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(None)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died mid-dispatch")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        configs = make_configs(6)
+        clean = ExperimentRunner(max_workers=1, cache=None).sweep(
+            SPEC, configs
+        )
+        runner = ExperimentRunner(
+            max_workers=2, chunk_size=1, cache=ResultCache(tmp_path),
+            policy=fast_policy(),
+        )
+        disturbed = runner.sweep(SPEC, configs)
+        assert_results_identical(clean, disturbed)
+        assert runner.stats.pool_rebuilds == 1
+        assert runner.stats.retries == 0  # the unsent chunk is not charged
+
 
 class TestHangTimeout:
     def test_hung_worker_terminated_and_task_retried(self, tmp_path):

@@ -5,10 +5,7 @@ Covers the four layers of the parallel contract:
 - policy: :mod:`repro.core.backends.threads` resolution order (explicit >
   worker pin > ``REPRO_THREADS`` > CPU count) and clamping rules;
 - backend: the ``threaded`` tiling machinery stays bit-identical to the
-  fused/reference kernels even with a forced tiny tile width, and the
-  numba scalar datapaths match reference element-for-element (exercised
-  through the pure-Python stubs when numba is absent, through the JIT
-  when present);
+  fused/reference kernels even with a forced tiny tile width;
 - config/registry: ``backend_threads`` plumbs through ``IHWConfig`` and
   ``get_backend`` without ever reaching a serial backend or the cache key;
 - runtime: a sweep through a ``ProcessPoolExecutor`` pins worker-side
@@ -25,31 +22,16 @@ import pytest
 
 from repro import telemetry
 from repro.core import ArithmeticContext, IHWConfig
-from repro.core.backends import (
-    BackendUnavailableError,
-    backend_accepts_threads,
-    backend_available,
-    get_backend,
-)
+from repro.core.backends import backend_accepts_threads, get_backend
 from repro.core.backends import threads as threads_mod
 from repro.core.backends.bench import run_parallel_benchmarks
-from repro.core.backends.numba_backend import (
-    NUMBA_AVAILABLE,
-    NumbaBackend,
-    _add_kernel,
-    _bt_kernel,
-    _mitchell_kernel,
-    _mul_kernel,
-)
-from repro.core.backends.parity import (
-    adversarial_operands,
-    check_batch_parity,
-    check_parity,
-)
+from repro.core.backends.parity import check_batch_parity, check_parity
 from repro.core.backends.threaded import MIN_TILE_ELEMENTS, ThreadedFusedBackend
-from repro.core.configurable import MultiplierConfig
-from repro.core.floatops import format_for_dtype
 from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
+
+# Kernels wrap their intended inf/NaN steps in np.errstate; any stray
+# RuntimeWarning is a regression.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPEC = ExperimentSpec.create(
     "hotspot", metric="mae", rows=16, cols=16, iterations=3
@@ -120,10 +102,8 @@ class TestThreadPolicy:
 class TestThreadsPlumbing:
     def test_accepts_threads_predicate(self):
         assert backend_accepts_threads("threaded")
-        assert backend_accepts_threads("numba-parallel")
         assert not backend_accepts_threads("reference")
         assert not backend_accepts_threads("fused")
-        assert not backend_accepts_threads("numba")
 
     def test_get_backend_forwards_threads(self):
         assert get_backend("threaded", threads=2).threads == 2
@@ -133,12 +113,6 @@ class TestThreadsPlumbing:
         for name in ("reference", "fused"):
             with pytest.raises(ValueError, match="does not take a thread"):
                 get_backend(name, threads=2)
-
-    def test_numba_parallel_availability_follows_numba(self):
-        assert backend_available("numba-parallel") == NUMBA_AVAILABLE
-        if not NUMBA_AVAILABLE:
-            with pytest.raises(BackendUnavailableError):
-                get_backend("numba-parallel")
 
     def test_config_backend_threads_validation(self):
         assert IHWConfig(backend_threads=2).backend_threads == 2
@@ -193,10 +167,8 @@ class TestThreadedBackend:
         """Bit identity with real multi-tile execution on small vectors."""
         backend = ThreadedFusedBackend(threads=4)
         backend._min_tile = 64  # force the tiled path in the harness
-        with np.errstate(all="ignore"):
-            assert check_parity(backend, dtype=dtype, n_random=1024) == []
-            assert check_batch_parity(backend, dtype=dtype,
-                                      n_random=1024) == []
+        assert check_parity(backend, dtype=dtype, n_random=1024) == []
+        assert check_batch_parity(backend, dtype=dtype, n_random=1024) == []
 
     def test_tiled_matches_untiled_2d(self):
         rng = np.random.default_rng(3)
@@ -221,103 +193,14 @@ class TestThreadedBackend:
         assert backend.scratch_nbytes() == 0
 
 
-# ----------------------------------------------------------------------
-# Numba scalar datapaths (pure-Python stubs when numba is absent)
-# ----------------------------------------------------------------------
-def _run_kernel(kernel, a, b, fmt, extra):
-    bits_a = np.ascontiguousarray(a.view(fmt.uint).reshape(-1)).astype(np.int64)
-    bits_b = np.ascontiguousarray(b.view(fmt.uint).reshape(-1)).astype(np.int64)
-    out = np.empty(a.size, dtype=np.int64)
-    kernel(bits_a, bits_b, out, fmt.mantissa_bits, fmt.exponent_bits, *extra)
-    return out.astype(fmt.uint).view(fmt.dtype)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-class TestNumbaKernels:
-    """Element loops vs reference on adversarial operands.
-
-    These run in every environment: without numba the ``@njit`` stub makes
-    the kernels plain Python (slow but exact), with numba they are the
-    compiled dispatchers the backend ships.
-    """
-
-    def _operands(self, dtype):
-        fmt = format_for_dtype(dtype)
-        a, b = adversarial_operands(dtype, n_random=96)
-        return fmt, a, b
-
-    def test_add_kernel(self, dtype):
-        fmt, a, b = self._operands(dtype)
-        ref = get_backend("reference")
-        nan_bits = int(np.asarray(np.nan, fmt.dtype).view(fmt.uint))
-        with np.errstate(all="ignore"):
-            got = _run_kernel(_add_kernel, a, b, fmt, (8, nan_bits))
-            _assert_identical(got, ref.imprecise_add(a, b, 8, dtype=dtype))
-
-    def test_mul_kernel(self, dtype):
-        fmt, a, b = self._operands(dtype)
-        ref = get_backend("reference")
-        nan_bits = int(np.asarray(np.nan, fmt.dtype).view(fmt.uint))
-        with np.errstate(all="ignore"):
-            got = _run_kernel(_mul_kernel, a, b, fmt, (fmt.bias, nan_bits))
-            _assert_identical(got, ref.imprecise_multiply(a, b, dtype=dtype))
-
-    def test_mitchell_kernel(self, dtype):
-        fmt, a, b = self._operands(dtype)
-        ref = get_backend("reference")
-        nan_bits = int(np.asarray(np.nan, fmt.dtype).view(fmt.uint))
-        for name in ("fp_tr0", "lp_tr0", "fp_tr8", "lp_tr16"):
-            config = MultiplierConfig.from_name(name)
-            if config.truncation > fmt.mantissa_bits:
-                continue
-            with np.errstate(all="ignore"):
-                got = _run_kernel(
-                    _mitchell_kernel, a, b, fmt,
-                    (fmt.bias, nan_bits, 1 if config.path == "log" else 0,
-                     int(config.truncation)))
-                _assert_identical(
-                    got, ref.configurable_multiply(a, b, config, dtype=dtype))
-
-    def test_bt_kernel(self, dtype):
-        fmt, a, b = self._operands(dtype)
-        ref = get_backend("reference")
-        nan_bits = int(np.asarray(np.nan, fmt.dtype).view(fmt.uint))
-        for truncation, rounding in ((0, True), (8, True), (8, False)):
-            with np.errstate(all="ignore"):
-                got = _run_kernel(
-                    _bt_kernel, a, b, fmt,
-                    (fmt.bias, nan_bits, truncation, 1 if rounding else 0))
-                _assert_identical(
-                    got, ref.truncated_multiply(a, b, truncation, dtype=dtype,
-                                                rounding=rounding))
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-class TestNumbaWarmup:
-    def test_warm_up_records_compile_seconds(self):
-        backend = get_backend("numba")
-        assert set(backend.compile_seconds) >= {
-            "add", "mul", "mul_mitchell", "mul_truncated"}
-        assert all(v >= 0.0 for v in backend.compile_seconds.values())
-
-    def test_warm_up_runs_once_per_class(self):
-        first = get_backend("numba").compile_seconds
-        second = get_backend("numba").compile_seconds
-        assert first is second  # the classmethod guard, not a re-time
-
-    def test_parallel_backend_has_own_compile_table(self):
-        serial = get_backend("numba")
-        parallel = get_backend("numba-parallel")
-        assert parallel.compile_seconds is not serial.compile_seconds
-        assert "add_batch" in parallel.compile_seconds
-
-
-@pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
 def test_numba_backends_raise_without_numba():
+    names = r"\('reference', 'fused', 'threaded'\)"
     for name in ("numba", "numba-parallel"):
-        with pytest.raises(BackendUnavailableError, match="numba"):
+        assert not backend_accepts_threads(name)
+        with pytest.raises(ValueError, match=names):
             get_backend(name)
-    assert not NumbaBackend._warmed
+        with pytest.raises(ValueError, match=names):
+            get_backend(name, threads=2)
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +277,7 @@ class TestParallelBench:
             assert section["fused_seconds"][op] > 0
             assert threaded["ops"][op]["seconds"] > 0
             assert "speedup_vs_fused" in threaded["ops"][op]
-        numba_entry = section["backends"]["numba-parallel"]
-        assert numba_entry["available"] == NUMBA_AVAILABLE
-        if NUMBA_AVAILABLE:
-            assert numba_entry["parity_ok"] is True
-            assert "compile_seconds" in numba_entry
+        assert set(section["backends"]) == {"threaded"}
 
     def test_cli_refuses_oversubscription(self):
         from repro.cli import main

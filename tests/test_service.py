@@ -740,8 +740,12 @@ class TestIntegration:
                 deadline = time.time() + 10
                 spans = []
                 while time.time() < deadline:
-                    spans = telemetry.get_tracer().drain()
-                    if any(s["name"] == "service.execute" for s in spans):
+                    # Accumulate until both sides have closed: the
+                    # request span ends only after its response is
+                    # written, which can be after the client has it.
+                    spans.extend(telemetry.get_tracer().drain())
+                    names = {s["name"] for s in spans}
+                    if {"service.request", "service.execute"} <= names:
                         break
                     time.sleep(0.05)
             finally:
