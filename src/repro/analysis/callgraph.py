@@ -191,9 +191,6 @@ class Program:
                 return found
         return None
 
-    def in_backend_family(self, ckey: str) -> bool:
-        return ckey in self.dispatch_family
-
     def worker_reachable(self) -> dict:
         """``{fid: entry fid}`` for functions reachable from worker entry
         points (an arbitrary witness entry per function)."""

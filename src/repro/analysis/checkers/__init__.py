@@ -4,7 +4,7 @@ Each checker module exposes ``check(module, config) -> list[RawFinding]``.
 The engine iterates :data:`ALL_CHECKERS` in order; the dict key is the
 checker id that findings carry and suppressions can name.
 
-The first five are intra-module (PR 3); the last four are the
+The first five are intra-module; the last three are the
 interprocedural layer and read the whole-program view the engine plants
 on ``config.program`` (call graph + dataflow summaries).
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from . import (
     asyncsafety,
-    batchcontract,
     cachekey,
     forksafety,
     hygiene,
@@ -33,6 +32,5 @@ ALL_CHECKERS = {
     "hygiene": hygiene.check,
     "interproc-op-coverage": interproc.check,
     "async-safety": asyncsafety.check,
-    "batch-contract": batchcontract.check,
     "worker-state": workerstate.check,
 }

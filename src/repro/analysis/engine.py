@@ -77,11 +77,7 @@ class AnalysisConfig:
     backend_base_names:
         Class names rooting the backend registry family; methods called on
         unresolvable receivers dispatch to every implementation in the
-        family (mirrors ``get_backend(...)``), and the batch-contract
-        checker audits exactly these classes.
-    batch_axis_plurals:
-        ``{scalar param: batch param}`` for the config axis a ``*_batch``
-        entry point vectorizes over.
+        family (mirrors ``get_backend(...)``).
     blocking_calls / blocking_modules / blocking_attrs /
     blocking_method_names / blocking_qualnames:
         The async-safety classifier: external calls, module prefixes
@@ -104,11 +100,6 @@ class AnalysisConfig:
     )
     context_names: tuple = ("ctx", "context")
     backend_base_names: tuple = ("ComputeBackend",)
-    batch_axis_plurals: dict = field(default_factory=lambda: {
-        "threshold": "thresholds",
-        "config": "configs",
-        "truncation": "truncations",
-    })
     blocking_calls: tuple = (
         "time.sleep",
         "socket.create_connection",

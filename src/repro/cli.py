@@ -760,8 +760,8 @@ def cmd_bench(args, out) -> int:
         names = backend_names()
 
     payload = run_benchmarks(size=size, repeats=repeats, dtype=dtype,
-                             backends=names, batch=args.batch,
-                             parallel=args.parallel, threads=args.threads)
+                             backends=names, parallel=args.parallel,
+                             threads=args.threads)
 
     failed_parity = []
     print(f"size={payload['size']} repeats={payload['repeats']} "
@@ -777,25 +777,6 @@ def cmd_bench(args, out) -> int:
             speedup = record.get("speedup_vs_reference")
             suffix = f"  {speedup:5.2f}x vs reference" if speedup else ""
             print(f"{name:<10} {op:<5} {ms:9.2f} ms{suffix}", file=out)
-
-    batch_section = payload.get("batch")
-    if batch_section is not None:
-        if not batch_section["parity_ok"]:
-            failed_parity.append("batch")
-            print(f"batch      PARITY FAILED: "
-                  f"{batch_section.get('parity_failures')}", file=out)
-        else:
-            n = batch_section["n_configs"]
-            for op, record in batch_section["sweeps"].items():
-                ms = record["batch_seconds"] * 1e3
-                speedup = record.get("speedup")
-                suffix = (f"  {speedup:5.2f}x vs per-config fused"
-                          if speedup else "")
-                print(f"batch      {op:<13} {ms:9.2f} ms{suffix}", file=out)
-            headline = batch_section["threshold_sweep"].get("speedup")
-            if headline:
-                print(f"batch      {n}-config threshold sweep: "
-                      f"{headline:5.2f}x vs per-config fused", file=out)
 
     parallel_section = payload.get("parallel")
     if parallel_section is not None:
@@ -1077,11 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON output path (default BENCH_core.json)")
     p.add_argument("--no-write", action="store_true",
                    help="print the table only, write no file")
-    p.add_argument("--batch", dest="batch", action="store_true", default=True,
-                   help="include the batched multi-config sweep section "
-                        "(one decompose, N configs; on by default)")
-    p.add_argument("--no-batch", dest="batch", action="store_false",
-                   help="skip the batched sweep section")
     p.add_argument("--parallel", dest="parallel", action="store_true",
                    default=True,
                    help="include the multi-core backend section vs the "

@@ -52,7 +52,7 @@ DEFAULT_BACKEND = "reference"
 
 #: Live backends holding scratch state, tracked weakly so instances die
 #: with their contexts.  Lets long-lived hosts (the experiment runner, the
-#: bench loop) reclaim peak-sized batch buffers between tasks.
+#: bench loop) reclaim peak-sized scratch buffers between tasks.
 _SCRATCH_HOLDERS: "weakref.WeakSet" = weakref.WeakSet()
 
 

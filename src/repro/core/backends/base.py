@@ -28,18 +28,7 @@ from ..special import (
 )
 from ..truncation import truncated_multiply
 
-__all__ = ["ComputeBackend", "ReferenceBackend", "BATCH_OPS"]
-
-#: Batched entry points of the backend contract (op name -> method name).
-#: Used by the parity harness, the op-coverage lint checker, and the
-#: context-level batch dispatcher.
-BATCH_OPS = {
-    "add": "imprecise_add_batch",
-    "sub": "imprecise_subtract_batch",
-    "fma": "imprecise_fma_batch",
-    "mul_mitchell": "configurable_multiply_batch",
-    "mul_truncated": "truncated_multiply_batch",
-}
+__all__ = ["ComputeBackend", "ReferenceBackend"]
 
 
 def _rounding_flags(rounding, n: int) -> list:
@@ -97,18 +86,13 @@ class ComputeBackend:
         return imprecise_fma(a, b, c, threshold=threshold, dtype=dtype)
 
     # ------------------------------------------------------------------
-    # Batched entry points: one operand pair, N configurations
+    # Per-config loops: one result array per configuration, in order
     # ------------------------------------------------------------------
-    # Each returns one result array per configuration entry, in order, and
-    # every entry is contractually bit-identical to the corresponding
-    # scalar-config call above (asserted by parity.check_batch_parity).
-    # The base implementations are the definitional per-config loops;
-    # accelerated backends override them to share the operand field
-    # decomposition across the whole batch.
+    # Kept only because e2ebench/tracing.py wraps them by name; drop at the next bench change.
 
     def imprecise_add_batch(self, a, b, thresholds,
                             dtype=np.float32) -> list:
-        """``a + b`` under several adder thresholds at once."""
+        """``a + b`` under each adder threshold."""
         return [
             self.imprecise_add(a, b, threshold=th, dtype=dtype)
             for th in thresholds
@@ -116,7 +100,7 @@ class ComputeBackend:
 
     def imprecise_subtract_batch(self, a, b, thresholds,
                                  dtype=np.float32) -> list:
-        """``a - b`` under several adder thresholds at once."""
+        """``a - b`` under each adder threshold."""
         return [
             self.imprecise_subtract(a, b, threshold=th, dtype=dtype)
             for th in thresholds
@@ -124,11 +108,7 @@ class ComputeBackend:
 
     def imprecise_fma_batch(self, a, b, c, thresholds,
                             dtype=np.float32) -> list:
-        """``a * b + c`` under several adder thresholds at once.
-
-        The Table-1 product is threshold-invariant, so batched backends
-        compute it once and feed it to the batched adder.
-        """
+        """``a * b + c`` under each adder threshold."""
         return [
             self.imprecise_fma(a, b, c, threshold=th, dtype=dtype)
             for th in thresholds
@@ -136,7 +116,7 @@ class ComputeBackend:
 
     def configurable_multiply_batch(self, a, b, configs,
                                     dtype=np.float32) -> list:
-        """``a * b`` under several :class:`MultiplierConfig` settings at once."""
+        """``a * b`` under each :class:`MultiplierConfig`."""
         return [
             self.configurable_multiply(a, b, cfg, dtype=dtype)
             for cfg in configs
@@ -144,10 +124,10 @@ class ComputeBackend:
 
     def truncated_multiply_batch(self, a, b, truncations, dtype=np.float32,
                                  rounding=True) -> list:
-        """``a * b`` under several ``bt_N`` truncation settings at once.
+        """``a * b`` under each ``bt_N`` truncation.
 
-        ``rounding`` is a single flag shared by the batch or a sequence
-        aligned with ``truncations``.
+        ``rounding`` is one shared flag or a sequence aligned with
+        ``truncations``.
         """
         roundings = _rounding_flags(rounding, len(list(truncations)))
         return [

@@ -25,10 +25,12 @@ Every method is bit-identical to the reference backend — asserted over
 random and adversarial vectors by :mod:`repro.core.backends.parity` and
 ``tests/test_backends.py``.
 
-The normalization step replaces the reference adder's float64 ``np.frexp``
-MSB extraction (and its overshoot-correction fixup) with an integer-only
-smear + popcount when ``numpy.bitwise_count`` is available (NumPy >= 2.0);
-older NumPy falls back to the reference method on the scratch buffers.
+The adder's normalization replaces the reference's float64 ``np.frexp``
+MSB extraction (and its overshoot-correction fixup) with one exact float64
+conversion of the integer total for binary32/16.  binary64 adds and the
+Mitchell decode use an integer-only smear + popcount when
+``numpy.bitwise_count`` is available (NumPy >= 2.0); older NumPy falls back
+to the reference method on the scratch buffers.
 
 Instances hold mutable scratch state: one backend belongs to one
 :class:`~repro.core.context.ArithmeticContext` and is not thread-safe.
@@ -44,7 +46,7 @@ from ..floatops import flush_subnormals, format_for_dtype
 from ..mitchell import POW2_RANGE, pow2_table
 from ..multiplier import _special_results
 from ..special import LOG2_COEFFS, RECIPROCAL_COEFFS, RSQRT_COEFFS, _SQRT1_2
-from .base import ComputeBackend, _rounding_flags
+from .base import ComputeBackend
 
 __all__ = ["FusedBackend", "ScratchPool"]
 
@@ -89,7 +91,7 @@ class ScratchPool:
     def release(self) -> int:
         """Drop every buffer; returns the bytes freed.
 
-        A pool sized by one large batched call would otherwise pin its peak
+        A pool sized by one large call would otherwise pin its peak
         footprint for the life of the backend — the runner calls this (via
         :func:`repro.core.backends.release_all_scratch`) between tasks.
         """
@@ -197,141 +199,41 @@ class FusedBackend(ComputeBackend):
     # ------------------------------------------------------------------
     # Threshold adder
     # ------------------------------------------------------------------
+    # The head runs field extraction, magnitude compare, operand select,
+    # alignment and the effective-operation sign; the tail applies the
+    # threshold cut and normalizes.  Two identities keep it lean:
+    #
+    # - ``mant_x +/- (y & keep)`` == ``base -/+ (y & low)`` with the
+    #   full-precision ``base = mant_x +/- y``, so only the *discarded* low
+    #   bits are masked.  Lanes beyond the threshold (d > TH) need no
+    #   separate "far" zeroing: the aligned y is already below the keep cut.
+    # - when ``p + TH + 2 <= 53`` (always true for binary32/16) the int64
+    #   total converts to float64 *exactly*, so the float64 bit pattern IS
+    #   the normalized result: its exponent field is the MSB index and its
+    #   top fraction bits are the truncated mantissa — normalization,
+    #   including the left-shift cancellation case, collapses into one
+    #   conversion plus two shifts.  binary64 totals reach 62 bits, so that
+    #   dtype keeps the exact integer-domain normalize instead.
+
     def imprecise_add(self, a, b, threshold: int = DEFAULT_THRESHOLD,
                       dtype=np.float32) -> np.ndarray:
         fmt = format_for_dtype(dtype)
-        if not 1 <= threshold <= max_threshold(dtype):
+        threshold = int(threshold)
+        limit = max_threshold(dtype)
+        if not 1 <= threshold <= limit:
             raise ValueError(
-                f"threshold must be in [1, {max_threshold(dtype)}] for "
-                f"{fmt.name}, got {threshold}"
+                f"threshold must be in [1, {limit}] for {fmt.name}, "
+                f"got {threshold}"
             )
         a, b = self._operands(a, b, fmt)
         shape = a.shape
-        p = fmt.mantissa_bits
-        guard = threshold
-        emask = fmt.exponent_mask
-        ss = fmt.sign_shift
-
-        bits_a, exp_a, frac_a = self._fields("a", a, fmt, shape)
-        bits_b, exp_b, frac_b = self._fields("b", b, fmt, shape)
-        has_special = int(exp_a.max()) == emask or int(exp_b.max()) == emask
-
-        # Magnitude comparison: with the sign bit masked off, the IEEE bit
-        # pattern orders exactly like (exponent, fraction) lexicographic.
-        mag_mask = (1 << ss) - 1
-        mag_a = self._i("t1", shape)
-        np.bitwise_and(bits_a, mag_mask, out=mag_a)
-        mag_b = self._i("t2", shape)
-        np.bitwise_and(bits_b, mag_mask, out=mag_b)
-        a_larger = self._b("a_larger", shape)
-        np.greater_equal(mag_a, mag_b, out=a_larger)
-
-        # Working mantissas with the implicit one, at guard scale; subnormal
-        # operands (exp == 0) contribute zero.
-        mant_a = mag_a
-        np.add(frac_a, np.int64(fmt.implicit_one), out=mant_a)
-        np.left_shift(mant_a, guard, out=mant_a)
-        zero_a = self._b("zero_a", shape)
-        np.equal(exp_a, 0, out=zero_a)
-        np.copyto(mant_a, np.int64(0), where=zero_a)
-        mant_b = mag_b
-        np.add(frac_b, np.int64(fmt.implicit_one), out=mant_b)
-        np.left_shift(mant_b, guard, out=mant_b)
-        zero_b = self._b("zero_b", shape)
-        np.equal(exp_b, 0, out=zero_b)
-        np.copyto(mant_b, np.int64(0), where=zero_b)
-
-        # Select x = larger magnitude, y = smaller.
-        mant_x = self._i("mant_x", shape)
-        np.copyto(mant_x, mant_b)
-        np.copyto(mant_x, mant_a, where=a_larger)
-        mant_y = self._i("mant_y", shape)
-        np.copyto(mant_y, mant_a)
-        np.copyto(mant_y, mant_b, where=a_larger)
-        exp_x = self._i("exp_x", shape)
-        np.maximum(exp_a, exp_b, out=exp_x)
-        d = self._i("d", shape)
-        np.minimum(exp_a, exp_b, out=d)
-        np.subtract(exp_x, d, out=d)
-
-        sign_a = bits_a
-        np.right_shift(bits_a, ss, out=sign_a)
-        sign_b = bits_b
-        np.right_shift(bits_b, ss, out=sign_b)
-        effective_sub = self._b("eff_sub", shape)
-        np.not_equal(sign_a, sign_b, out=effective_sub)
-        sign_z = self._i("sign_z", shape)
-        np.copyto(sign_z, sign_b)
-        np.copyto(sign_z, sign_a, where=a_larger)
-
-        # Align y: shift right by d, keep only the top TH fraction bits at
-        # the larger-exponent scale, zero entirely beyond the threshold.
-        shift = self._i("shift", shape)
-        np.minimum(d, p + guard + 1, out=shift)
-        np.right_shift(mant_y, shift, out=mant_y)
-        keep_cut = p + guard - threshold
-        if keep_cut > 0:
-            np.bitwise_and(mant_y, ~np.int64((1 << keep_cut) - 1), out=mant_y)
-        far = self._b("far", shape)
-        np.greater(d, threshold, out=far)
-        np.copyto(mant_y, np.int64(0), where=far)
-
-        total = self._i("total", shape)
-        np.add(mant_x, mant_y, out=total)
-        tsub = self._i("tsub", shape)
-        np.subtract(mant_x, mant_y, out=tsub)
-        np.copyto(total, tsub, where=effective_sub)
-        np.abs(total, out=total)
-
-        zero_total = self._b("zero_total", shape)
-        np.equal(total, 0, out=zero_total)
-        np.copyto(total, np.int64(1), where=zero_total)
-
-        msb = self._msb_index(total, shape)
-        norm_shift = msb
-        np.subtract(msb, p + guard, out=norm_shift)
-        exp_z = exp_x
-        np.add(exp_x, norm_shift, out=exp_z)
-
-        left = self._i("left", shape)
-        np.negative(norm_shift, out=left)
-        np.maximum(left, 0, out=left)
-        right = self._i("right", shape)
-        np.maximum(norm_shift, 0, out=right)
-        np.left_shift(total, left, out=total)
-        np.right_shift(total, right, out=total)
-        frac_z = total
-        np.right_shift(total, guard, out=frac_z)
-        np.bitwise_and(frac_z, fmt.mantissa_mask, out=frac_z)
-
-        overflow = self._b("overflow", shape)
-        np.greater(exp_z, fmt.max_exponent, out=overflow)
-        underflow = self._b("underflow", shape)
-        np.less(exp_z, 1, out=underflow)
-        np.logical_or(underflow, zero_total, out=underflow)
-
-        # Compose in the integer domain; the sign part doubles as the
-        # signed-zero pattern for underflow.
-        np.clip(exp_z, 0, emask, out=exp_z)
-        sign_part = self._i("sign_part", shape)
-        np.left_shift(sign_z, ss, out=sign_part)
-        np.left_shift(exp_z, p, out=exp_z)
-        bits_out = exp_z
-        np.bitwise_or(bits_out, sign_part, out=bits_out)
-        np.bitwise_or(bits_out, frac_z, out=bits_out)
-
-        if bool(overflow.any()):
-            inf_bits = self._i("inf_bits", shape)
-            np.bitwise_or(sign_part, np.int64(emask) << p, out=inf_bits)
-            np.copyto(bits_out, inf_bits, where=overflow)
-        np.copyto(bits_out, sign_part, where=underflow)
-        # Exact cancellation yields +0 as in IEEE round-to-nearest.
-        np.copyto(bits_out, np.int64(0), where=zero_total)
-
-        result = bits_out.astype(fmt.uint).view(fmt.dtype)
-
-        if has_special:
-            special_mask, special_vals = _special_add(a, b, fmt)
+        head = self._add_head(a, b, fmt, shape, threshold)
+        if fmt.mantissa_bits + threshold + 2 <= 53:
+            result = self._add_tail_exact(fmt, shape, head)
+        else:
+            result = self._add_tail_int(fmt, shape, threshold, head)
+        if head["special"] is not None:
+            special_mask, special_vals = head["special"]
             np.copyto(result, special_vals, where=special_mask)
         return result
 
@@ -341,72 +243,8 @@ class FusedBackend(ComputeBackend):
         b = np.asarray(b, dtype=fmt.dtype)
         return self.imprecise_add(a, -b, threshold=threshold, dtype=dtype)
 
-    # ------------------------------------------------------------------
-    # Batched threshold adder: one decompose, N thresholds
-    # ------------------------------------------------------------------
-    # The shared head runs the config-invariant work once at a *common*
-    # guard width G = max(thresholds): field extraction, magnitude compare,
-    # operand select, alignment, and the effective-operation sign.  Working
-    # at guard G instead of the per-config guard TH only appends G - TH
-    # trailing zero bits to every intermediate (the alignment shift and the
-    # keep-mask cut ``p + G - TH`` select the same surviving bits), so each
-    # per-config tail is bit-identical to the scalar kernel at guard TH.
-    #
-    # The tail exploits two identities to stay lean:
-    #
-    # - ``mant_x +/- (y & keep)`` == ``base -/+ (y & low)`` with the shared
-    #   ``base = mant_x +/- y``, so only the *discarded* low bits are
-    #   re-masked per config.  Lanes beyond the threshold (d > TH) need no
-    #   separate "far" zeroing: the aligned y is already below the keep cut.
-    # - when ``p + G + 2 <= 53`` (always true for binary32/16) the int64
-    #   total converts to float64 *exactly*, so the float64 bit pattern IS
-    #   the normalized result: its exponent field is the MSB index and its
-    #   top fraction bits are the truncated mantissa — normalization,
-    #   including the left-shift cancellation case, collapses into one
-    #   conversion plus two shifts.  binary64 totals reach 62 bits, so that
-    #   dtype keeps the exact integer-domain normalize instead.
-
-    def imprecise_add_batch(self, a, b, thresholds,
-                            dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        thresholds = [int(th) for th in thresholds]
-        if not thresholds:
-            return []
-        limit = max_threshold(dtype)
-        for th in thresholds:
-            if not 1 <= th <= limit:
-                raise ValueError(
-                    f"threshold must be in [1, {limit}] for {fmt.name}, "
-                    f"got {th}"
-                )
-        a, b = self._operands(a, b, fmt)
-        shape = a.shape
-        guard = max(thresholds)
-        head = self._add_batch_head(a, b, fmt, shape, guard)
-        exact53 = fmt.mantissa_bits + guard + 2 <= 53
-        tail = self._add_batch_tail_exact if exact53 else self._add_batch_tail_int
-        results = [tail(fmt, shape, guard, th, head) for th in thresholds]
-        special = head["special"]
-        if special is not None:
-            special_mask, special_vals = special
-            for result in results:
-                np.copyto(result, special_vals, where=special_mask)
-        return results
-
-    def imprecise_subtract_batch(self, a, b, thresholds,
-                                 dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        b = np.asarray(b, dtype=fmt.dtype)
-        return self.imprecise_add_batch(a, -b, thresholds, dtype=dtype)
-
-    def imprecise_fma_batch(self, a, b, c, thresholds,
-                            dtype=np.float32) -> list:
-        # The Table-1 product has no batch parameter: compute it once.
-        product = self.imprecise_multiply(a, b, dtype=dtype)
-        return self.imprecise_add_batch(product, c, thresholds, dtype=dtype)
-
-    def _add_batch_head(self, a, b, fmt, shape, guard: int) -> dict:
-        """Config-invariant adder work at common guard ``G`` (see above)."""
+    def _add_head(self, a, b, fmt, shape, threshold: int) -> dict:
+        """Decompose, align and pre-sum at ``TH`` guard bits (see above)."""
         p = fmt.mantissa_bits
         emask = fmt.exponent_mask
         ss = fmt.sign_shift
@@ -415,7 +253,6 @@ class FusedBackend(ComputeBackend):
         bits_b, exp_b, frac_b = self._fields("b", b, fmt, shape)
         special = None
         if int(exp_a.max()) == emask or int(exp_b.max()) == emask:
-            # NaN/inf handling is config-invariant: one mask for the batch.
             special = _special_add(a, b, fmt)
 
         mag_mask = (1 << ss) - 1
@@ -428,13 +265,13 @@ class FusedBackend(ComputeBackend):
 
         mant_a = mag_a
         np.add(frac_a, np.int64(fmt.implicit_one), out=mant_a)
-        np.left_shift(mant_a, guard, out=mant_a)
+        np.left_shift(mant_a, threshold, out=mant_a)
         zero_a = self._b("zero_a", shape)
         np.equal(exp_a, 0, out=zero_a)
         np.copyto(mant_a, np.int64(0), where=zero_a)
         mant_b = mag_b
         np.add(frac_b, np.int64(fmt.implicit_one), out=mant_b)
-        np.left_shift(mant_b, guard, out=mant_b)
+        np.left_shift(mant_b, threshold, out=mant_b)
         zero_b = self._b("zero_b", shape)
         np.equal(exp_b, 0, out=zero_b)
         np.copyto(mant_b, np.int64(0), where=zero_b)
@@ -442,7 +279,7 @@ class FusedBackend(ComputeBackend):
         mant_x = self._i("mant_x", shape)
         np.copyto(mant_x, mant_b)
         np.copyto(mant_x, mant_a, where=a_larger)
-        y = self._i("bt_y", shape)
+        y = self._i("add_y", shape)
         np.copyto(y, mant_a)
         np.copyto(y, mant_b, where=a_larger)
         exp_x = self._i("exp_x", shape)
@@ -458,39 +295,39 @@ class FusedBackend(ComputeBackend):
         sign_z = self._i("sign_z", shape)
         np.copyto(sign_z, sign_b)
         np.copyto(sign_z, sign_a, where=a_larger)
-        sign_part = self._i("bt_sign", shape)
+        sign_part = self._i("add_sign", shape)
         np.left_shift(sign_z, ss, out=sign_part)
 
         # s = +1 for effective addition, -1 for effective subtraction.
         eff_sub = self._b("eff_sub", shape)
         np.not_equal(sign_a, sign_b, out=eff_sub)
-        s = self._i("bt_s", shape)
+        s = self._i("add_s", shape)
         np.multiply(eff_sub, np.int64(-2), out=s)
         np.add(s, np.int64(1), out=s)
 
-        # Align y once at guard scale (the per-config keep-mask runs later).
+        # Align y at guard scale (the tail applies the threshold cut).
         shift = self._i("shift", shape)
-        np.minimum(d, p + guard + 1, out=shift)
+        np.minimum(d, p + threshold + 1, out=shift)
         np.right_shift(y, shift, out=y)
 
-        # base = mant_x + s*y: the full-precision total at guard G.  Each
-        # tail recovers its thresholded total as base - s*(y & low_mask).
-        base = self._i("bt_base", shape)
+        # base = mant_x + s*y: the full-precision total.  The tail recovers
+        # the thresholded total as base - s*(y & low_mask).
+        base = self._i("add_base", shape)
         np.multiply(y, s, out=base)
         np.add(base, mant_x, out=base)
 
-        exact53 = p + guard + 2 <= 53
+        exact53 = p + threshold + 2 <= 53
         # Offset folding the exponent bias of the float64 view (exact path)
-        # or the MSB reference point (integer path) into one shared add.
-        offset = (1023 + p + guard) if exact53 else (p + guard)
-        expk = self._i("bt_expk", shape)
+        # or the MSB reference point (integer path) into one add.
+        offset = (1023 + p + threshold) if exact53 else (p + threshold)
+        expk = self._i("add_expk", shape)
         np.subtract(exp_x, np.int64(offset), out=expk)
         adj = None
         if exact53:
             # bits_out = (f64_bits >> (52-p)) + adj composes sign, exponent
             # and fraction in two passes (no carries: in-range exponents
             # keep the fraction's 23 low bits clear of the sign bit).
-            adj = self._i("bt_adj", shape)
+            adj = self._i("add_adj", shape)
             np.multiply(expk, np.int64(1) << p, out=adj)
             np.add(adj, sign_part, out=adj)
 
@@ -502,15 +339,15 @@ class FusedBackend(ComputeBackend):
             "can_over": can_over,
         }
 
-    def _add_batch_tail_exact(self, fmt, shape, guard: int, threshold: int,
-                              head: dict) -> np.ndarray:
-        """Per-config fixup via the exact float64-conversion normalize."""
+    def _add_tail_exact(self, fmt, shape, head: dict) -> np.ndarray:
+        """Threshold cut plus the exact float64-conversion normalize."""
         p = fmt.mantissa_bits
-        cut = p + guard - threshold
-        low = self._i("bt_low", shape)
-        np.bitwise_and(head["y"], np.int64((1 << cut) - 1), out=low)
+        # With TH guard bits, the threshold discards exactly the low p bits
+        # of the aligned y.
+        low = self._i("add_low", shape)
+        np.bitwise_and(head["y"], np.int64((1 << p) - 1), out=low)
         np.multiply(low, head["s"], out=low)
-        total = self._i("bt_total", shape)
+        total = self._i("add_total", shape)
         np.subtract(head["base"], low, out=total)
         zero_total = self._b("zero_total", shape)
         np.equal(total, 0, out=zero_total)
@@ -518,14 +355,14 @@ class FusedBackend(ComputeBackend):
         # total < 2^52 converts exactly: exponent field = MSB index + 1023,
         # fraction field = the normalized mantissa, already truncated when
         # we keep only its top p bits.
-        ft = self._f("bt_ft", shape)
+        ft = self._f("add_ft", shape)
         np.copyto(ft, total)
         fbits = ft.view(np.int64)
-        bits_out = self._i("bt_bits", shape)
+        bits_out = self._i("add_bits", shape)
         np.right_shift(fbits, 52 - p, out=bits_out)
         np.add(bits_out, head["adj"], out=bits_out)
 
-        exp_z = self._i("bt_e", shape)
+        exp_z = self._i("add_e", shape)
         np.right_shift(fbits, 52, out=exp_z)
         np.add(exp_z, head["expk"], out=exp_z)
 
@@ -544,35 +381,34 @@ class FusedBackend(ComputeBackend):
         np.copyto(bits_out, np.int64(0), where=zero_total)
         return bits_out.astype(fmt.uint).view(fmt.dtype)
 
-    def _add_batch_tail_int(self, fmt, shape, guard: int, threshold: int,
-                            head: dict) -> np.ndarray:
-        """Per-config fixup with the exact integer normalize (binary64)."""
+    def _add_tail_int(self, fmt, shape, threshold: int,
+                      head: dict) -> np.ndarray:
+        """Threshold cut plus the exact integer normalize (binary64)."""
         p = fmt.mantissa_bits
         emask = fmt.exponent_mask
-        cut = p + guard - threshold
-        low = self._i("bt_low", shape)
-        np.bitwise_and(head["y"], np.int64((1 << cut) - 1), out=low)
+        low = self._i("add_low", shape)
+        np.bitwise_and(head["y"], np.int64((1 << p) - 1), out=low)
         np.multiply(low, head["s"], out=low)
-        total = self._i("bt_total", shape)
+        total = self._i("add_total", shape)
         np.subtract(head["base"], low, out=total)
         zero_total = self._b("zero_total", shape)
         np.equal(total, 0, out=zero_total)
         np.copyto(total, np.int64(1), where=zero_total)
 
         msb = self._msb_index(total, shape)
-        exp_z = self._i("bt_e", shape)
+        exp_z = self._i("add_e", shape)
         np.add(head["expk"], msb, out=exp_z)
         norm_shift = msb
-        np.subtract(msb, p + guard, out=norm_shift)
+        np.subtract(msb, p + threshold, out=norm_shift)
 
-        left = self._i("bt_l", shape)
+        left = self._i("add_l", shape)
         np.negative(norm_shift, out=left)
         np.maximum(left, 0, out=left)
         right = norm_shift
         np.maximum(norm_shift, 0, out=right)
         np.left_shift(total, left, out=total)
         np.right_shift(total, right, out=total)
-        np.right_shift(total, guard, out=total)
+        np.right_shift(total, threshold, out=total)
         np.bitwise_and(total, fmt.mantissa_mask, out=total)
 
         overflow = self._b("overflow", shape)
@@ -690,8 +526,8 @@ class FusedBackend(ComputeBackend):
     # ------------------------------------------------------------------
     # Mitchell (accuracy-configurable) multiplier
     # ------------------------------------------------------------------
-    def _mul_batch_head(self, a, b, fmt, shape) -> dict:
-        """Config-invariant multiplier work: fields, sign, exponent sum."""
+    def _mitchell_head(self, a, b, fmt, shape) -> dict:
+        """Operand fields, sign and exponent sum for the Mitchell tail."""
         emask = fmt.exponent_mask
         ss = fmt.sign_shift
         bits_a, exp_a, frac_a = self._fields("a", a, fmt, shape)
@@ -720,25 +556,23 @@ class FusedBackend(ComputeBackend):
         return {
             "frac_a": frac_a, "frac_b": frac_b, "esum": esum,
             "sign_part": sign_part, "zero_any": zero_any, "special": special,
-            # Range prechecks: amortized over every config in the batch,
-            # they let the tails skip whole overflow/underflow/zero passes
-            # when no lane can need them (the overwhelmingly common case).
+            # Range prechecks let the tail skip whole overflow/underflow/
+            # zero passes when no lane can need them (the overwhelmingly
+            # common case).
             "esum_lo": int(esum.min()), "esum_hi": int(esum.max()),
             "has_zero": bool(zero_any.any()),
         }
 
     def _mitchell_log_fields(self, fmt, shape, head: dict) -> None:
-        """Config-invariant log-domain decode fields, computed on first use.
+        """Log-domain decode fields of the untruncated operand fractions.
 
         Operand truncation clears only fraction bits *below* the leading
         one (or the whole fraction), so each operand's MSB index — and with
         it the ``2^{-msb}`` normalizer and the ``2^{k1+k2}`` decode scale —
-        is shared by every configuration in a batch; zero-after-truncation
-        reduces to an integer compare against the MSB index.  The powers of
+        does not depend on the truncation; zero-after-truncation reduces to
+        an integer compare against the MSB index.  The powers of
         two come from the shared :func:`~repro.core.mitchell.pow2_table`.
         """
-        if "msb_a" in head:
-            return
         p = fmt.mantissa_bits
         table = pow2_table()
         idx = self._i("bm_p2idx", shape)
@@ -778,8 +612,8 @@ class FusedBackend(ComputeBackend):
         inv_scale = 1.0 / scale  # exact: scale is a power of two
         sign_part = head["sign_part"]
 
-        # Operand truncation into per-config scratch: the head's fraction
-        # fields stay pristine for the other configs in the batch.
+        # Operand truncation into separate scratch: the head's fraction
+        # fields stay pristine for the log-domain decode fields.
         if config.truncation:
             cut = np.int64(~((1 << config.truncation) - 1) & fmt.mantissa_mask)
             fa = self._i("bm_fa", shape)
@@ -810,8 +644,8 @@ class FusedBackend(ComputeBackend):
             np.greater_equal(x_sum, 1.0, out=carried)
             np.copyto(mant_product, doubled, where=carried)
         else:
-            # Cross term MA(Ma, Mb) with the decode scales hoisted to the
-            # head: per config only the x-fraction alignment and the
+            # Cross term MA(Ma, Mb) with the decode scales taken from the
+            # untruncated fields: only the x-fraction alignment and the
             # piecewise decode remain, and every multiply is by an exact
             # power of two — the same float64 values, in the same order, as
             # mitchell_mantissa_product.
@@ -900,48 +734,34 @@ class FusedBackend(ComputeBackend):
                 f"{fmt.mantissa_bits}-bit mantissa of {fmt.name}"
             )
 
-    #: Element-block width for the Mitchell path.  Every configuration
-    #: runs over one block before the next block starts, so the ~20
-    #: scratch passes per config hit cache-resident working arrays instead
-    #: of streaming full-size buffers through memory on every pass
-    #: (measured ~1.6x at 1M elements on top of the hoisted log fields).
+    #: Element-block width for the Mitchell path.  The ~20 scratch passes
+    #: run over one block before the next block starts, so they hit
+    #: cache-resident working arrays instead of streaming full-size buffers
+    #: through memory on every pass.
     MITCHELL_BLOCK = 1 << 15
 
     def configurable_multiply(self, a, b, config: MultiplierConfig,
                               dtype=np.float32) -> np.ndarray:
-        return self._mitchell_blocked(a, b, [config], dtype)[0]
-
-    def configurable_multiply_batch(self, a, b, configs,
-                                    dtype=np.float32) -> list:
-        configs = list(configs)
-        if not configs:
-            return []
-        return self._mitchell_blocked(a, b, configs, dtype)
-
-    def _mitchell_blocked(self, a, b, configs, dtype) -> list:
-        """Head + per-config tails over cache-sized element blocks."""
+        """Head + tail over cache-sized element blocks."""
         fmt = format_for_dtype(dtype)
-        for cfg in configs:
-            self._check_mitchell(cfg, fmt)
+        self._check_mitchell(config, fmt)
         a, b = self._operands(a, b, fmt)
         shape = a.shape
         n = int(a.size)
         block = self.MITCHELL_BLOCK
         if n <= block:
-            head = self._mul_batch_head(a, b, fmt, shape)
-            return [self._mitchell_tail(fmt, shape, cfg, head)
-                    for cfg in configs]
+            head = self._mitchell_head(a, b, fmt, shape)
+            return self._mitchell_tail(fmt, shape, config, head)
         flat_a = np.ascontiguousarray(a.reshape(-1))
         flat_b = np.ascontiguousarray(b.reshape(-1))
-        outs = [np.empty(n, dtype=fmt.dtype) for _ in configs]
+        out = np.empty(n, dtype=fmt.dtype)
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             ta = flat_a[lo:hi]
             tb = flat_b[lo:hi]
-            head = self._mul_batch_head(ta, tb, fmt, ta.shape)
-            for out, cfg in zip(outs, configs):
-                out[lo:hi] = self._mitchell_tail(fmt, ta.shape, cfg, head)
-        return [out.reshape(shape) for out in outs]
+            head = self._mitchell_head(ta, tb, fmt, ta.shape)
+            out[lo:hi] = self._mitchell_tail(fmt, ta.shape, config, head)
+        return out.reshape(shape)
 
     # ------------------------------------------------------------------
     # bt_N truncation baseline
@@ -954,9 +774,9 @@ class FusedBackend(ComputeBackend):
             )
 
     def _bt_head(self, a, b, fmt, shape) -> dict:
-        """Config-invariant ``bt_N`` work: subnormal-flushed operand bits.
+        """Subnormal-flushed operand bits for the ``bt_N`` reduction.
 
-        Per-operand special masks (NaN / inf) are kept so each tail can
+        Per-operand special masks (NaN / inf) are kept so the tail can
         pass those lanes through the mantissa reduction unreduced — the
         exact semantics of the reference ``round_mantissa``.  The float64
         product then runs on full arrays with the same element values the
@@ -1027,23 +847,6 @@ class FusedBackend(ComputeBackend):
         shape = a.shape
         head = self._bt_head(a, b, fmt, shape)
         return self._bt_tail(fmt, shape, truncation, bool(rounding), head)
-
-    def truncated_multiply_batch(self, a, b, truncations, dtype=np.float32,
-                                 rounding=True) -> list:
-        fmt = format_for_dtype(dtype)
-        truncations = list(truncations)
-        roundings = _rounding_flags(rounding, len(truncations))
-        for t in truncations:
-            self._check_bt(t, fmt)
-        if not truncations:
-            return []
-        a, b = self._operands(a, b, fmt)
-        shape = a.shape
-        head = self._bt_head(a, b, fmt, shape)
-        return [
-            self._bt_tail(fmt, shape, t, r, head)
-            for t, r in zip(truncations, roundings)
-        ]
 
     # ------------------------------------------------------------------
     # FMA: fused multiply feeding the fused adder

@@ -26,9 +26,7 @@ __all__ = [
     "adversarial_operands",
     "finite_operands",
     "check_parity",
-    "check_batch_parity",
     "PARITY_OPS",
-    "BATCH_PARITY_OPS",
 ]
 
 #: Operation names exercised by :func:`check_parity`.
@@ -36,10 +34,6 @@ PARITY_OPS = (
     "add", "sub", "mul_table1", "mul_mitchell", "mul_truncated",
     "fma", "rcp", "rsqrt", "sqrt", "log2", "div",
 )
-
-#: Batched entry points exercised by :func:`check_batch_parity`
-#: (mirrors :data:`~repro.core.backends.base.BATCH_OPS`).
-BATCH_PARITY_OPS = ("add", "sub", "fma", "mul_mitchell", "mul_truncated")
 
 
 def adversarial_operands(dtype, n_random: int = 4096, seed: int = 7):
@@ -125,96 +119,6 @@ def check_parity(backend: ComputeBackend, dtype=np.float32,
         c = np.concatenate([b[1:], b[:1]])
         _sweep(compare, reference, backend, tag, a, b, c, fmt, dtype,
                thresholds, ops)
-    return failures
-
-
-def check_batch_parity(backend: ComputeBackend, dtype=np.float32,
-                       n_random: int = 4096, ops=BATCH_PARITY_OPS,
-                       seed: int = 7) -> list:
-    """Compare batched entry points against per-config reference calls.
-
-    Every entry of a batched call must be bit-identical to the scalar
-    reference call with the same configuration.  The config lists include
-    duplicates and a degenerate single-config batch, so shared-head
-    batching cannot quietly couple lanes or special-case batch size 1.
-    Returns mismatch descriptions; empty means full batch parity.
-    """
-    fmt = format_for_dtype(dtype)
-    reference = ReferenceBackend()
-    failures = []
-
-    def compare(op, param, ref, got):
-        if not np.array_equal(ref.view(fmt.uint), got.view(fmt.uint)):
-            failures.append(_mismatch(op, param, dtype, ref, got))
-
-    max_th = max_threshold(dtype)
-    # Duplicates on purpose: batched kernels must not alias per-config
-    # outputs.  The singleton list checks the degenerate batch.
-    threshold_lists = ([1, 4, 8, 8, max_th, 2], [8])
-    mitchell_lists = (
-        ["fp_tr0", "lp_tr0", "fp_tr8", "fp_tr8", "lp_tr16"],
-        ["lp_tr0"],
-    )
-    bt_lists = ([(0, True), (8, True), (8, False), (8, False), (16, True)],
-                [(8, False)])
-
-    for tag, (a, b) in (
-        ("adversarial", adversarial_operands(dtype, n_random=n_random,
-                                             seed=seed)),
-        ("finite", finite_operands(dtype, n_random=n_random, seed=seed + 1)),
-    ):
-        c = np.concatenate([b[1:], b[:1]])
-        if "add" in ops:
-            for thresholds in threshold_lists:
-                got = backend.imprecise_add_batch(a, b, thresholds,
-                                                  dtype=dtype)
-                for th, out in zip(thresholds, got):
-                    compare("add_batch", f"{tag}:TH={th}/n={len(thresholds)}",
-                            reference.imprecise_add(a, b, th, dtype=dtype),
-                            out)
-        if "sub" in ops:
-            for thresholds in threshold_lists:
-                got = backend.imprecise_subtract_batch(a, b, thresholds,
-                                                       dtype=dtype)
-                for th, out in zip(thresholds, got):
-                    compare("sub_batch", f"{tag}:TH={th}/n={len(thresholds)}",
-                            reference.imprecise_subtract(a, b, th,
-                                                         dtype=dtype),
-                            out)
-        if "fma" in ops:
-            for thresholds in threshold_lists:
-                got = backend.imprecise_fma_batch(a, b, c, thresholds,
-                                                  dtype=dtype)
-                for th, out in zip(thresholds, got):
-                    compare("fma_batch", f"{tag}:TH={th}/n={len(thresholds)}",
-                            reference.imprecise_fma(a, b, c, th, dtype=dtype),
-                            out)
-        if "mul_mitchell" in ops:
-            for names in mitchell_lists:
-                configs = [MultiplierConfig.from_name(name) for name in names
-                           if MultiplierConfig.from_name(name).truncation
-                           <= fmt.mantissa_bits]
-                got = backend.configurable_multiply_batch(a, b, configs,
-                                                          dtype=dtype)
-                for cfg, out in zip(configs, got):
-                    compare("mul_mitchell_batch",
-                            f"{tag}:{cfg.name}/n={len(configs)}",
-                            reference.configurable_multiply(a, b, cfg,
-                                                            dtype=dtype),
-                            out)
-        if "mul_truncated" in ops:
-            for pairs in bt_lists:
-                truncations = [t for t, _ in pairs]
-                roundings = [r for _, r in pairs]
-                got = backend.truncated_multiply_batch(a, b, truncations,
-                                                       dtype=dtype,
-                                                       rounding=roundings)
-                for (t, r), out in zip(pairs, got):
-                    compare("mul_truncated_batch",
-                            f"{tag}:bt_{t},round={r}/n={len(pairs)}",
-                            reference.truncated_multiply(a, b, t, dtype=dtype,
-                                                         rounding=r),
-                            out)
     return failures
 
 

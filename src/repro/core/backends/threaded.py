@@ -110,27 +110,6 @@ class ThreadedFusedBackend(ComputeBackend):
             list(pool.map(task, range(tiles)))
         return out.reshape(shape)
 
-    def _run_batch(self, arrays, fmt, n_configs: int, call) -> list:
-        """Tile a batched call; ``call`` returns one array per config."""
-        shape = arrays[0].shape
-        n = int(arrays[0].size)
-        tiles = self._tile_count(n)
-        if tiles == 1:
-            return call(self._shard(0), arrays)
-        flats = [np.ascontiguousarray(x.reshape(-1)) for x in arrays]
-        outs = [np.empty(n, dtype=fmt.dtype) for _ in range(n_configs)]
-        bounds = self._bounds(n, tiles)
-
-        def task(i):
-            lo, hi = bounds[i], bounds[i + 1]
-            results = call(self._shard(i), [f[lo:hi] for f in flats])
-            for out, piece in zip(outs, results):
-                out[lo:hi] = piece
-
-        with ThreadPoolExecutor(max_workers=tiles) as pool:
-            list(pool.map(task, range(tiles)))
-        return [out.reshape(shape) for out in outs]
-
     # ------------------------------------------------------------------
     # FPU ops
     # ------------------------------------------------------------------
@@ -172,60 +151,6 @@ class ThreadedFusedBackend(ComputeBackend):
         ops = self._operands((a, b, c), fmt)
         return self._run(ops, fmt, lambda be, t: be.imprecise_fma(
             t[0], t[1], t[2], threshold=threshold, dtype=dtype))
-
-    # ------------------------------------------------------------------
-    # Batched entry points: tile elements, every config per tile
-    # ------------------------------------------------------------------
-    def imprecise_add_batch(self, a, b, thresholds,
-                            dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        thresholds = [int(th) for th in thresholds]
-        if not thresholds:
-            return []
-        ops = self._operands((a, b), fmt)
-        return self._run_batch(ops, fmt, len(thresholds),
-                               lambda be, t: be.imprecise_add_batch(
-                                   t[0], t[1], thresholds, dtype=dtype))
-
-    def imprecise_subtract_batch(self, a, b, thresholds,
-                                 dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        b = np.asarray(b, dtype=fmt.dtype)
-        return self.imprecise_add_batch(a, -b, thresholds, dtype=dtype)
-
-    def imprecise_fma_batch(self, a, b, c, thresholds,
-                            dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        thresholds = [int(th) for th in thresholds]
-        if not thresholds:
-            return []
-        ops = self._operands((a, b, c), fmt)
-        return self._run_batch(ops, fmt, len(thresholds),
-                               lambda be, t: be.imprecise_fma_batch(
-                                   t[0], t[1], t[2], thresholds, dtype=dtype))
-
-    def configurable_multiply_batch(self, a, b, configs,
-                                    dtype=np.float32) -> list:
-        fmt = format_for_dtype(dtype)
-        configs = list(configs)
-        if not configs:
-            return []
-        ops = self._operands((a, b), fmt)
-        return self._run_batch(ops, fmt, len(configs),
-                               lambda be, t: be.configurable_multiply_batch(
-                                   t[0], t[1], configs, dtype=dtype))
-
-    def truncated_multiply_batch(self, a, b, truncations, dtype=np.float32,
-                                 rounding=True) -> list:
-        fmt = format_for_dtype(dtype)
-        truncations = [int(t) for t in truncations]
-        if not truncations:
-            return []
-        ops = self._operands((a, b), fmt)
-        return self._run_batch(ops, fmt, len(truncations),
-                               lambda be, t: be.truncated_multiply_batch(
-                                   t[0], t[1], truncations, dtype=dtype,
-                                   rounding=rounding))
 
     # ------------------------------------------------------------------
     # SFU ops (elementwise: same tiling applies)

@@ -257,14 +257,13 @@ class IHWConfig:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
     def batch_signature(self) -> tuple:
-        """Hashable identity of everything a batched evaluation must share.
+        """Hashable identity of the datapaths a configuration runs.
 
-        Configurations with equal signatures differ only in the *structural
-        parameters* the batched backend entry points vary per lane — the
-        adder threshold and the multiplier's path/truncation/rounding — so
-        one operand decomposition can serve all of them.  The unit switches,
-        SFU mode, and multiplier mode select *which* datapath runs and must
-        match across a batch.
+        Configurations with equal signatures differ only in *structural
+        parameters* — the adder threshold and the multiplier's
+        path/truncation/rounding.  The unit switches, SFU mode, and
+        multiplier mode select *which* datapath runs.  The runner's
+        signature-group cache ledger keys on this.
         """
         return (
             tuple(sorted(self.enabled)),

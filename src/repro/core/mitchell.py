@@ -49,9 +49,8 @@ def pow2_table() -> np.ndarray:
     """Shared read-only table of ``2.0**k`` for ``k`` in ±:data:`POW2_RANGE`.
 
     The log-domain decode multiplies by exact powers of two (``2^{k1+k2}``
-    and ``2^{-msb}``); batching evaluates them once per element *per
-    config*, so a shared table turns every per-lane ``np.ldexp`` into an
-    indexed gather.  Entries beyond float64's exponent range hold the same
+    and ``2^{-msb}``); a shared table turns every per-lane ``np.ldexp``
+    into an indexed gather.  Entries beyond float64's exponent range hold the same
     ``0.0`` / ``inf`` that ``np.ldexp`` produces, which makes clamped
     lookups (:func:`pow2`) exact for every int64 exponent.
     """

@@ -146,11 +146,11 @@ def _worker_init() -> None:
 def _reclaim_scratch() -> int:
     """Record and release backend scratch pools between tasks.
 
-    A batched backend call grows its :class:`ScratchPool` to the batch's
-    peak working set; invoked by the runner between chunks (and by the
-    sweep epilogue), this publishes the high-water mark as the
+    A backend call grows its :class:`ScratchPool` to the call's peak
+    working set; invoked by the runner between chunks (and by the sweep
+    epilogue), this publishes the high-water mark as the
     ``repro_backend_scratch_bytes`` gauge and returns the pinned buffers
-    to the allocator so one large batch cannot pin peak memory for the
+    to the allocator so one large call cannot pin peak memory for the
     rest of a sweep.  Cheap no-op when nothing is held.
     """
     from repro.core import backends

@@ -689,99 +689,6 @@ class TestAsyncSafety:
 
 
 # ----------------------------------------------------------------------
-# Batch-contract
-# ----------------------------------------------------------------------
-BACKEND_MISSING_BATCH = """\
-class ComputeBackend:
-    def imprecise_add(self, a, b, threshold, dtype):
-        return a
-
-    def imprecise_add_batch(self, a, b, thresholds, dtype):
-        return a
-
-
-class FastBackend(ComputeBackend):
-    def configurable_multiply(self, a, b, config, dtype):
-        return a
-"""
-
-BACKEND_MISMATCHED_BATCH = """\
-class ComputeBackend:
-    def truncated_multiply(self, a, b, truncation, dtype):
-        return a
-
-    def truncated_multiply_batch(self, a, b, truncation, dtype):
-        return a
-"""
-
-BACKEND_INHERITED_BATCH = """\
-class ComputeBackend:
-    def imprecise_add(self, a, b, threshold, dtype):
-        return a
-
-    def imprecise_add_batch(self, a, b, thresholds, dtype):
-        return a
-
-
-class NumbaLike(ComputeBackend):
-    def imprecise_add(self, a, b, threshold, dtype):
-        return b
-"""
-
-
-class TestBatchContract:
-    def test_missing_batch_counterpart_flagged(self, tmp_path, config):
-        root = make_package(tmp_path, {"core/backends.py": BACKEND_MISSING_BATCH})
-        report = run_analysis(root, config)
-        assert [f.code for f in report.findings] == ["batch-contract-missing"]
-        assert "configurable_multiply" in report.findings[0].message
-
-    def test_mismatched_signature_flagged(self, tmp_path, config):
-        root = make_package(tmp_path,
-                            {"core/backends.py": BACKEND_MISMATCHED_BATCH})
-        report = run_analysis(root, config)
-        assert [f.code for f in report.findings] == ["batch-contract-mismatch"]
-        assert "truncations" in report.findings[0].message
-
-    def test_inherited_batch_satisfies_contract(self, tmp_path, config):
-        root = make_package(tmp_path,
-                            {"core/backends.py": BACKEND_INHERITED_BATCH})
-        report = run_analysis(root, config)
-        assert report.ok
-
-    def test_orphan_batch_flagged(self, tmp_path, config):
-        source = (
-            "class ComputeBackend:\n"
-            "    def scaled_add_batch(self, a, b, thresholds):\n"
-            "        return a\n"
-        )
-        root = make_package(tmp_path, {"core/backends.py": source})
-        report = run_analysis(root, config)
-        assert [f.code for f in report.findings] == ["batch-contract-orphan"]
-
-    def test_axis_free_entry_point_exempt(self, tmp_path, config):
-        source = (
-            "class ComputeBackend:\n"
-            "    def imprecise_sqrt(self, a, dtype):\n"
-            "        return a\n"
-        )
-        root = make_package(tmp_path, {"core/backends.py": source})
-        report = run_analysis(root, config)
-        assert report.ok
-
-    def test_opt_out_via_suppression(self, tmp_path, config):
-        source = BACKEND_MISSING_BATCH.replace(
-            "    def configurable_multiply(self, a, b, config, dtype):",
-            "    def configurable_multiply(self, a, b, config, dtype):"
-            "  # repro-lint: disable=batch-contract -- scalar-only op",
-        )
-        root = make_package(tmp_path, {"core/backends.py": source})
-        report = run_analysis(root, config)
-        assert report.ok
-        assert report.suppressed == 1
-
-
-# ----------------------------------------------------------------------
 # Worker-state
 # ----------------------------------------------------------------------
 WORKER_GLOBAL = """\
@@ -864,7 +771,6 @@ class TestInterprocFingerprints:
     @pytest.mark.parametrize("relpath,source", [
         ("apps/k.py", ESCAPING_TAINT),
         ("service/api.py", BLOCKING_SERVICE),
-        ("core/backends.py", BACKEND_MISSING_BATCH),
         ("runtime/state.py", WORKER_GLOBAL),
     ])
     def test_fingerprints_survive_line_shift(self, tmp_path, config,
