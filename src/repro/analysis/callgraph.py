@@ -1,11 +1,10 @@
 """Whole-program call graph over the already-parsed module set.
 
 The per-module checkers see one file at a time; the contracts added on
-top of them (imprecision escaping a kernel helper, blocking work reached
-*through* a sync helper from a coroutine, worker-written module state)
-are properties of call *chains*.  This module resolves intra-package
-calls into an explicit graph the dataflow pass (:mod:`.dataflow`) folds
-summaries over:
+top of them (imprecision escaping a kernel helper, worker-written module
+state) are properties of call *chains*.  This module resolves
+intra-package calls into an explicit graph the dataflow pass
+(:mod:`.dataflow`) folds summaries over:
 
 - **module functions** — plain-name and ``module.attr`` calls, through
   the import maps (absolute, relative, and re-export chains like
@@ -19,12 +18,10 @@ summaries over:
   (``AnalysisConfig.backend_base_names``) conservatively edges to every
   registered implementation, mirroring ``get_backend(...)`` dispatch.
 
-Anything else stays unresolved: the edge records the raw dotted chain
-(``writer.drain``) and, when the leading name is a known external
-import, the canonical external name (``time.sleep``, ``numpy.add``) the
-blocking-call classifier keys on.  Lambdas and nested ``def`` bodies are
-*not* attributed to the enclosing function — a callable handed to
-``loop.run_in_executor`` must not count as called on the event loop.
+Anything else stays unresolved: the edge records only the raw dotted
+chain (``writer.drain``, ``numpy.add``).  Lambdas and nested ``def``
+bodies are *not* attributed to the enclosing function — a callable
+handed to a pool or thread runs elsewhere, not at the definition site.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ class FunctionNode:
     qualname: str  # "SweepService._handle_sweep" / "run"
     node: ast.AST
     cls: str | None = None  # owning ClassInfo key, None for plain functions
-    is_async: bool = False
 
     @property
     def params(self) -> tuple:
@@ -126,9 +122,7 @@ class CallEdge:
 
     node: ast.Call
     targets: tuple = ()  # FunctionNode ids (may be several under dispatch)
-    external: str = ""  # canonical external name ("time.sleep"), if known
     chain: str = ""  # raw dotted text at the call site
-    awaited: bool = False
 
 
 class Program:
@@ -318,8 +312,7 @@ def _index_module(program: Program, module) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = FunctionNode(
                 fid=f"{module.relpath}::{stmt.name}",
-                module=module, name=stmt.name, qualname=stmt.name,
-                node=stmt, is_async=isinstance(stmt, ast.AsyncFunctionDef),
+                module=module, name=stmt.name, qualname=stmt.name, node=stmt,
             )
             program.functions[fn.fid] = fn
             functions.append(fn)
@@ -338,7 +331,6 @@ def _index_module(program: Program, module) -> None:
                         module=module, name=member.name,
                         qualname=f"{stmt.name}.{member.name}",
                         node=member, cls=ckey,
-                        is_async=isinstance(member, ast.AsyncFunctionDef),
                     )
                     cls.methods[member.name] = method
                     program.functions[method.fid] = method
@@ -505,26 +497,17 @@ def _extract_calls(program: Program, fn: FunctionNode) -> list:
     relpath = fn.module.relpath
     local_bindings = _scope_imports(program, fn)
     local_types = _local_class_types(program, fn)
-    awaited_ids = {
-        id(node.value)
-        for node in walk_scope(fn.node)
-        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call)
-    }
     edges = []
     for node in walk_scope(fn.node):
         if not isinstance(node, ast.Call):
             continue
         chain = dotted_name(node.func)
         targets: tuple = ()
-        external = ""
         if chain:
-            targets, external = _resolve_call(
+            targets = _resolve_call(
                 program, fn, chain, local_bindings, local_types
             )
-        edges.append(CallEdge(
-            node=node, targets=targets, external=external, chain=chain,
-            awaited=id(node) in awaited_ids,
-        ))
+        edges.append(CallEdge(node=node, targets=targets, chain=chain))
     return edges
 
 
@@ -537,7 +520,7 @@ def _resolve_call(program, fn, chain, local_bindings, local_types):
         if len(parts) == 2:
             method = program.lookup_method(fn.cls, parts[1])
             if method is not None:
-                return (method.fid,), ""
+                return (method.fid,)
         elif len(parts) == 3:
             attr_types = program.classes[fn.cls].attr_types.get(parts[1], ())
             found = tuple(
@@ -546,38 +529,33 @@ def _resolve_call(program, fn, chain, local_bindings, local_types):
                 if m is not None
             )
             if found:
-                return found, ""
+                return found
         return _dispatch_fallback(program, parts[-1])
 
     # x = ClassName(...); x.m()
     if len(parts) == 2 and parts[0] in local_types:
         method = program.lookup_method(local_types[parts[0]], parts[1])
         if method is not None:
-            return (method.fid,), ""
+            return (method.fid,)
 
     resolved = program.resolve_dotted(relpath, chain, local_bindings)
     if resolved is not None:
         kind, value = resolved
         if kind == "func":
-            return (value,), ""
+            return (value,)
         if kind == "class":
             init = program.lookup_method(value, "__init__")
-            return ((init.fid,) if init is not None else ()), ""
-        if kind == "ext":
-            return (), value
-        return (), ""
+            return (init.fid,) if init is not None else ()
+        return ()
 
     if len(parts) > 1:
         return _dispatch_fallback(program, parts[-1])
-    return (), ""
+    return ()
 
 
 def _dispatch_fallback(program, method_name):
     """Backend-registry dispatch: unknown receiver, family method name."""
-    impls = program._dispatch_methods.get(method_name)
-    if impls:
-        return impls, ""
-    return (), ""
+    return program._dispatch_methods.get(method_name, ())
 
 
 def _find_worker_entrypoints(program: Program, config) -> None:

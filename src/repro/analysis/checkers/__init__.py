@@ -4,7 +4,7 @@ Each checker module exposes ``check(module, config) -> list[RawFinding]``.
 The engine iterates :data:`ALL_CHECKERS` in order; the dict key is the
 checker id that findings carry and suppressions can name.
 
-The first five are intra-module; the last three are the
+The first five are intra-module; the last two are the
 interprocedural layer and read the whole-program view the engine plants
 on ``config.program`` (call graph + dataflow summaries).
 """
@@ -12,7 +12,6 @@ on ``config.program`` (call graph + dataflow summaries).
 from __future__ import annotations
 
 from . import (
-    asyncsafety,
     cachekey,
     forksafety,
     hygiene,
@@ -31,6 +30,5 @@ ALL_CHECKERS = {
     "fork-safety": forksafety.check,
     "hygiene": hygiene.check,
     "interproc-op-coverage": interproc.check,
-    "async-safety": asyncsafety.check,
     "worker-state": workerstate.check,
 }

@@ -1,15 +1,7 @@
 """Per-function dataflow summaries over the call graph, to a fixpoint.
 
-Four facts per function, each feeding one interprocedural checker:
-
-``may_block``
-    A witness chain ("ResultCache.document -> DirectoryBackend.read_json
-    -> path.read_text") proving the function can block the calling
-    thread.  Seeded from direct blocking calls (``time.sleep``, sync
-    file/socket IO, ``subprocess``, the ``.sweep`` runner surface) and
-    propagated caller-ward through *sync* resolved targets only — a
-    blocking coroutine is flagged at its own definition by the
-    async-safety checker, not at every await site.
+Two groups of facts per function, each feeding one interprocedural
+checker:
 
 ``returns_imprecise`` / ``tainted_params``
     The PR 3 intra-procedural kernel taint, closed over call boundaries:
@@ -30,10 +22,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import dotted_name, walk_scope
+from .callgraph import walk_scope
 from .checkers.opcoverage import _KernelTaint
 
-__all__ = ["Summary", "compute_summaries", "direct_block"]
+__all__ = ["Summary", "compute_summaries"]
 
 #: Methods that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset({
@@ -46,28 +38,10 @@ _MUTATOR_METHODS = frozenset({
 class Summary:
     """What the rest of the program may assume about one function."""
 
-    may_block: str = ""  # witness chain, "" when provably unknown-to-block
     returns_imprecise: bool = False
     tainted_params: set = field(default_factory=set)
     mutates_params: set = field(default_factory=set)
     writes_globals: set = field(default_factory=set)  # {(relpath, name)}
-
-
-def direct_block(edge, config) -> str:
-    """Witness if this single call site blocks the thread, else ''."""
-    if edge.external:
-        if edge.external in config.blocking_calls:
-            return edge.external
-        top = edge.external.split(".")[0]
-        if top in config.blocking_modules:
-            return edge.external
-    if edge.chain == "open":
-        return "open"
-    if not edge.targets and "." in edge.chain:
-        last = edge.chain.rsplit(".", 1)[1]
-        if last in config.blocking_attrs or last in config.blocking_method_names:
-            return edge.chain
-    return ""
 
 
 def _base_name(node) -> str:
@@ -77,7 +51,7 @@ def _base_name(node) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def _local_facts(program, fn, summary, config) -> None:
+def _local_facts(program, fn, summary) -> None:
     """Seed ``summary`` with facts visible inside ``fn`` alone."""
     params = set(fn.params)
     module_globals = program.module_globals.get(fn.module.relpath, set())
@@ -108,10 +82,6 @@ def _local_facts(program, fn, summary, config) -> None:
                     record_store(_base_name(target))
 
     for edge in program.calls.get(fn.fid, ()):
-        if not summary.may_block:
-            witness = direct_block(edge, config)
-            if witness:
-                summary.may_block = witness
         parts = edge.chain.split(".")
         if len(parts) == 2 and parts[1] in _MUTATOR_METHODS:
             record_store(parts[0])
@@ -125,8 +95,8 @@ def _positional_offset(target) -> int:
     return 0
 
 
-def _propagate(program, summaries, config) -> None:
-    """may_block / mutation fixpoint over resolved call edges."""
+def _propagate(program, summaries) -> None:
+    """Mutation fixpoint over resolved call edges."""
     changed = True
     while changed:
         changed = False
@@ -140,11 +110,6 @@ def _propagate(program, summaries, config) -> None:
                 for tid in edge.targets:
                     target = program.functions[tid]
                     tsum = summaries[tid]
-                    if (not summary.may_block and not target.is_async
-                            and tsum.may_block):
-                        summary.may_block = \
-                            f"{target.display} -> {tsum.may_block}"
-                        changed = True
                     if not tsum.mutates_params:
                         continue
                     offset = _positional_offset(target)
@@ -250,11 +215,7 @@ def compute_summaries(program, config) -> dict:
     """``{fid: Summary}`` for every function, to a fixpoint."""
     summaries = {fid: Summary() for fid in program.functions}
     for fid, fn in program.functions.items():
-        _local_facts(program, fn, summaries[fid], config)
-    for fid, fn in program.functions.items():
-        if not summaries[fid].may_block and fn.qualname in \
-                config.blocking_qualnames:
-            summaries[fid].may_block = fn.qualname
-    _propagate(program, summaries, config)
+        _local_facts(program, fn, summaries[fid])
+    _propagate(program, summaries)
     _taint_fixpoint(program, summaries, config)
     return summaries

@@ -78,11 +78,6 @@ class AnalysisConfig:
         Class names rooting the backend registry family; methods called on
         unresolvable receivers dispatch to every implementation in the
         family (mirrors ``get_backend(...)``).
-    blocking_calls / blocking_modules / blocking_attrs /
-    blocking_method_names / blocking_qualnames:
-        The async-safety classifier: external calls, module prefixes
-        (``subprocess``), unresolved-receiver attribute and method names,
-        and package qualnames that block the calling thread.
     worker_entrypoint_names:
         Function names the process-pool runner submits to workers;
         roots of the worker-state reachability query.
@@ -100,33 +95,6 @@ class AnalysisConfig:
     )
     context_names: tuple = ("ctx", "context")
     backend_base_names: tuple = ("ComputeBackend",)
-    blocking_calls: tuple = (
-        "time.sleep",
-        "socket.create_connection",
-        "socket.getaddrinfo",
-        "urllib.request.urlopen",
-        "requests.get",
-        "requests.post",
-        "os.system",
-        "os.waitpid",
-        "select.select",
-        "shutil.copyfile",
-        "shutil.copytree",
-        "shutil.rmtree",
-    )
-    blocking_modules: tuple = ("subprocess",)
-    blocking_attrs: tuple = (
-        "read_text", "write_text", "read_bytes", "write_bytes",
-    )
-    blocking_method_names: tuple = ("sweep",)
-    blocking_qualnames: tuple = ("ExperimentRunner.sweep",)
-    #: Statement-level bare calls to these externals create a coroutine
-    #: that is dropped unawaited.
-    async_externals: tuple = (
-        "asyncio.sleep", "asyncio.gather", "asyncio.wait",
-        "asyncio.wait_for", "asyncio.open_connection",
-        "asyncio.start_server", "asyncio.to_thread",
-    )
     worker_entrypoint_names: tuple = (
         "_evaluate_chunk", "_call_chunk",
     )

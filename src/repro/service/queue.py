@@ -17,9 +17,9 @@ and delivered to waiters as sanitized entry documents — the identical
 bytes a warm request would have been served, which is what makes service
 answers bit-identical across the cold/warm/coalesced paths.
 
-The queue is deliberately asyncio-free: waiters are plain callbacks
-``(doc, error)`` invoked on the worker thread, and the HTTP layer bridges
-them onto its event loop.  Backpressure is a hard bound on distinct
+Waiters are plain callbacks ``(doc, error)`` invoked on the worker
+thread; the HTTP layer's request thread blocks on its own waiter until
+the result is delivered or its timeout passes.  Backpressure is a hard bound on distinct
 in-flight items — :class:`QueueFullError` carries the ``Retry-After``
 hint the server turns into a 429.
 

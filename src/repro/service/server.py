@@ -1,9 +1,14 @@
-"""Async HTTP server of the sweep service (stdlib asyncio streams).
+"""Threaded HTTP server of the sweep service (stdlib ``http.server``).
 
 ``repro serve`` binds this server; the dependency posture matches the
-rest of the project (no third-party HTTP stack — plain ``asyncio``
-stream handling of HTTP/1.1 with ``Connection: close`` semantics, which
-sidesteps keep-alive and chunked-encoding state machines entirely).
+rest of the project (no third-party HTTP stack — a
+:class:`http.server.ThreadingHTTPServer` answering HTTP/1.1 with
+``Connection: close`` semantics, which sidesteps keep-alive and
+chunked-encoding state machines entirely).  Each connection gets its own
+thread: it reads the cache and admits misses to the work queue inline,
+then blocks on the queue's delivery for up to ``request_timeout``, so a
+slow request never holds up another and every request's trace spans
+nest on its own thread.
 
 Endpoints (schema in ``docs/SERVICE.md``):
 
@@ -41,9 +46,11 @@ targeted by port (see :mod:`repro.faults`).
 
 from __future__ import annotations
 
-import asyncio
+import http.server
 import json
 import os
+import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -104,27 +111,13 @@ class ServiceConfig:
     journal: bool = True  # durable queue journal under cache_dir
 
 
-class _Request:
-    """One parsed HTTP request."""
-
-    __slots__ = ("method", "path", "headers", "body")
-
-    def __init__(self, method, path, headers, body):
-        self.method = method
-        self.path = path
-        self.headers = headers
-        self.body = body
-
-    @property
-    def attempt(self) -> int:
-        try:
-            return int(self.headers.get("x-repro-attempt", "0"))
-        except ValueError:
-            return 0
-
-
 class SweepService:
-    """The application behind the HTTP surface (transport-independent)."""
+    """The application behind the HTTP surface (transport-independent).
+
+    Routing takes a request object with ``command``, ``path``, ``body``
+    and ``respond(status, payload, ...)``; :class:`_Handler` is the one
+    the server passes.
+    """
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -225,40 +218,40 @@ class SweepService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def handle(self, request: _Request, respond) -> None:
-        """Dispatch one request; ``respond`` is the transport's writer."""
+    def handle(self, request) -> None:
+        """Dispatch one request; ``request.respond`` writes the answer."""
         path = request.path.split("?", 1)[0]
-        if path == "/healthz" and request.method == "GET":
-            await respond(200, self._healthz())
-        elif path == "/readyz" and request.method == "GET":
+        method = request.command
+        if path == "/healthz" and method == "GET":
+            request.respond(200, self._healthz())
+        elif path == "/readyz" and method == "GET":
             doc = self._readyz()
-            await respond(200 if doc["ready"] else 503, doc)
-        elif path == "/drainz" and request.method == "POST":
+            request.respond(200 if doc["ready"] else 503, doc)
+        elif path == "/drainz" and method == "POST":
             self.queue.start_draining()
             telemetry.counter_inc("repro_service_requests_total",
                                   endpoint="drainz")
             snapshot = self.queue.snapshot()
-            await respond(200, {
+            request.respond(200, {
                 "draining": True,
                 "pending": snapshot["pending"],
                 "inflight": snapshot["inflight"],
             })
-        elif path == "/drainz" and request.method == "DELETE":
+        elif path == "/drainz" and method == "DELETE":
             self.queue.stop_draining()
-            await respond(200, {"draining": False})
-        elif path == "/queuez" and request.method == "GET":
-            await respond(200, self.queue.snapshot())
-        elif path == "/metricsz" and request.method == "GET":
+            request.respond(200, {"draining": False})
+        elif path == "/queuez" and method == "GET":
+            request.respond(200, self.queue.snapshot())
+        elif path == "/metricsz" and method == "GET":
             text = telemetry.get_registry().prometheus_text() + "\n"
-            await respond(200, text.encode("utf-8"),
-                          content_type="text/plain; charset=utf-8")
-        elif path == "/v1/sweep" and request.method == "POST":
-            await self._handle_sweep(request, respond)
+            request.respond(200, text.encode("utf-8"),
+                            content_type="text/plain; charset=utf-8")
+        elif path == "/v1/sweep" and method == "POST":
+            self._handle_sweep(request)
         elif path.startswith("/cache/v1/"):
-            await self._handle_cache(request, path, respond)
+            self._handle_cache(request, path)
         else:
-            await respond(404, {"error": f"no route for "
-                                         f"{request.method} {path}"})
+            request.respond(404, {"error": f"no route for {method} {path}"})
 
     def _healthz(self) -> dict:
         # Liveness only: "the process is up".  Everything that should
@@ -297,53 +290,42 @@ class SweepService:
     # ------------------------------------------------------------------
     # Sweep queries
     # ------------------------------------------------------------------
-    async def _handle_sweep(self, request: _Request, respond) -> None:
+    def _handle_sweep(self, request) -> None:
         try:
             body = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            await respond(400, {"error": f"request body is not JSON: {exc}"})
+            request.respond(400, {"error": f"request body is not JSON: {exc}"})
             return
         try:
             sweep = SweepRequest.from_document(
                 body, max_configs=self.config.max_configs
             )
         except ProtocolError as exc:
-            await respond(exc.status, {"error": str(exc)})
+            request.respond(exc.status, {"error": str(exc)})
             return
 
-        loop = asyncio.get_running_loop()
         with telemetry.span(
             "service.request", app=sweep.spec.app,
             configs=len(sweep.configs),
         ) as request_span:
             parent_id = request_span["id"] if request_span else None
-            hits = 0
             warm: dict = {}
-            futures: dict = {}
+            replies: dict = {}
             try:
                 for name, config in sweep.configs.items():
-                    # Cache reads hit the filesystem (or an HTTP peer);
-                    # keep them off the event loop.
-                    doc = await loop.run_in_executor(
-                        None, self.cache.document, sweep.spec, config
-                    )
+                    doc = self.cache.document(sweep.spec, config)
                     if doc is not None:
                         warm[name] = sanitize_document(doc)
                         self.queue.record_cache_outcome(config, hit=True)
-                        hits += 1
                         continue
-                    future = loop.create_future()
-                    # submit() appends to the queue journal (file IO)
-                    # before returning — keep it off the event loop too.
-                    await loop.run_in_executor(
-                        None, self.queue.submit, sweep.spec, config,
-                        _future_waiter(loop, future), parent_id,
-                    )
-                    futures[name] = future
+                    reply = _Reply()
+                    self.queue.submit(sweep.spec, config, reply.deliver,
+                                      parent_id)
+                    replies[name] = reply
             except QueueFullError as exc:
-                for future in futures.values():
-                    future.cancel()
-                await respond(
+                # Work already admitted still runs and lands in the
+                # cache; its replies simply go unread.
+                request.respond(
                     429,
                     {"error": str(exc), "retry_after": exc.retry_after},
                     headers={"Retry-After": f"{exc.retry_after:.0f}"},
@@ -353,56 +335,40 @@ class SweepService:
                 # The request needed new computation and this node is
                 # winding down: refuse the whole sweep so the client
                 # (or fleet placement) routes it to a ready peer.
-                for future in futures.values():
-                    future.cancel()
-                await respond(503, {"error": str(exc), "draining": True})
+                request.respond(503, {"error": str(exc), "draining": True})
                 return
             telemetry.counter_inc("repro_service_requests_total",
                                   endpoint="sweep")
             telemetry.counter_inc("repro_service_cache_outcomes_total",
-                                  outcome="hit", amount=float(hits))
+                                  outcome="hit", amount=float(len(warm)))
             telemetry.counter_inc("repro_service_cache_outcomes_total",
-                                  outcome="miss", amount=float(len(futures)))
+                                  outcome="miss", amount=float(len(replies)))
             if sweep.stream:
-                await self._respond_stream(sweep, warm, futures, respond)
+                self._respond_stream(request, sweep, warm, replies)
             else:
-                await self._respond_unary(sweep, warm, futures, respond,
-                                          hits)
+                self._respond_unary(request, sweep, warm, replies)
 
-    async def _gather(self, futures: dict) -> tuple:
-        """Await every pending future -> (results, errors) by name."""
-        results: dict = {}
-        errors: dict = {}
-        for name, future in futures.items():
-            try:
-                results[name] = await asyncio.wait_for(
-                    asyncio.shield(future), self.config.request_timeout
-                )
-            except asyncio.TimeoutError:
-                errors[name] = "computation timed out"
-            except Exception as exc:
-                errors[name] = str(exc)
-        return results, errors
-
-    async def _respond_unary(self, sweep, warm, futures, respond,
-                             hits) -> None:
-        computed, errors = await self._gather(futures)
+    def _respond_unary(self, request, sweep, warm, replies) -> None:
         results = {}
+        errors = 0
         for name in sweep.configs:
             if name in warm:
                 results[name] = warm[name]
-            elif name in computed:
-                results[name] = computed[name]
+                continue
+            doc, error = replies[name].wait(self.config.request_timeout)
+            if error is None:
+                results[name] = doc
             else:
-                results[name] = {"error": errors[name]}
+                results[name] = {"error": error}
+                errors += 1
         payload = {
             "app": sweep.spec.app,
             "experiment": sweep.spec.canonical(),
             "results": results,
             "served": {
-                "hits": hits,
-                "misses": len(futures),
-                "errors": len(errors),
+                "hits": len(warm),
+                "misses": len(replies),
+                "errors": errors,
             },
         }
         if sweep.quality_target is not None:
@@ -411,57 +377,49 @@ class SweepService:
                                    doc["quality"], sweep.quality_target)
                 for name, doc in results.items() if "quality" in doc
             }
-        await respond(200, payload)
+        request.respond(200, payload)
 
-    async def _respond_stream(self, sweep, warm, futures, respond) -> None:
+    def _respond_stream(self, request, sweep, warm, replies) -> None:
         """NDJSON progress: one line per configuration, then a summary."""
-        stream = await respond(200, None, content_type="application/x-ndjson",
-                               stream=True)
+        stream = request.respond(200, None,
+                                 content_type="application/x-ndjson",
+                                 stream=True)
         errors = 0
         for name in sweep.configs:
             if name in warm:
-                await stream({"name": name, "status": "hit",
-                              "result": warm[name]})
-        for name, future in futures.items():
-            try:
-                doc = await asyncio.wait_for(
-                    asyncio.shield(future), self.config.request_timeout
-                )
-                await stream({"name": name, "status": "computed",
-                              "result": doc})
-            except asyncio.TimeoutError:
+                stream({"name": name, "status": "hit", "result": warm[name]})
+        for name, reply in replies.items():
+            doc, error = reply.wait(self.config.request_timeout)
+            if error is None:
+                stream({"name": name, "status": "computed", "result": doc})
+            else:
                 errors += 1
-                await stream({"name": name, "status": "error",
-                              "error": "computation timed out"})
-            except Exception as exc:
-                errors += 1
-                await stream({"name": name, "status": "error",
-                              "error": str(exc)})
-        await stream({"done": True, "served": {
-            "hits": len(warm), "misses": len(futures), "errors": errors,
+                stream({"name": name, "status": "error", "error": error})
+        stream({"done": True, "served": {
+            "hits": len(warm), "misses": len(replies), "errors": errors,
         }})
 
     # ------------------------------------------------------------------
     # Cache peer surface
     # ------------------------------------------------------------------
-    async def _handle_cache(self, request: _Request, path, respond) -> None:
+    def _handle_cache(self, request, path) -> None:
         backend = self.cache.backend
         parts = path[len("/cache/v1/"):].split("/")
-        method = request.method
+        method = request.command
 
         if parts == ["statz"] and method == "GET":
-            await respond(200, {"entries": backend.entry_count()})
+            request.respond(200, {"entries": backend.entry_count()})
             return
         if not parts or not parts[0]:
-            await respond(404, {"error": "missing cache key"})
+            request.respond(404, {"error": "missing cache key"})
             return
         key = parts[0]
         if not _valid_key(key):
-            await respond(400, {"error": f"malformed cache key {key!r}"})
+            request.respond(400, {"error": f"malformed cache key {key!r}"})
             return
         sub = parts[1] if len(parts) > 1 else None
         if len(parts) > 2 or sub not in (None, "npz", "lock"):
-            await respond(404, {"error": f"no cache route {path!r}"})
+            request.respond(404, {"error": f"no cache route {path!r}"})
             return
 
         handler = {
@@ -474,51 +432,52 @@ class SweepService:
             ("lock", "DELETE"): self._cache_unlock,
         }.get((sub, method))
         if handler is None:
-            await respond(405, {"error": f"{method} not supported on {path}"})
+            request.respond(405,
+                            {"error": f"{method} not supported on {path}"})
             return
-        await handler(backend, key, request, respond)
+        handler(backend, key, request)
 
-    async def _cache_get_json(self, backend, key, request, respond):
+    def _cache_get_json(self, backend, key, request):
         text = backend.read_json(key)
         if text is None:
-            await respond(404, {"error": "no such entry"})
+            request.respond(404, {"error": "no such entry"})
         else:
-            await respond(200, text.encode("utf-8"), content_type=_JSON)
+            request.respond(200, text.encode("utf-8"), content_type=_JSON)
 
-    async def _cache_head(self, backend, key, request, respond):
+    def _cache_head(self, backend, key, request):
         status = 200 if backend.contains(key) else 404
-        await respond(status, b"", head=True)
+        request.respond(status, b"", head=True)
 
-    async def _cache_put_json(self, backend, key, request, respond):
+    def _cache_put_json(self, backend, key, request):
         with self._staged_lock:
             npz = self._staged_npz.pop(key, None)
         backend.write_entry(key, request.body.decode("utf-8"), npz)
         telemetry.counter_inc("repro_service_peer_writes_total")
-        await respond(200, {"stored": key})
+        request.respond(200, {"stored": key})
 
-    async def _cache_get_npz(self, backend, key, request, respond):
+    def _cache_get_npz(self, backend, key, request):
         data = backend.read_npz(key)
         if data is None:
-            await respond(404, {"error": "no such payload"})
+            request.respond(404, {"error": "no such payload"})
         else:
-            await respond(200, data, content_type=_BINARY)
+            request.respond(200, data, content_type=_BINARY)
 
-    async def _cache_put_npz(self, backend, key, request, respond):
+    def _cache_put_npz(self, backend, key, request):
         # Staged until the entry document lands: the backend contract
         # writes npz-before-json so a torn write can never parse.
         with self._staged_lock:
             self._staged_npz[key] = request.body
-        await respond(200, {"staged": key})
+        request.respond(200, {"staged": key})
 
-    async def _cache_lock(self, backend, key, request, respond):
+    def _cache_lock(self, backend, key, request):
         if backend.acquire_lock(key):
-            await respond(200, {"locked": key})
+            request.respond(200, {"locked": key})
         else:
-            await respond(409, {"error": "entry is locked"})
+            request.respond(409, {"error": "entry is locked"})
 
-    async def _cache_unlock(self, backend, key, request, respond):
+    def _cache_unlock(self, backend, key, request):
         backend.release_lock(key)
-        await respond(200, {"unlocked": key})
+        request.respond(200, {"unlocked": key})
 
 
 def _valid_key(key: str) -> bool:
@@ -531,105 +490,127 @@ def _discard_waiter(doc, error) -> None:
     the result lands in the cache, which is the whole point."""
 
 
-def _future_waiter(loop, future):
-    """Bridge a queue delivery (worker thread) onto the event loop."""
+class _Reply:
+    """One queue delivery, awaited by the request thread that asked."""
 
-    def waiter(doc, error):
-        def resolve():
-            if future.cancelled() or future.done():
-                return
-            if error is not None:
-                future.set_exception(
-                    error if isinstance(error, Exception)
-                    else RuntimeError(str(error))
-                )
-            else:
-                future.set_result(doc)
-        loop.call_soon_threadsafe(resolve)
+    __slots__ = ("_done", "_doc", "_error")
 
-    return waiter
+    def __init__(self):
+        self._done = threading.Event()
+        self._doc = None
+        self._error = None
+
+    def deliver(self, doc, error) -> None:
+        """The queue's ``waiter(doc, error)``, called on a worker thread."""
+        self._doc, self._error = doc, error
+        self._done.set()
+
+    def wait(self, timeout: float) -> tuple:
+        """``(doc, None)`` on success, ``(None, error text)`` otherwise."""
+        if not self._done.wait(timeout):
+            return None, "computation timed out"
+        if self._error is not None:
+            return None, str(self._error)
+        return self._doc, None
 
 
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------
-async def _read_request(reader) -> _Request | None:
-    """Parse one HTTP/1.1 request from the stream (None on EOF/garbage)."""
-    try:
-        header_blob = await reader.readuntil(b"\r\n\r\n")
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    except asyncio.LimitOverrunError:
-        return None
-    if len(header_blob) > MAX_HEADER_BYTES:
-        return None
-    lines = header_blob.decode("latin-1").split("\r\n")
-    request_parts = lines[0].split(" ")
-    if len(request_parts) != 3:
-        return None
-    method, path, _version = request_parts
-    headers: dict = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One connection: parse, bound, run the fault guards, then route."""
+
+    protocol_version = "HTTP/1.1"
+    # Parse errors are answered with a status line, never HTTP/0.9-style.
+    default_request_version = "HTTP/1.0"
+    # Per-request state, set by _dispatch once the request is admitted.
     body = b""
-    length = headers.get("content-length")
-    if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            return None
-        if n < 0 or n > MAX_BODY_BYTES:
-            return None
-        try:
-            body = await reader.readexactly(n)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-    return _Request(method.upper(), path, headers, body)
-
-
-def _render_response(status: int, body: bytes, content_type: str,
-                     extra_headers: dict | None = None,
-                     stream: bool = False, head: bool = False) -> bytes:
-    reason = {
-        200: "OK", 400: "Bad Request", 404: "Not Found",
-        405: "Method Not Allowed", 409: "Conflict",
-        413: "Payload Too Large", 429: "Too Many Requests",
-        500: "Internal Server Error", 503: "Service Unavailable",
-    }.get(status, "Unknown")
-    lines = [f"HTTP/1.1 {status} {reason}",
-             f"Content-Type: {content_type}",
-             "Connection: close"]
-    if not stream:
-        lines.append(f"Content-Length: {0 if head else len(body)}")
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head_bytes = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head_bytes if head else head_bytes + body
-
-
-async def _handle_connection(service: SweepService, reader, writer) -> None:
-    request = await _read_request(reader)
-    if request is None:
-        writer.close()
-        return
-    injector = faults.active()
-    attempt = request.attempt
+    attempt = 0
+    injector = None
     responded = False
 
-    async def respond(status, payload, content_type=None, headers=None,
-                      stream=False, head=False):
-        nonlocal responded
-        responded = True
+    def _dispatch(self) -> None:
+        self.close_connection = True
+        if len(self.requestline.split()) != 3:
+            self.respond(400, {"error": "malformed request line"})
+            return
+        if len(self.raw_requestline) + len(str(self.headers)) \
+                > MAX_HEADER_BYTES:
+            self.respond(431, {"error": "request header block too large"})
+            return
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            self.respond(400, {"error": "malformed Content-Length"})
+            return
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Refused before reading: the body never enters memory.
+            self.respond(413, {"error": f"body of {length} bytes is outside "
+                                        f"[0, {MAX_BODY_BYTES}]"})
+            return
+        self.body = self.rfile.read(length)
+        if len(self.body) < length:
+            return  # the peer hung up mid-body
+        try:
+            self.attempt = int(self.headers.get("X-Repro-Attempt", "0"))
+        except ValueError:
+            self.attempt = 0
+        self.injector = faults.active()
+        service = self.server.service
+        try:
+            if self.injector is not None:
+                # Node-targeted fleet faults: keyed by "<host:port><path>"
+                # so a clause can match one member of an in-process fleet
+                # by port, one endpoint by path, or both.
+                node_key = f"{service.node_id}{self.path}"
+                if self.injector.node_crash(node_key, self.attempt):
+                    # Die exactly as a power cut would: no cleanup, no
+                    # journal compaction, no goodbye on the socket.
+                    os._exit(CRASH_EXIT_CODE)
+                stall = self.injector.slow_node(node_key, self.attempt)
+                if stall > 0:
+                    time.sleep(stall)
+            if self.injector is not None and self.injector.queue_full(
+                    self.path, self.attempt):
+                retry_after = service.config.retry_after
+                self.respond(
+                    429,
+                    {"error": "injected queue-full",
+                     "retry_after": retry_after},
+                    headers={"Retry-After": f"{retry_after:.0f}"},
+                )
+            else:
+                service.handle(self)
+        except ConnectionError:
+            pass  # the peer went away, or an injected drop tore the socket
+        except Exception as exc:  # one request must not take the server down
+            telemetry.counter_inc("repro_service_errors_total")
+            if not self.responded:
+                try:
+                    self.respond(500, {"error": f"internal error: {exc}"})
+                except ConnectionError:
+                    pass
+
+    do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = _dispatch
+
+    def respond(self, status, payload, content_type=None, headers=None,
+                stream=False, head=False):
+        """Write one response; with ``stream`` return a line writer."""
+        self.responded = True
+        injector = self.injector
         if injector is not None:
-            delay = injector.slow_response(request.path, attempt)
+            delay = injector.slow_response(self.path, self.attempt)
             if delay:
-                await asyncio.sleep(delay)
-            if injector.drop_connection(request.path, attempt):
-                # Sever mid-exchange: the client sees a torn connection
-                # and must retry with an incremented attempt header.
-                writer.transport.abort()
+                time.sleep(delay)
+            if injector.drop_connection(self.path, self.attempt):
+                # Sever mid-exchange with a RST (linger 0), as a torn
+                # connection looks: the client must retry with an
+                # incremented attempt header.
+                self.connection.setsockopt(socket.SOL_SOCKET,
+                                           socket.SO_LINGER,
+                                           struct.pack("ii", 1, 0))
+                self.rfile.close()
+                self.connection.close()
                 raise ConnectionResetError("injected dropped connection")
         if isinstance(payload, (dict, list)):
             body = (canonical_json(payload) + "\n").encode("utf-8")
@@ -637,79 +618,41 @@ async def _handle_connection(service: SweepService, reader, writer) -> None:
         else:
             body = payload if payload is not None else b""
             content_type = content_type or _BINARY
-        writer.write(_render_response(status, body, content_type,
-                                      extra_headers=headers,
-                                      stream=stream, head=head))
-        await writer.drain()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Connection", "close")
+        if not stream:
+            self.send_header("Content-Length", str(0 if head else len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
         if stream:
-            async def send_line(doc):
-                writer.write(
-                    (canonical_json(doc) + "\n").encode("utf-8")
-                )
-                await writer.drain()
-            return send_line
+            return self._send_line
+        if not head:
+            self.wfile.write(body)
         return None
 
-    try:
-        if injector is not None:
-            # Node-targeted fleet faults: keyed by "<host:port><path>" so
-            # a clause can match one member of an in-process fleet by
-            # port, one endpoint by path, or both.
-            node_key = f"{service.node_id}{request.path}"
-            if injector.node_crash(node_key, attempt):
-                # Die exactly as a power cut would: no cleanup, no
-                # journal compaction, no goodbye on the socket.
-                os._exit(CRASH_EXIT_CODE)
-            stall = injector.slow_node(node_key, attempt)
-            if stall > 0:
-                await asyncio.sleep(stall)
-        if injector is not None and injector.queue_full(request.path,
-                                                       attempt):
-            await respond(
-                429,
-                {"error": "injected queue-full",
-                 "retry_after": service.config.retry_after},
-                headers={"Retry-After":
-                         f"{service.config.retry_after:.0f}"},
-            )
-        else:
-            await service.handle(request, respond)
-    except ConnectionResetError:
-        pass
-    except Exception as exc:  # one request must not take the server down
-        telemetry.counter_inc("repro_service_errors_total")
-        if not responded:
-            try:
-                await respond(500, {"error": f"internal error: {exc}"})
-            except ConnectionResetError:
-                pass
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
+    def _send_line(self, doc) -> None:
+        self.wfile.write((canonical_json(doc) + "\n").encode("utf-8"))
+
+    def log_message(self, format, *args) -> None:
+        """Silent: nothing is logged per request."""
 
 
 class ServerHandle:
-    """A running service instance (own thread + event loop)."""
+    """A running service instance (its accept loop on its own thread)."""
 
-    def __init__(self, service, host, port, loop, thread, server):
+    def __init__(self, service, server, thread):
         self.service = service
-        self.host = host
-        self.port = port
-        self.base_url = f"http://{host}:{port}"
-        self._loop = loop
-        self._thread = thread
+        self.host = service.config.host
+        self.port = server.server_address[1]
+        self.base_url = f"http://{self.host}:{self.port}"
         self._server = server
+        self._thread = thread
 
     def stop(self, timeout: float = 10.0) -> None:
-        loop = self._loop
-
-        def _shutdown():
-            self._server.close()
-            loop.stop()
-
-        loop.call_soon_threadsafe(_shutdown)
+        self._server.shutdown()
+        self._server.server_close()
         self._thread.join(timeout)
         self.service.close()
 
@@ -717,41 +660,15 @@ class ServerHandle:
 def serve_in_thread(config: ServiceConfig) -> ServerHandle:
     """Start a service on a daemon thread; returns once it accepts."""
     service = SweepService(config)
-    started = threading.Event()
-    box: dict = {}
-
-    def runner():
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-
-        async def start():
-            return await asyncio.start_server(
-                lambda r, w: _handle_connection(service, r, w),
-                config.host, config.port,
-            )
-
-        server = loop.run_until_complete(start())
-        box["loop"] = loop
-        box["server"] = server
-        box["port"] = server.sockets[0].getsockname()[1]
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            try:
-                loop.run_until_complete(server.wait_closed())
-            except Exception:
-                pass
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="sweep-service",
-                              daemon=True)
+    server = http.server.ThreadingHTTPServer((config.host, config.port),
+                                             _Handler)
+    server.service = service
+    service.node_id = f"{config.host}:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05},
+                              name="sweep-service", daemon=True)
     thread.start()
-    if not started.wait(timeout=30.0):
-        raise RuntimeError("sweep service failed to start within 30s")
-    service.node_id = f"{config.host}:{box['port']}"
-    return ServerHandle(service, config.host, box["port"],
-                        box["loop"], thread, box["server"])
+    return ServerHandle(service, server, thread)
 
 
 def run_server(config: ServiceConfig, out=None) -> int:

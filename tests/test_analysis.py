@@ -591,104 +591,6 @@ class TestInterprocOpCoverage:
 
 
 # ----------------------------------------------------------------------
-# Async-safety
-# ----------------------------------------------------------------------
-BLOCKING_SERVICE = """\
-import asyncio
-import time
-
-
-def _lookup(key):
-    return open(key).read()
-
-
-async def handle(request):
-    time.sleep(0.1)
-    data = _lookup(request)
-    return data
-
-
-async def notify(request):
-    asyncio.sleep(0.0)
-"""
-
-EXECUTOR_HOP_SERVICE = """\
-import asyncio
-
-
-def _lookup(key):
-    return open(key).read()
-
-
-async def handle(request):
-    loop = asyncio.get_running_loop()
-    data = await loop.run_in_executor(None, _lookup, request)
-    await asyncio.sleep(0)
-    return data
-"""
-
-ATTR_BLOCKING_SERVICE = """\
-class Store:
-    def read(self, key):
-        return key.read_text()
-
-
-class Service:
-    def __init__(self):
-        self.store = Store()
-
-    async def handle(self, key):
-        return self.store.read(key)
-"""
-
-
-class TestAsyncSafety:
-    def test_blocking_coroutine_flagged(self, tmp_path, config):
-        root = make_package(tmp_path, {"service/api.py": BLOCKING_SERVICE})
-        report = run_analysis(root, config)
-        codes = [f.code for f in report.findings]
-        assert codes.count("async-safety-blocking") == 2  # sleep + _lookup
-        assert codes.count("async-safety-unawaited") == 1
-        blocking = [f for f in report.findings
-                    if f.code == "async-safety-blocking"]
-        assert {f.line for f in blocking} == {10, 11}
-        # The summary witness names the blocking chain through the helper.
-        helper = next(f for f in blocking if f.line == 11)
-        assert "_lookup" in helper.message and "open" in helper.message
-
-    def test_executor_hop_passes(self, tmp_path, config):
-        root = make_package(tmp_path, {"service/api.py": EXECUTOR_HOP_SERVICE})
-        report = run_analysis(root, config)
-        assert report.ok
-
-    def test_blocking_through_attribute_type(self, tmp_path, config):
-        # self.store is typed from __init__; Store.read blocks via
-        # key.read_text() — the chain must surface in the coroutine.
-        root = make_package(tmp_path, {"service/api.py": ATTR_BLOCKING_SERVICE})
-        report = run_analysis(root, config)
-        assert [f.code for f in report.findings] == ["async-safety-blocking"]
-        assert "read_text" in report.findings[0].message
-
-    def test_suppression_round_trip(self, tmp_path, config):
-        source = BLOCKING_SERVICE.replace(
-            "    time.sleep(0.1)",
-            "    time.sleep(0.1)  # repro-lint: disable=async-safety -- startup settle",
-        )
-        root = make_package(tmp_path, {"service/api.py": source})
-        report = run_analysis(root, config)
-        assert "async-safety-blocking" not in {
-            f.code for f in report.findings if f.line == 10
-        }
-        assert report.suppressed == 1
-
-    def test_real_service_is_async_clean(self):
-        root = Path(repro.__file__).parent
-        report = run_analysis(root)
-        assert not any(f.code.startswith("async-safety")
-                       for f in report.findings)
-
-
-# ----------------------------------------------------------------------
 # Worker-state
 # ----------------------------------------------------------------------
 WORKER_GLOBAL = """\
@@ -770,7 +672,6 @@ class TestWorkerState:
 class TestInterprocFingerprints:
     @pytest.mark.parametrize("relpath,source", [
         ("apps/k.py", ESCAPING_TAINT),
-        ("service/api.py", BLOCKING_SERVICE),
         ("runtime/state.py", WORKER_GLOBAL),
     ])
     def test_fingerprints_survive_line_shift(self, tmp_path, config,

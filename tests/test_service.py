@@ -759,3 +759,118 @@ class TestIntegration:
         # The queue boundary is crossed: the worker-side execution span
         # is a child of the request that enqueued the work.
         assert by_name["service.execute"][0]["parent"] in request_ids
+
+
+# ----------------------------------------------------------------------
+# Transport: per-request threads, input bounds, no head-of-line blocking
+# ----------------------------------------------------------------------
+def raw_exchange(handle, data: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes on a fresh socket; return everything read to EOF."""
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+        except ConnectionError:
+            pass  # refused mid-send: what was answered is still readable
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def assert_no_2xx(reply: bytes) -> None:
+    status_line = reply.split(b"\r\n", 1)[0]
+    assert not status_line.startswith((b"HTTP/1.1 2", b"HTTP/1.0 2")), \
+        status_line
+
+
+class TestTransport:
+    def test_overlapping_requests_have_independent_spans(self, tmp_path):
+        configs = [{"add": IHWConfig.units("add")},
+                   {"mul": IHWConfig.units("mul")},
+                   {"all": IHWConfig.all_imprecise()}]
+        with telemetry.override("trace"):
+            telemetry.reset()
+            handle = start_service(tmp_path)
+            queue = handle.service.queue
+            try:
+                client = ServiceClient(handle.base_url, timeout=120)
+                queue.pause()
+                with concurrent.futures.ThreadPoolExecutor(3) as pool:
+                    futures = [pool.submit(tiny_sweep, client, c)
+                               for c in configs]
+                    # All three requests are inside their span at once.
+                    deadline = time.time() + 30
+                    while queue.snapshot()["inflight"] < 3:
+                        assert time.time() < deadline, queue.snapshot()
+                        time.sleep(0.01)
+                    queue.resume()
+                    for future in futures:
+                        future.result(timeout=120)
+                spans = []
+                deadline = time.time() + 10
+                while time.time() < deadline:
+                    spans.extend(telemetry.get_tracer().drain())
+                    if sum(s["name"] == "service.request"
+                           for s in spans) == 3:
+                        break
+                    time.sleep(0.05)
+            finally:
+                queue.resume()
+                handle.stop()
+        requests = [s for s in spans if s["name"] == "service.request"]
+        assert len(requests) == 3
+        request_ids = {s["id"] for s in requests}
+        assert [s["parent"] for s in requests
+                if s["parent"] in request_ids] == []
+
+    def test_input_bounds_refuse_without_taking_the_server_down(
+            self, tmp_path):
+        from repro.service.server import MAX_BODY_BYTES, MAX_HEADER_BYTES
+
+        handle = start_service(tmp_path)
+        try:
+            # A body over the bound is refused before it is read: the
+            # exchange ends although not one body byte was sent.
+            start = time.perf_counter()
+            assert_no_2xx(raw_exchange(handle, (
+                "POST /v1/sweep HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+            ).encode("latin-1")))
+            assert time.perf_counter() - start < 5.0
+            pad = "a" * (MAX_HEADER_BYTES + 1024)
+            assert_no_2xx(raw_exchange(handle, (
+                f"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: {pad}\r\n\r\n"
+            ).encode("latin-1")))
+            assert_no_2xx(raw_exchange(
+                handle, b"THIS IS NOT A REQUEST LINE\r\n\r\n"))
+            assert ServiceClient(handle.base_url).healthz()["status"] == "ok"
+        finally:
+            handle.stop()
+
+    def test_slow_request_does_not_block_health_probes(self, tmp_path):
+        handle = start_service(tmp_path)
+        try:
+            client = ServiceClient(handle.base_url, timeout=120)
+            tiny_sweep(client, {"add": IHWConfig.units("add")})  # warm
+            with faults.injection(
+                "slow-response:match=/v1/sweep,times=1,seconds=1"
+            ):
+                with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                    held = pool.submit(tiny_sweep, client,
+                                       {"add": IHWConfig.units("add")})
+                    time.sleep(0.2)  # the sweep is now in its 1 s stall
+                    start = time.perf_counter()
+                    assert client.healthz()["status"] == "ok"
+                    took = time.perf_counter() - start
+                    assert not held.done()
+                    held.result(timeout=120)
+            assert took < 0.5
+        finally:
+            handle.stop()
