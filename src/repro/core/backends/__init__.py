@@ -2,11 +2,12 @@
 
 One semantic contract, several interchangeable execution engines:
 
-- ``reference`` — the original vectorized NumPy units (the default);
+- ``reference`` — the original vectorized NumPy units (the parity oracle
+  and the runner's fallback target);
 - ``fused`` — single-pass kernels with preallocated scratch buffers,
   in-place ufuncs, and lazy special-case handling (~2-3x on large arrays);
-- ``threaded`` — the fused kernels tiled across a thread pool (multi-core
-  without any compiled dependency).
+- ``threaded`` — the default: the fused kernels, with large ops tiled
+  across a thread pool (multi-core without any compiled dependency).
 
 Only ``threaded`` accepts a thread count (``get_backend("threaded",
 threads=N)``); resolution and the runner-worker oversubscription contract
@@ -25,7 +26,7 @@ Selection, in priority order:
 1. the ``backend=`` argument of :class:`~repro.core.context.ArithmeticContext`;
 2. :attr:`IHWConfig.backend <repro.core.config.IHWConfig.backend>`;
 3. the ``REPRO_BACKEND`` environment variable;
-4. ``reference``.
+4. ``threaded`` (:data:`DEFAULT_BACKEND`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ __all__ = [
 #: Environment variable selecting the process-wide default backend.
 ENV_VAR = "REPRO_BACKEND"
 
-DEFAULT_BACKEND = "reference"
+#: Backend used when neither the caller, the config nor ``REPRO_BACKEND``
+#: selects one.
+DEFAULT_BACKEND = "threaded"
 
 
 #: Live backends holding scratch state, tracked weakly so instances die
@@ -106,7 +109,7 @@ def backend_names() -> tuple:
 
 
 def default_backend_name() -> str:
-    """The backend selected by ``REPRO_BACKEND``, or ``reference``.
+    """The backend selected by ``REPRO_BACKEND``, or :data:`DEFAULT_BACKEND`.
 
     Raises ``ValueError`` for an unknown name so a typo in the environment
     fails loudly instead of silently running the wrong engine.

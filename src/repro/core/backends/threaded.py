@@ -13,8 +13,36 @@ Design points:
   scratch pool stays warm across calls (the shards register themselves
   with the global scratch accounting; this wrapper deliberately does not,
   to avoid double counting);
-- **tiling threshold** — arrays below :data:`MIN_TILE_ELEMENTS` per tile
-  run inline on shard 0; thread dispatch would cost more than it saves;
+- **tiling threshold** — an op tiles only when every tile gets at least
+  :data:`MIN_TILE_ELEMENTS` (2^18) elements, so on two threads ops below
+  2^19 elements run untiled: the caller's operands go straight to fused
+  shard 0, with no conversion or dispatch.  A one-thread backend (runner
+  pool workers, 1-CPU hosts) never tiles.  This one constant is the
+  whole policy; it was measured on a 2-CPU host (``cpu_count`` 2),
+  fused shard vs 2 tiles, warm scratch, best of 3-30 calls, speed-up
+  of tiling:
+
+  ======  =====  =====  =====  =======  =====
+  n       add    mul    fma    lp_tr19  rsqrt
+  ======  =====  =====  =====  =======  =====
+  2^15    0.82x  0.64x  0.81x  0.72x    0.47x
+  2^16    0.87x  0.76x  0.87x  0.84x    0.75x
+  2^17    1.68x  1.23x  1.51x  1.11x    1.53x
+  2^18    1.98x  1.62x  2.08x  1.23x    1.95x
+  2^19    1.98x  1.97x  2.04x  1.49x    1.89x
+  2^20    2.03x  1.78x  1.85x  1.69x    1.99x
+  ======  =====  =====  =====  =======  =====
+
+  Warm ops cross over at 2^17.  Cold ones (a fresh backend, as each
+  characterization op gets) gain little or lose, median of 8: the 2^18
+  fma 44 ms untiled vs 37 ms tiled, but the 2^18 lp_tr19 9.5 vs 11.3 ms
+  and the 2^19 fma 73 vs 86 ms.  A whole Figure 8/9 characterization
+  pass at 2^18 samples ran 0.82-0.88 s untiled vs 1.01-1.14 s with
+  2^17-element tiles, at the same peak RSS, so the floor keeps
+  2^18-element ops untiled.  Direct hotspot ``fw.evaluate`` (all
+  imprecise): 256^2 x 6 is untiled (0.208 s fused, 0.218 s threaded);
+  1024^2 x 2 tiles (2.20 s fused, 1.13 s threaded); 512^2 x 6 would take
+  0.66 s tiled against 1.09 s untiled, the win this floor gives up;
 - **per-call thread pool** — threads are spawned per call instead of kept
   alive on the instance, so a sweep constructing many short-lived contexts
   never accumulates idle pool threads.  Thread start-up is microseconds
@@ -44,8 +72,10 @@ from .threads import resolve_thread_count
 
 __all__ = ["ThreadedFusedBackend", "MIN_TILE_ELEMENTS"]
 
-#: Smallest per-tile element count worth a thread dispatch.
-MIN_TILE_ELEMENTS = 1 << 15
+#: Smallest tile worth a thread: an op tiles only when every tile gets at
+#: least this many elements, so nothing below ``2 * MIN_TILE_ELEMENTS``
+#: leaves the calling thread.  Measurements in the module docstring.
+MIN_TILE_ELEMENTS = 1 << 18
 
 
 class ThreadedFusedBackend(ComputeBackend):
@@ -70,15 +100,6 @@ class ThreadedFusedBackend(ComputeBackend):
     # ------------------------------------------------------------------
     # Tiling machinery
     # ------------------------------------------------------------------
-    def _shard(self, index: int) -> FusedBackend:
-        while len(self._shards) <= index:
-            self._shards.append(FusedBackend())
-        return self._shards[index]
-
-    def _operands(self, arrays, fmt):
-        arrays = [np.asarray(x, dtype=fmt.dtype) for x in arrays]
-        return np.broadcast_arrays(*arrays) if len(arrays) > 1 else arrays
-
     def _tile_count(self, n: int) -> int:
         tiles = min(self.threads, n // self._min_tile)
         return tiles if tiles > 1 else 1
@@ -91,20 +112,31 @@ class ThreadedFusedBackend(ComputeBackend):
             bounds.append(bounds[-1] + base + (1 if i < rem else 0))
         return bounds
 
-    def _run(self, arrays, fmt, call) -> np.ndarray:
-        """Run ``call(shard, tile_arrays) -> tile_result`` over tiles."""
-        shape = arrays[0].shape
-        n = int(arrays[0].size)
+    def _call(self, op: str, operands: tuple, dtype, **params) -> np.ndarray:
+        """Run the fused ``op`` on ``operands``, tiled if it is large enough.
+
+        Untiled calls hand the caller's operands straight to shard 0.
+        """
+        # One thread never tiles: skip even sizing the broadcast.
+        n = np.broadcast(*operands).size if self.threads > 1 else 0
         tiles = self._tile_count(n)
         if tiles == 1:
-            return call(self._shard(0), arrays)
+            return getattr(self._shards[0], op)(*operands, dtype=dtype,
+                                                **params)
+        fmt = format_for_dtype(dtype)
+        arrays = np.broadcast_arrays(
+            *(np.asarray(x, dtype=fmt.dtype) for x in operands))
+        shape = arrays[0].shape
         flats = [np.ascontiguousarray(x.reshape(-1)) for x in arrays]
         out = np.empty(n, dtype=fmt.dtype)
         bounds = self._bounds(n, tiles)
+        while len(self._shards) < tiles:
+            self._shards.append(FusedBackend())
 
         def task(i):
             lo, hi = bounds[i], bounds[i + 1]
-            out[lo:hi] = call(self._shard(i), [f[lo:hi] for f in flats])
+            out[lo:hi] = getattr(self._shards[i], op)(
+                *(f[lo:hi] for f in flats), dtype=dtype, **params)
 
         with ThreadPoolExecutor(max_workers=tiles) as pool:
             list(pool.map(task, range(tiles)))
@@ -115,72 +147,44 @@ class ThreadedFusedBackend(ComputeBackend):
     # ------------------------------------------------------------------
     def imprecise_add(self, a, b, threshold: int = DEFAULT_THRESHOLD,
                       dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_add(
-            t[0], t[1], threshold=threshold, dtype=dtype))
+        return self._call("imprecise_add", (a, b), dtype, threshold=threshold)
 
     def imprecise_subtract(self, a, b, threshold: int = DEFAULT_THRESHOLD,
                            dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        b = np.asarray(b, dtype=fmt.dtype)
-        return self.imprecise_add(a, -b, threshold=threshold, dtype=dtype)
+        return self._call("imprecise_subtract", (a, b), dtype,
+                          threshold=threshold)
 
     def imprecise_multiply(self, a, b, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_multiply(
-            t[0], t[1], dtype=dtype))
+        return self._call("imprecise_multiply", (a, b), dtype)
 
     def configurable_multiply(self, a, b, config, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b), fmt)
-        return self._run(ops, fmt, lambda be, t: be.configurable_multiply(
-            t[0], t[1], config, dtype=dtype))
+        return self._call("configurable_multiply", (a, b), dtype,
+                          config=config)
 
     def truncated_multiply(self, a, b, truncation: int = 0, dtype=np.float32,
                            rounding: bool = True) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b), fmt)
-        return self._run(ops, fmt, lambda be, t: be.truncated_multiply(
-            t[0], t[1], truncation, dtype=dtype, rounding=rounding))
+        return self._call("truncated_multiply", (a, b), dtype,
+                          truncation=truncation, rounding=rounding)
 
     def imprecise_fma(self, a, b, c, threshold: int = DEFAULT_THRESHOLD,
                       dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b, c), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_fma(
-            t[0], t[1], t[2], threshold=threshold, dtype=dtype))
+        return self._call("imprecise_fma", (a, b, c), dtype,
+                          threshold=threshold)
 
     # ------------------------------------------------------------------
     # SFU ops (elementwise: same tiling applies)
     # ------------------------------------------------------------------
     def imprecise_reciprocal(self, x, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((x,), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_reciprocal(
-            t[0], dtype=dtype))
+        return self._call("imprecise_reciprocal", (x,), dtype)
 
     def imprecise_rsqrt(self, x, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((x,), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_rsqrt(
-            t[0], dtype=dtype))
+        return self._call("imprecise_rsqrt", (x,), dtype)
 
     def imprecise_sqrt(self, x, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((x,), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_sqrt(
-            t[0], dtype=dtype))
+        return self._call("imprecise_sqrt", (x,), dtype)
 
     def imprecise_log2(self, x, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((x,), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_log2(
-            t[0], dtype=dtype))
+        return self._call("imprecise_log2", (x,), dtype)
 
     def imprecise_divide(self, a, b, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        ops = self._operands((a, b), fmt)
-        return self._run(ops, fmt, lambda be, t: be.imprecise_divide(
-            t[0], t[1], dtype=dtype))
+        return self._call("imprecise_divide", (a, b), dtype)

@@ -76,7 +76,7 @@ class IHWConfig:
     backend:
         Compute backend executing the unit operations (``"reference"``,
         ``"fused"`` or ``"threaded"``), or ``None`` to defer to the
-        ``REPRO_BACKEND`` environment variable.
+        ``REPRO_BACKEND`` environment variable, else ``"threaded"``.
         Backends are contractually bit-identical, so this is a pure
         execution-speed knob: it does not participate in :meth:`canonical`
         or :meth:`cache_key`, and cached results are shared across

@@ -111,8 +111,9 @@ class ArithmeticContext:
         Compute backend executing the imprecise unit operations: a name, a
         :class:`~repro.core.backends.base.ComputeBackend` instance, or
         ``None`` to use ``config.backend`` / the ``REPRO_BACKEND``
-        environment variable.  Backends are bit-identical, so this only
-        changes execution speed, never results.
+        environment variable / the ``threaded`` default.  Backends are
+        bit-identical, so this only changes execution speed, never
+        results.
     """
 
     def __init__(self, config: IHWConfig | None = None, dtype=np.float32,

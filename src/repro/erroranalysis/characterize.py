@@ -21,19 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core import (
-    MultiplierConfig,
-    configurable_multiply,
-    imprecise_add,
-    imprecise_divide,
-    imprecise_fma,
-    imprecise_log2,
-    imprecise_multiply,
-    imprecise_reciprocal,
-    imprecise_rsqrt,
-    imprecise_sqrt,
-    truncated_multiply,
-)
+from repro.core import MultiplierConfig
+from repro.core.backends import get_backend
 
 from .metrics import ErrorStats, error_stats
 from .quasirandom import mantissa_inputs
@@ -122,6 +111,32 @@ def characterize(approx, exact, label: str = "") -> ErrorPMF:
         probabilities=counts / total,
         stats=error_stats(approx[valid], exact[valid]),
     )
+
+
+def _on_default_backend(op: str):
+    """Module-level unit function running ``op`` on the default backend.
+
+    The drivers below call the units through these module attributes, so
+    ``REPRO_BACKEND`` (or its default) picks the engine, and a wrapper
+    installed on a name sees every call.
+    """
+    def unit(*args, **kwargs):
+        return getattr(get_backend(), op)(*args, **kwargs)
+
+    unit.__name__ = unit.__qualname__ = op
+    return unit
+
+
+imprecise_add = _on_default_backend("imprecise_add")
+imprecise_multiply = _on_default_backend("imprecise_multiply")
+imprecise_divide = _on_default_backend("imprecise_divide")
+imprecise_reciprocal = _on_default_backend("imprecise_reciprocal")
+imprecise_rsqrt = _on_default_backend("imprecise_rsqrt")
+imprecise_sqrt = _on_default_backend("imprecise_sqrt")
+imprecise_log2 = _on_default_backend("imprecise_log2")
+imprecise_fma = _on_default_backend("imprecise_fma")
+configurable_multiply = _on_default_backend("configurable_multiply")
+truncated_multiply = _on_default_backend("truncated_multiply")
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,8 @@ Fault kinds and the recovery path each one proves:
     → per-task retry with backoff.
 ``flaky-backend``
     raises :class:`BackendFault` when the task's config selects a
-    non-``reference`` compute backend → per-task fallback to the
+    non-``reference`` compute backend (``None`` resolves to the process
+    default) → per-task fallback to the
     ``reference`` backend (bit-identical by the parity contract).
 ``corrupt-cache``
     truncates the just-written cache entry → the next read detects the
@@ -282,8 +283,15 @@ class FaultInjector:
             )
 
     def backend(self, key: str, attempt: int, backend) -> None:
-        """Backend guard: flaky-backend faults, non-reference backends only."""
-        if backend in (None, "", "reference"):
+        """Backend guard: flaky-backend faults, non-reference backends only.
+
+        ``backend`` is a config's selection; ``None`` means the process
+        default, which is guarded like any other non-reference backend.
+        """
+        from repro.core.backends import default_backend_name
+
+        backend = backend or default_backend_name()
+        if backend == "reference":
             return
         if self._armed("flaky-backend", key, attempt):
             self._record("flaky-backend")

@@ -50,6 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro import faults, telemetry
+from repro.core.backends import default_backend_name
 
 from .cache import ResultCache, cache_from_env
 from .manifest import SweepManifest
@@ -678,13 +679,14 @@ class ExperimentRunner:
         """Classify a sweep retry: flaky non-reference backends fall back.
 
         Any failure of a task whose config selects a non-``reference``
-        compute backend retries on ``reference`` — the parity contract
-        makes the results bit-identical, so trading speed for certainty
-        is always sound mid-sweep.
+        compute backend (a ``None`` selection resolves to the process
+        default) retries on ``reference`` — the parity contract makes the
+        results bit-identical, so trading speed for certainty is always
+        sound mid-sweep.
         """
         config = task.payload
-        backend = getattr(config, "backend", None)
-        if backend not in (None, "", "reference"):
+        backend = getattr(config, "backend", None) or default_backend_name()
+        if backend != "reference":
             task.payload = config.with_backend("reference")
             task.fallback = True
             return "backend-fallback"

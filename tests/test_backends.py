@@ -36,10 +36,10 @@ class TestRegistry:
         for name in backend_names():
             assert get_backend(name).name == name
 
-    def test_default_is_reference_when_env_unset(self, monkeypatch):
+    def test_default_is_threaded_when_env_unset(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND == "reference"
-        assert get_backend().name == "reference"
+        assert default_backend_name() == DEFAULT_BACKEND == "threaded"
+        assert get_backend().name == "threaded"
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "fused")

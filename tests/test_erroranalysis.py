@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FULL_PATH_MAX_ERROR, LOG_PATH_MAX_ERROR
+from repro.core import backends
 from repro.erroranalysis import (
     ErrorPMF,
     UNIT_CHARACTERIZATIONS,
@@ -15,7 +16,9 @@ from repro.erroranalysis import (
     bin_errors,
     characterize,
     characterize_multiplier_config,
+    characterize_multiplier_configs,
     characterize_unit,
+    characterize_units,
     error_stats,
     full_path_bound,
     log_path_bound,
@@ -187,6 +190,58 @@ class TestUnitCharacterization:
 
         pmf = characterize_multiplier_config(MultiplierConfig("full", 5), 4096)
         assert pmf.label == "fp_tr5"
+
+
+class TestDefaultBackendRouting:
+    """Characterization runs its units on the default compute backend."""
+
+    UNITS = sorted(UNIT_CHARACTERIZATIONS)
+    MULTIPLIERS = ["fp_tr8", "lp_tr19", "bt_16"]
+
+    def _pmfs(self):
+        pmfs = characterize_units(self.UNITS, n_samples=4096, seed=3)
+        pmfs.update(characterize_multiplier_configs(
+            self.MULTIPLIERS, n_samples=4096, seed=3))
+        return pmfs
+
+    def test_pmfs_bit_identical_to_reference(self, monkeypatch):
+        monkeypatch.delenv(backends.ENV_VAR, raising=False)
+        assert backends.default_backend_name() != "reference"
+        default = self._pmfs()
+        monkeypatch.setenv(backends.ENV_VAR, "reference")
+        reference = self._pmfs()
+        assert list(default) == list(reference)
+        assert len(default) == len(self.UNITS) + len(self.MULTIPLIERS)
+        for label, pmf in default.items():
+            ref = reference[label]
+            assert np.array_equal(pmf.bins, ref.bins), label
+            assert pmf.probabilities.tobytes() == ref.probabilities.tobytes()
+            assert pmf.stats == ref.stats, label
+
+    def test_default_backend_sees_the_calls(self, monkeypatch):
+        monkeypatch.delenv(backends.ENV_VAR, raising=False)
+        name = backends.default_backend_name()
+        make = backends._FACTORIES[name]
+        seen = []
+
+        def record(op, method):
+            def wrapper(*args, **kwargs):
+                seen.append(op)
+                return method(*args, **kwargs)
+            return wrapper
+
+        def recording(**kwargs):
+            backend = make(**kwargs)
+            for op in ("imprecise_fma", "configurable_multiply",
+                       "truncated_multiply"):
+                setattr(backend, op, record(op, getattr(backend, op)))
+            return backend
+
+        monkeypatch.setitem(backends._FACTORIES, name, recording)
+        characterize_units(["ifma"], n_samples=1024)
+        characterize_multiplier_configs(["lp_tr19", "bt_16"], n_samples=1024)
+        assert seen == ["imprecise_fma", "configurable_multiply",
+                        "truncated_multiply"]
 
 
 class TestBounds:

@@ -25,6 +25,7 @@ import pytest
 
 from repro import faults
 from repro.core import IHWConfig
+from repro.core.backends import ENV_VAR
 from repro.faults import (
     BackendFault,
     FaultClause,
@@ -320,6 +321,24 @@ class TestBackendFallback:
         assert all(by_name[n].fallback for n in configs)
         # Parity contract: the fallback results are bit-identical.
         assert_results_identical(reference, results)
+
+    def test_default_backend_falls_back_to_reference(self, tmp_path,
+                                                     monkeypatch):
+        """``backend=None`` resolves to the (non-reference) default."""
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        configs = make_configs(3)
+        assert all(c.backend is None for c in configs.values())
+        clean = ExperimentRunner(max_workers=1, cache=None).sweep(SPEC, configs)
+        with faults.injection("flaky-backend:times=1"):
+            runner = ExperimentRunner(
+                max_workers=1, cache=ResultCache(tmp_path),
+                policy=fast_policy(),
+            )
+            results = runner.sweep(SPEC, configs)
+        assert runner.stats.fallbacks == len(configs)
+        by_name = {t.name: t for t in runner.stats.tasks}
+        assert all(by_name[n].fallback for n in configs)
+        assert_results_identical(clean, results)
 
     def test_fallback_result_serves_the_original_cache_key(self, tmp_path):
         configs = {"only": IHWConfig.all_imprecise().with_backend("fused")}

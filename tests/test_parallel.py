@@ -22,6 +22,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import ArithmeticContext, IHWConfig
+from repro.core.backends import ENV_VAR as BACKEND_ENV_VAR
 from repro.core.backends import backend_accepts_threads, get_backend
 from repro.core.backends import threads as threads_mod
 from repro.core.backends.bench import run_parallel_benchmarks
@@ -133,9 +134,10 @@ class TestThreadsPlumbing:
         assert ctx.backend.name == "threaded"
         assert ctx.backend.threads == 2
 
-    def test_context_ignores_threads_for_serial_backend(self):
+    def test_context_ignores_threads_for_serial_backend(self, monkeypatch):
         # backend_threads set but the resolved backend is serial: the
         # count must be dropped, not passed (which would raise).
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
         ctx = ArithmeticContext(IHWConfig(backend_threads=4))
         assert ctx.backend.name == "reference"
 
@@ -157,6 +159,52 @@ class TestThreadedBackend:
         assert backend._tile_count(MIN_TILE_ELEMENTS) == 1
         assert backend._tile_count(4 * MIN_TILE_ELEMENTS) == 4
         assert backend._tile_count(10**9) == 4
+
+    def test_floor_boundary_sizes_tile_as_documented(self):
+        # Nothing below two full tiles leaves the caller; above it every
+        # tile holds at least MIN_TILE_ELEMENTS, up to one per thread.
+        two = ThreadedFusedBackend(threads=2)
+        assert two._tile_count(2 * MIN_TILE_ELEMENTS - 1) == 1
+        assert two._tile_count(2 * MIN_TILE_ELEMENTS) == 2
+        four = ThreadedFusedBackend(threads=4)
+        assert four._tile_count(3 * MIN_TILE_ELEMENTS - 1) == 2
+        assert four._tile_count(3 * MIN_TILE_ELEMENTS) == 3
+        # Characterization's 2^18-sample ops stay untiled.
+        assert two._tile_count(1 << 18) == 1
+
+    def test_untiled_op_gets_the_callers_operands(self):
+        """A 256^2 op at 2 threads runs on shard 0, operands untouched."""
+        backend = ThreadedFusedBackend(threads=2)
+        seen = []
+        shard = backend._shards[0]
+        real = shard.imprecise_add
+
+        def spy(a, b, **kwargs):
+            seen.append((a, b))
+            return real(a, b, **kwargs)
+
+        shard.imprecise_add = spy
+        a = np.ones((256, 256), dtype=np.float32)
+        out = backend.imprecise_add(a, 2.0, 8)
+        assert seen[0][0] is a and seen[0][1] == 2.0
+        assert len(backend._shards) == 1
+        _assert_identical(out, get_backend("reference").imprecise_add(a, 2.0, 8))
+
+    def test_pinned_worker_never_tiles(self):
+        threads_mod.pin_worker_threads()
+        backend = ThreadedFusedBackend()
+        assert backend.threads == 1
+        assert backend._tile_count(10**9) == 1
+        a = np.ones(2 * MIN_TILE_ELEMENTS, dtype=np.float32)
+        backend.imprecise_multiply(a, a)
+        assert len(backend._shards) == 1
+
+    def test_large_op_fans_out(self):
+        backend = ThreadedFusedBackend(threads=2)
+        a = np.linspace(1, 2, 2 * MIN_TILE_ELEMENTS, dtype=np.float32)
+        out = backend.imprecise_multiply(a, a)
+        assert len(backend._shards) == 2
+        _assert_identical(out, get_backend("reference").imprecise_multiply(a, a))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forced_tiling_parity(self, dtype):
