@@ -356,13 +356,6 @@ def cmd_sweep(args, out) -> int:
             print(f"  {field:24s} {doc[field]}", file=out)
         for note in doc["notes"]:
             print(f"  note: {note}", file=out)
-        if doc["signature_groups"]:
-            # Same per-group ledger the sweep service's /queuez reports.
-            print(f"  {'signature group':40s} {'hits':>5s} {'misses':>7s}",
-                  file=out)
-            for group, counts in sorted(doc["signature_groups"].items()):
-                print(f"  {group:40s} {counts['hits']:5d} "
-                      f"{counts['misses']:7d}", file=out)
         print(f"  {'task':24s} {'seconds':>9s} source", file=out)
         for task in doc["tasks"]:
             source = "cache" if task["cached"] else "run"
@@ -724,87 +717,6 @@ def cmd_lint(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args, out) -> int:
-    """Benchmark the compute backends against ``reference`` (bit-identical)."""
-    import json as _json
-
-    import numpy as np
-
-    from repro.core.backends import backend_names
-    from repro.core.backends.bench import run_benchmarks
-    from repro.core.backends.threads import cpu_count
-
-    size = 65536 if args.quick else args.size
-    repeats = 2 if args.quick else args.repeats
-    dtype = np.float64 if args.dtype == "float64" else np.float32
-    if args.threads is not None:
-        if args.threads < 1:
-            print(f"--threads must be >= 1, got {args.threads}",
-                  file=sys.stderr)
-            return 2
-        cores = cpu_count()
-        if args.threads > cores:
-            print(f"--threads {args.threads} exceeds the {cores} core(s) "
-                  "available on this machine; oversubscribing threads only "
-                  f"slows the kernels down — use --threads {cores} or less",
-                  file=sys.stderr)
-            return 2
-    if args.backends:
-        names = tuple(n.strip() for n in args.backends.split(",") if n.strip())
-        unknown = [n for n in names if n not in backend_names()]
-        if unknown:
-            print(f"unknown backend(s) {unknown}; registered: "
-                  f"{backend_names()}", file=sys.stderr)
-            return 2
-    else:
-        names = backend_names()
-
-    payload = run_benchmarks(size=size, repeats=repeats, dtype=dtype,
-                             backends=names, parallel=args.parallel,
-                             threads=args.threads)
-
-    failed_parity = []
-    print(f"size={payload['size']} repeats={payload['repeats']} "
-          f"dtype={payload['dtype']}", file=out)
-    for name, entry in payload["backends"].items():
-        if not entry["parity_ok"]:
-            failed_parity.append(name)
-            print(f"{name:<10} PARITY FAILED: "
-                  f"{entry.get('parity_failures')}", file=out)
-            continue
-        for op, record in entry["ops"].items():
-            ms = record["seconds"] * 1e3
-            speedup = record.get("speedup_vs_reference")
-            suffix = f"  {speedup:5.2f}x vs reference" if speedup else ""
-            print(f"{name:<10} {op:<5} {ms:9.2f} ms{suffix}", file=out)
-
-    parallel_section = payload.get("parallel")
-    if parallel_section is not None:
-        threads = parallel_section["threads"]
-        for name, entry in parallel_section["backends"].items():
-            if not entry["parity_ok"]:
-                failed_parity.append(name)
-                print(f"{name:<14} PARITY FAILED: "
-                      f"{entry.get('parity_failures')}", file=out)
-                continue
-            for op, record in entry["ops"].items():
-                ms = record["seconds"] * 1e3
-                speedup = record.get("speedup_vs_fused")
-                suffix = (f"  {speedup:5.2f}x vs fused ({threads} threads)"
-                          if speedup else "")
-                print(f"{name:<14} {op:<17} {ms:9.2f} ms{suffix}", file=out)
-
-    if failed_parity:
-        print(f"parity failures in: {', '.join(failed_parity)} — "
-              "no benchmark file written", file=sys.stderr)
-        return 1
-    if not args.no_write:
-        path = Path(args.out)
-        path.write_text(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"benchmark results written to {path}", file=out)
-    return 0
-
-
 def cmd_report(args, out) -> int:
     from repro.reporting import generate_report
 
@@ -1042,33 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "merge-base with origin/main (full scan outside "
                         "a git repo); the whole package is still parsed")
 
-    p = sub.add_parser(
-        "bench", help="benchmark the compute backends (parity-checked)"
-    )
-    p.add_argument("--size", type=int, default=1_000_000,
-                   help="elements per operand vector (default 1M)")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timing repeats; best-of is reported")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke scale: 64k elements, 2 repeats")
-    p.add_argument("--dtype", default="float32", choices=("float32", "float64"))
-    p.add_argument("--backends", default=None,
-                   help="comma-separated backend names (default: all registered)")
-    p.add_argument("--out", default="BENCH_core.json",
-                   help="JSON output path (default BENCH_core.json)")
-    p.add_argument("--no-write", action="store_true",
-                   help="print the table only, write no file")
-    p.add_argument("--parallel", dest="parallel", action="store_true",
-                   default=True,
-                   help="include the multi-core backend section vs the "
-                        "fused baseline (on by default)")
-    p.add_argument("--no-parallel", dest="parallel", action="store_false",
-                   help="skip the multi-core backend section")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the threaded backend "
-                        "(default: REPRO_THREADS or the machine core "
-                        "count; values above the core count are refused)")
-
     p = sub.add_parser("report", help="generate the full markdown report")
     p.add_argument("--fast", action="store_true", help="smoke-test scale")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -1092,13 +977,12 @@ _COMMANDS = {
     "metrics": cmd_metrics,
     "trace": cmd_trace,
     "lint": cmd_lint,
-    "bench": cmd_bench,
     "report": cmd_report,
 }
 
 #: Commands that run no experiments — never flush telemetry of their own.
 #: ``call`` belongs here: the experiments run (and flush) server-side.
-_VIEWER_COMMANDS = ("metrics", "trace", "lint", "bench", "call")
+_VIEWER_COMMANDS = ("metrics", "trace", "lint", "call")
 
 
 def main(argv=None, out=None) -> int:

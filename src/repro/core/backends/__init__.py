@@ -1,13 +1,15 @@
 """Pluggable compute backends for the imprecise unit operations.
 
-One semantic contract, several interchangeable execution engines:
+One semantic contract, two interchangeable execution engines:
 
 - ``reference`` — the original vectorized NumPy units (the parity oracle
   and the runner's fallback target);
-- ``fused`` — single-pass kernels with preallocated scratch buffers,
-  in-place ufuncs, and lazy special-case handling (~2-3x on large arrays);
-- ``threaded`` — the default: the fused kernels, with large ops tiled
-  across a thread pool (multi-core without any compiled dependency).
+- ``threaded`` — the default: the single-pass kernels of
+  :class:`~repro.core.backends.fused.FusedBackend` (preallocated scratch,
+  in-place ufuncs, lazy special-case handling), with large ops tiled
+  across a thread pool.  With one thread (``threads=1``, a runner pool
+  worker, ``REPRO_THREADS=1``) or below the tile floor it runs one fused
+  kernel untiled.
 
 Only ``threaded`` accepts a thread count (``get_backend("threaded",
 threads=N)``); resolution and the runner-worker oversubscription contract
@@ -15,9 +17,9 @@ live in :mod:`repro.core.backends.threads`.
 
 Backends are **contractually bit-identical**: the parity harness
 (:mod:`repro.core.backends.parity`, run by ``tests/test_backends.py`` and
-``repro bench``) sweeps random and adversarial operand vectors and asserts
-exact equality against ``reference``.  Because the numbers cannot differ,
-the backend choice is deliberately excluded from
+``tests/test_parallel.py``) sweeps random and adversarial operand vectors
+and asserts exact equality against ``reference``.  Because the numbers
+cannot differ, the backend choice is deliberately excluded from
 :meth:`~repro.core.config.IHWConfig.canonical` — result caches are shared
 across backends.
 
@@ -54,8 +56,8 @@ DEFAULT_BACKEND = "threaded"
 
 
 #: Live backends holding scratch state, tracked weakly so instances die
-#: with their contexts.  Lets long-lived hosts (the experiment runner, the
-#: bench loop) reclaim peak-sized scratch buffers between tasks.
+#: with their contexts.  Lets long-lived hosts (the experiment runner)
+#: reclaim peak-sized scratch buffers between tasks.
 _SCRATCH_HOLDERS: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -79,12 +81,6 @@ def _make_reference():
     return ReferenceBackend()
 
 
-def _make_fused():
-    from .fused import FusedBackend
-
-    return FusedBackend()
-
-
 def _make_threaded(threads=None):
     from .threaded import ThreadedFusedBackend
 
@@ -93,7 +89,6 @@ def _make_threaded(threads=None):
 
 _FACTORIES = {
     "reference": _make_reference,
-    "fused": _make_fused,
     "threaded": _make_threaded,
 }
 

@@ -4,7 +4,8 @@ A :class:`ComputeBackend` executes the imprecise unit operations for an
 :class:`~repro.core.context.ArithmeticContext`.  The base class *is* the
 ``reference`` backend: every method delegates to the original vectorized
 NumPy unit in :mod:`repro.core`, which stays the single source of truth for
-the paper's semantics.  Alternative backends (``fused``, ``threaded``)
+the paper's semantics.  The ``threaded`` backend and the fused kernels
+its shards run (:class:`~repro.core.backends.fused.FusedBackend`)
 override the hot methods with faster implementations and are contractually
 bit-identical — the parity harness in :mod:`repro.core.backends.parity`
 asserts exact equality on random and adversarial operand vectors, so

@@ -1,10 +1,14 @@
-"""The ``fused`` backend: single-pass, scratch-buffered unit kernels.
+"""The fused kernels: single-pass, scratch-buffered unit operations.
+
+:class:`FusedBackend` is not a registered backend name; it is the kernel
+class each shard of the ``threaded`` backend runs (untiled ops go to
+shard 0 alone).
 
 The reference units are written for clarity: each materializes 20-40
 full-array temporaries (``np.where`` chains, repeated ``decompose``,
 unconditional special-case handling).  At the 1M-element scale every one of
 those temporaries is a fresh 8 MB allocation that round-trips through the
-allocator's mmap threshold, which dominates the runtime.  This backend
+allocator's mmap threshold, which dominates the runtime.  This class
 reimplements the hot datapaths with
 
 - **preallocated scratch buffers** — a grow-only pool of named ``int64`` /

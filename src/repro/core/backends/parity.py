@@ -8,9 +8,8 @@ adversarial operand vectors (subnormals, signed zeros, inf/NaN, exact
 cancellation pairs, extreme magnitudes) and compares every backend
 operation against the reference implementation bit for bit.
 
-Used by ``tests/test_backends.py`` (the contractual gate) and by
-``repro bench`` (which refuses to publish numbers for a backend that
-fails parity).
+Used by ``tests/test_backends.py`` and ``tests/test_parallel.py`` (the
+contractual gate, also run as CI's parity smoke).
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ Design points:
   and the 2^19 fma 73 vs 86 ms.  A whole Figure 8/9 characterization
   pass at 2^18 samples ran 0.82-0.88 s untiled vs 1.01-1.14 s with
   2^17-element tiles, at the same peak RSS, so the floor keeps
-  2^18-element ops untiled.  Direct hotspot ``fw.evaluate`` (all
-  imprecise): 256^2 x 6 is untiled (0.208 s fused, 0.218 s threaded);
-  1024^2 x 2 tiles (2.20 s fused, 1.13 s threaded); 512^2 x 6 would take
+  2^18-element ops untiled.  Direct all-imprecise ``fw.evaluate``: 256^2
+  grids run untiled; srad 1024^2 x 2 tiles, 5.86 s at one thread against
+  3.08 s at two (1.90x, best of 3, the thread-scaling gate of
+  ``benchmarks/test_parallel_backend.py``); hotspot 512^2 x 6 would take
   0.66 s tiled against 1.09 s untiled, the win this floor gives up;
 - **per-call thread pool** — threads are spawned per call instead of kept
   alive on the instance, so a sweep constructing many short-lived contexts

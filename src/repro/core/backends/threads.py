@@ -11,7 +11,7 @@ oversubscription.
 Resolution order (first match wins):
 
 1. an explicit ``threads=`` argument (``get_backend(..., threads=N)``,
-   ``IHWConfig.backend_threads``, ``repro bench --threads``);
+   ``IHWConfig.backend_threads``);
 2. the worker pin: inside a runner pool worker every backend gets exactly
    one thread (:func:`pin_worker_threads`, installed by the pool
    initializer);
@@ -19,9 +19,9 @@ Resolution order (first match wins):
 4. the usable CPU count (affinity-aware).
 
 Environment- and machine-derived counts are clamped to the usable CPU
-count; an *explicit* request is honored as given (callers like ``repro
-bench --threads`` enforce their own oversubscription refusal), which also
-lets tests exercise real multi-tile execution on small CI machines.
+count; an *explicit* request is honored as given, which lets tests
+exercise real multi-tile execution on small CI machines.  One thread is
+the untiled path: every op runs on a single fused kernel.
 """
 
 from __future__ import annotations

@@ -74,8 +74,8 @@ class IHWConfig:
         Approximation order of the imprecise SFUs: ``"linear"`` (Table 1,
         default) or ``"quadratic"`` (the higher-accuracy extension point).
     backend:
-        Compute backend executing the unit operations (``"reference"``,
-        ``"fused"`` or ``"threaded"``), or ``None`` to defer to the
+        Compute backend executing the unit operations (``"reference"`` or
+        ``"threaded"``), or ``None`` to defer to the
         ``REPRO_BACKEND`` environment variable, else ``"threaded"``.
         Backends are contractually bit-identical, so this is a pure
         execution-speed knob: it does not participate in :meth:`canonical`
@@ -255,21 +255,6 @@ class IHWConfig:
         payload = json.dumps(self.canonical(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    def batch_signature(self) -> tuple:
-        """Hashable identity of the datapaths a configuration runs.
-
-        Configurations with equal signatures differ only in *structural
-        parameters* — the adder threshold and the multiplier's
-        path/truncation/rounding.  The unit switches, SFU mode, and
-        multiplier mode select *which* datapath runs.  The runner's
-        signature-group cache ledger keys on this.
-        """
-        return (
-            tuple(sorted(self.enabled)),
-            self.multiplier_mode,
-            self.sfu_mode,
-        )
 
     def describe(self) -> str:
         """Human-readable summary, e.g. for experiment logs."""

@@ -43,13 +43,7 @@ from .manifest import MANIFEST_VERSION, SweepManifest, atomic_write_text
 from .policy import RetryPolicy
 from .runner import ExperimentRunner, TaskFailedError, default_worker_count
 from .spec import APP_RUNNERS, METRIC_NAMES, ExperimentSpec
-from .stats import (
-    SPEEDUP_CAP,
-    RunnerStats,
-    TaskTiming,
-    group_key,
-    record_group,
-)
+from .stats import SPEEDUP_CAP, RunnerStats, TaskTiming
 from .storage import (
     CacheBackend,
     CacheBackendError,
@@ -80,6 +74,4 @@ __all__ = [
     "cache_from_env",
     "default_worker_count",
     "entry_key",
-    "group_key",
-    "record_group",
 ]

@@ -55,7 +55,7 @@ from repro.core.backends import default_backend_name
 from .cache import ResultCache, cache_from_env
 from .manifest import SweepManifest
 from .policy import RetryPolicy
-from .stats import RunnerStats, TaskTiming, group_key, record_group
+from .stats import RunnerStats, TaskTiming
 
 __all__ = ["ExperimentRunner", "TaskFailedError", "default_worker_count"]
 
@@ -325,7 +325,6 @@ class ExperimentRunner:
         configs = dict(configs)
         manifest = None
         chunk_size = self._chunk_size_for(len(configs))
-        sig_groups: dict = {}
         if self.cache is not None:
             self.cache.cleanup_stale()
             # Manifests live under the cache root; a remote (HTTP) backend
@@ -341,7 +340,6 @@ class ExperimentRunner:
                 task.key, seconds,
                 attempts=task.attempt + 1, fallback=task.fallback,
             )
-            record_group(sig_groups, group_key(configs[task.key]), hit=False)
             if task.fallback:
                 events["fallback_notes"].append(task.key)
             if self.cache:
@@ -364,7 +362,6 @@ class ExperimentRunner:
                     if cached is not None:
                         results[name] = cached
                         timings[name] = TaskTiming(name, 0.0, cached=True)
-                        record_group(sig_groups, group_key(config), hit=True)
                         if manifest is not None:
                             manifest.mark(name)
                         if resume and manifest is not None and (
@@ -399,7 +396,6 @@ class ExperimentRunner:
                 chunk_size=chunk_size,
                 tasks=[timings[name] for name in configs if name in timings],
                 events=events,
-                signature_groups=sig_groups,
             )
             telemetry.record_runner_stats(self.stats, app=spec.app)
         return {name: results[name] for name in configs}
@@ -708,8 +704,7 @@ class ExperimentRunner:
         evaluation = framework.evaluate(config)
         return evaluation, time.perf_counter() - start
 
-    def _build_stats(self, wall_seconds, chunk_size, tasks, events,
-                     signature_groups=None):
+    def _build_stats(self, wall_seconds, chunk_size, tasks, events):
         notes = list(events["notes"])
         if events["fallback_notes"]:
             fell_back = ", ".join(sorted(events["fallback_notes"]))
@@ -726,7 +721,6 @@ class ExperimentRunner:
             degraded=events["degraded"],
             resumed_skipped=events["resumed_skipped"],
             notes=notes,
-            signature_groups=signature_groups or {},
         )
 
     def _chunk_size_for(self, n_tasks: int) -> int:

@@ -11,27 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "TaskTiming", "RunnerStats", "SPEEDUP_CAP", "group_key", "record_group",
-]
-
-
-def group_key(config) -> str:
-    """Human-readable signature-group label of one configuration.
-
-    Derived from :meth:`~repro.core.config.IHWConfig.batch_signature`, so
-    per-group hit/miss accounting (``repro sweep --stats``) and the sweep
-    service's ``/queuez`` view group work identically.
-    """
-    enabled, multiplier_mode, sfu_mode = config.batch_signature()
-    units = "+".join(enabled) if enabled else "precise"
-    return f"{units}|{multiplier_mode}|{sfu_mode}"
-
-
-def record_group(groups: dict, key: str, hit: bool) -> None:
-    """Count one cache outcome under its signature group (in place)."""
-    entry = groups.setdefault(key, {"hits": 0, "misses": 0})
-    entry["hits" if hit else "misses"] += 1
+__all__ = ["TaskTiming", "RunnerStats", "SPEEDUP_CAP"]
 
 #: Upper bound on the reported ``speedup_vs_sequential``.  The ratio is
 #: compute-time / wall-time, so a warm run serving tiny residual compute
@@ -69,9 +49,6 @@ class RunnerStats:
     degraded: bool = False  # finished on the sequential inline path
     resumed_skipped: int = 0  # configs a --resume run found already complete
     notes: list = field(default_factory=list)  # human-readable reliability notes
-    # Per batch-signature-group cache accounting:
-    # {group_key: {"hits": int, "misses": int}} (see :func:`group_key`).
-    signature_groups: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -188,10 +165,6 @@ class RunnerStats:
             "degraded": self.degraded,
             "resumed_skipped": self.resumed_skipped,
             "notes": list(self.notes),
-            "signature_groups": {
-                key: dict(counts)
-                for key, counts in self.signature_groups.items()
-            },
             "tasks": [
                 {"name": t.name, "seconds": t.seconds, "cached": t.cached,
                  "attempts": t.attempts, "fallback": t.fallback}

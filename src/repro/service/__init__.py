@@ -16,8 +16,7 @@ service instance (``repro serve``) exposes:
 - ``/healthz`` / ``/readyz`` / ``/drainz`` — liveness, readiness
   (queue depth, draining, degraded backends — what fleet placement
   routes on), and graceful drain;
-- ``/queuez`` / ``/metricsz`` — queue and per-signature-group
-  accounting (the same ledger ``repro sweep --stats`` reports), and
+- ``/queuez`` / ``/metricsz`` — queue depths and counters, and
   Prometheus metrics.
 
 Across instances, :class:`FleetClient` (``repro call --fleet``) turns N

@@ -43,7 +43,6 @@ import time
 from collections import deque
 
 from repro import telemetry
-from repro.runtime import group_key, record_group
 
 from .protocol import sanitize_document
 
@@ -127,7 +126,6 @@ class SweepQueue:
         self._not_empty = threading.Condition(self._lock)
         self._pending: deque = deque()  # _Item, FIFO
         self._inflight: dict = {}  # key -> _Item (pending or running)
-        self._groups: dict = {}  # group_key -> {"hits": n, "misses": n}
         self._paused = threading.Event()
         self._paused.set()  # set = running; cleared = paused
         self._stopping = False
@@ -183,28 +181,17 @@ class SweepQueue:
                 # Durable before submit returns: a crash after this point
                 # can re-create the item from the journal alone.
                 self.journal.admit(key, spec.canonical(), config.canonical())
-            record_group(self._groups, group_key(config), hit=False)
             telemetry.counter_inc("repro_service_enqueued_total")
             telemetry.gauge_set("repro_service_queue_depth",
                                 len(self._pending))
             self._not_empty.notify()
             return "queued"
 
-    def record_cache_outcome(self, config, hit: bool) -> None:
-        """Fold a warm-path cache outcome into the per-group accounting.
-
-        The server calls this for requests answered without enqueuing, so
-        ``/queuez`` and ``repro sweep --stats`` (which uses the same
-        :func:`~repro.runtime.record_group` helper) agree on the shape.
-        """
-        with self._lock:
-            record_group(self._groups, group_key(config), hit=hit)
-
     # ------------------------------------------------------------------
     # Introspection / test hooks
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """The ``/queuez`` view: depths, bounds, counters, group ledger."""
+        """The ``/queuez`` view: depths, bounds and counters."""
         with self._lock:
             running = sum(1 for i in self._inflight.values() if i.running)
             return {
@@ -220,7 +207,6 @@ class SweepQueue:
                 "draining": self._draining,
                 "degraded": self._degraded,
                 "journal": self.journal is not None,
-                "groups": {k: dict(v) for k, v in self._groups.items()},
             }
 
     @property

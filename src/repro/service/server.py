@@ -23,8 +23,8 @@ Endpoints (schema in ``docs/SERVICE.md``):
 - ``POST /drainz`` — graceful drain: stop admitting cache-miss work,
   finish everything in flight, flip readiness.  ``DELETE /drainz``
   resumes admissions.
-- ``GET /queuez`` / ``GET /metricsz`` — queue introspection (shared
-  accounting with ``repro sweep --stats``) and Prometheus metrics.
+- ``GET /queuez`` / ``GET /metricsz`` — queue introspection and
+  Prometheus metrics.
 - ``/cache/v1/...`` — the shared-cache peer surface consumed by
   :class:`~repro.runtime.HTTPCacheBackend`, so one instance's warm store
   can back another's reads (N boxes, one warm set).
@@ -316,7 +316,6 @@ class SweepService:
                     doc = self.cache.document(sweep.spec, config)
                     if doc is not None:
                         warm[name] = sanitize_document(doc)
-                        self.queue.record_cache_outcome(config, hit=True)
                         continue
                     reply = _Reply()
                     self.queue.submit(sweep.spec, config, reply.deliver,

@@ -6,7 +6,7 @@ drift probe — the core layer never imports telemetry) and accumulates wall
 time, call counts, and element counts per imprecise operation.  At kernel
 finish, :func:`repro.telemetry.record_kernel` folds the totals into the
 metrics registry labeled with the executing backend, which is what makes
-``reference`` vs ``fused`` throughput visible in ``repro metrics``.
+``reference`` vs ``threaded`` throughput visible in ``repro metrics``.
 """
 
 from __future__ import annotations

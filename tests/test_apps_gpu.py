@@ -57,6 +57,16 @@ class TestHotspot:
         with pytest.raises(ValueError):
             hotspot.run(None, rows=16, cols=16, power_map=np.zeros((4, 4)))
 
+    def test_unstable_grid_refused(self):
+        # At 1024^2 the explicit step crosses the forward-Euler limit
+        # (2.18 > 2) and even the precise run diverges.
+        with pytest.raises(ValueError, match="forward-Euler"):
+            hotspot.run(None, rows=1024, cols=1024, iterations=1)
+        # 768^2 (1.23) is the largest of the documented sizes still
+        # inside the limit; running it takes seconds, so check the
+        # coefficients the run would use.
+        assert hotspot._coefficients(768, 768)["step_div_cap"] > 0
+
     def test_arithmetic_dominated(self):
         result = hotspot.reference_run(32, 32, 10)
         assert result.counters.arithmetic_fraction() > 0.5

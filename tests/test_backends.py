@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-import json
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +11,11 @@ from repro.core import ArithmeticContext, IHWConfig
 from repro.core.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    backend_accepts_threads,
     backend_names,
     default_backend_name,
     get_backend,
 )
 from repro.core.backends.base import ReferenceBackend
-from repro.core.backends.bench import run_benchmarks
 from repro.core.backends.fused import FusedBackend, ScratchPool
 from repro.core.backends.parity import adversarial_operands, check_parity
 from repro.core.floatops import format_for_dtype
@@ -30,11 +26,14 @@ from repro.core.floatops import format_for_dtype
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered_names(self):
-        assert backend_names() == ("reference", "fused", "threaded")
+        assert backend_names() == ("reference", "threaded")
 
     def test_reference_and_fused_always_available(self):
         for name in backend_names():
             assert get_backend(name).name == name
+        # The fused kernels are no registered name: they run as the
+        # threaded backend's shards.
+        assert isinstance(get_backend("threaded")._shards[0], FusedBackend)
 
     def test_default_is_threaded_when_env_unset(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -42,9 +41,9 @@ class TestRegistry:
         assert get_backend().name == "threaded"
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fused")
-        assert default_backend_name() == "fused"
-        assert get_backend().name == "fused"
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert default_backend_name() == "reference"
+        assert get_backend().name == "reference"
 
     def test_unknown_env_value_raises(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "turbo")
@@ -60,41 +59,47 @@ class TestRegistry:
         assert get_backend(backend) is backend
 
     def test_fresh_instances_per_call(self):
-        assert get_backend("fused") is not get_backend("fused")
+        assert get_backend("threaded") is not get_backend("threaded")
 
     def test_removed_numba_names_rejected(self, monkeypatch):
-        names = r"\('reference', 'fused', 'threaded'\)"
-        with pytest.raises(ValueError, match=names):
-            get_backend("numba")
-        monkeypatch.setenv(ENV_VAR, "numba-parallel")
-        with pytest.raises(ValueError, match=names):
-            get_backend()
+        names = r"\('reference', 'threaded'\)"
+        for removed in ("numba", "numba-parallel", "fused"):
+            with pytest.raises(ValueError, match=names):
+                get_backend(removed)
+            with pytest.raises(ValueError, match=names):
+                IHWConfig(backend=removed)
+            monkeypatch.setenv(ENV_VAR, removed)
+            with pytest.raises(ValueError, match=names):
+                get_backend()
 
     def test_config_backend_resolution(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        ctx = ArithmeticContext(IHWConfig(backend="fused"))
-        assert ctx.backend.name == "fused"
-        # Explicit argument wins over the config field.
-        ctx = ArithmeticContext(IHWConfig(backend="fused"), backend="reference")
+        ctx = ArithmeticContext(IHWConfig(backend="reference"))
         assert ctx.backend.name == "reference"
+        # Explicit argument wins over the config field.
+        ctx = ArithmeticContext(IHWConfig(backend="reference"),
+                                backend="threaded")
+        assert ctx.backend.name == "threaded"
 
     def test_env_var_reaches_context(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fused")
-        assert ArithmeticContext(IHWConfig.all_imprecise()).backend.name == "fused"
+        monkeypatch.setenv(ENV_VAR, "reference")
+        ctx = ArithmeticContext(IHWConfig.all_imprecise())
+        assert ctx.backend.name == "reference"
 
 
 # ----------------------------------------------------------------------
 # Parity: the contractual bit-identity of every backend
 # ----------------------------------------------------------------------
-def _parity_backends():
-    return [name for name in backend_names() if name != "reference"]
+#: Engines checked against the reference oracle: the registered
+#: ``threaded`` backend and the fused kernel class its shards run.
+_ENGINES = {"fused": FusedBackend, "threaded": lambda: get_backend("threaded")}
 
 
 class TestParity:
-    @pytest.mark.parametrize("name", _parity_backends())
+    @pytest.mark.parametrize("name", sorted(_ENGINES))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_reference(self, name, dtype):
-        failures = check_parity(get_backend(name), dtype=dtype, n_random=4096)
+        failures = check_parity(_ENGINES[name](), dtype=dtype, n_random=4096)
         assert failures == []
 
     def test_adversarial_operands_cover_specials(self):
@@ -154,11 +159,11 @@ class TestParity:
 # Context integration: same numbers, same counters
 # ----------------------------------------------------------------------
 class TestContextIntegration:
-    @pytest.mark.parametrize("name", _parity_backends())
+    @pytest.mark.parametrize("name", sorted(_ENGINES))
     def test_context_results_and_counts_match(self, name):
         cfg = IHWConfig.all_imprecise()
         ref_ctx = ArithmeticContext(cfg, backend="reference")
-        alt_ctx = ArithmeticContext(cfg, backend=name)
+        alt_ctx = ArithmeticContext(cfg, backend=_ENGINES[name]())
         rng = np.random.default_rng(3)
         a = rng.uniform(0.1, 8.0, 512).astype(np.float32)
         b = rng.uniform(0.1, 8.0, 512).astype(np.float32)
@@ -183,12 +188,12 @@ class TestContextIntegration:
             cfg = IHWConfig.all_imprecise().with_multiplier(**mode_kwargs)
             a = np.linspace(0.5, 4.0, 256, dtype=np.float32)
             want = ArithmeticContext(cfg, backend="reference").mul(a, a)
-            got = ArithmeticContext(cfg, backend="fused").mul(a, a)
+            got = ArithmeticContext(cfg, backend="threaded").mul(a, a)
             assert np.array_equal(want.view(np.uint32), got.view(np.uint32))
 
     def test_precise_context_untouched_by_backend(self):
         a = np.linspace(-1, 1, 64, dtype=np.float32)
-        precise = ArithmeticContext(backend="fused")
+        precise = ArithmeticContext(backend="threaded")
         assert np.array_equal(precise.add(a, a), a + a)
 
 
@@ -208,8 +213,8 @@ class TestCacheIndependence:
             IHWConfig(backend="turbo")
 
     def test_describe_mentions_pinned_backend(self):
-        cfg = IHWConfig.all_imprecise().with_backend("fused")
-        assert "backend=fused" in cfg.describe()
+        cfg = IHWConfig.all_imprecise().with_backend("reference")
+        assert "backend=reference" in cfg.describe()
         assert "backend" not in IHWConfig.all_imprecise().describe()
 
     def test_result_cache_key_shared_across_backends(self, tmp_path):
@@ -236,7 +241,8 @@ class TestOpTimer:
 
         with telemetry.override("metrics"):
             telemetry.reset()
-            ctx = ArithmeticContext(IHWConfig.all_imprecise(), backend="fused")
+            ctx = ArithmeticContext(IHWConfig.all_imprecise(),
+                                    backend="threaded")
             ctx.op_timer = telemetry.make_op_timer()
             a = np.linspace(0.5, 2.0, 128, dtype=np.float32)
             ctx.add(a, a)
@@ -247,8 +253,8 @@ class TestOpTimer:
                 (s["name"], s["labels"].get("op"), s["labels"].get("backend"))
                 for s in snapshot
             }
-            assert ("repro_backend_op_calls_total", "add", "fused") in names
-            assert ("repro_backend_op_seconds_total", "mul", "fused") in names
+            assert ("repro_backend_op_calls_total", "add", "threaded") in names
+            assert ("repro_backend_op_seconds_total", "mul", "threaded") in names
         telemetry.reset()
 
     def test_off_mode_attaches_nothing(self):
@@ -258,72 +264,6 @@ class TestOpTimer:
         with telemetry.override("off"):
             ctx = make_context(IHWConfig.all_imprecise())
             assert ctx.op_timer is None
-
-
-# ----------------------------------------------------------------------
-# Bench payload and CLI
-# ----------------------------------------------------------------------
-class TestBench:
-    def test_run_benchmarks_payload(self):
-        payload = run_benchmarks(size=2048, repeats=1,
-                                 backends=("reference", "fused"),
-                                 parity_samples=512, parallel=False)
-        assert payload["schema"] == "repro-bench-core/3"
-        assert payload["machine"]["numpy"]
-        assert payload["machine"]["cpu_count"] >= 1
-        assert payload["machine"]["threads"] >= 1
-        assert payload["backends"]["fused"]["parity_ok"] is True
-        for op in ("add", "mul", "fma", "rcp", "sqrt"):
-            assert payload["backends"]["reference"]["ops"][op]["seconds"] > 0
-            assert "speedup_vs_reference" in payload["backends"]["fused"]["ops"][op]
-        assert "parallel" not in payload
-
-    def test_run_benchmarks_rejects_unknown(self):
-        with pytest.raises(ValueError, match="turbo"):
-            run_benchmarks(size=64, repeats=1, backends=("turbo",))
-
-    def test_cli_bench_quick(self, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        out = io.StringIO()
-        code = main(["bench", "--quick", "--size", "2048", "--repeats", "1"],
-                    out=out)
-        assert code == 0
-        text = out.getvalue()
-        assert "fused" in text and "vs reference" in text
-        payload = json.loads(Path(tmp_path, "BENCH_core.json").read_text())
-        assert payload["backends"]["fused"]["parity_ok"] is True
-
-    def test_cli_bench_unknown_backend(self):
-        from repro.cli import main
-
-        code = main(["bench", "--quick", "--backends", "turbo", "--no-write"],
-                    out=io.StringIO())
-        assert code == 2
-
-    def test_committed_bench_file_is_current(self):
-        """The committed BENCH_core.json must match this tree's schema."""
-        path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-core/3"
-        fused = payload["backends"]["fused"]
-        assert fused["parity_ok"] is True
-        assert fused["ops"]["add"]["speedup_vs_reference"] >= 2.0
-        assert fused["ops"]["mul"]["speedup_vs_reference"] >= 2.0
-        assert "batch" not in payload
-        # The parallel section carries its own parity gate and records
-        # the machine it ran on (speedup floors are relaxed on
-        # cpu-starved runners, so only structure is asserted here).
-        assert payload["machine"]["cpu_count"] >= 1
-        assert payload["machine"]["threads"] >= 1
-        parallel = payload["parallel"]
-        assert parallel["baseline"] == "fused"
-        assert parallel["backends"]["threaded"]["parity_ok"] is True
-        # A stale entry for a backend this tree no longer registers fails.
-        assert set(parallel["backends"]) == {
-            name for name in backend_names() if backend_accepts_threads(name)
-        }
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Per-config loops, batch signatures and mixed-signature sweeps.
+"""Per-config loops and sweeps that mix datapaths.
 
 Covers:
 
 - backend: the ``ComputeBackend`` ``*_batch`` loops return one result per
   configuration, each bit-identical to the per-config call;
-- config: batch signatures and cache-key independence;
-- runtime: sweeps over mixed batch signatures produce identical results,
-  cache entries, and resume behavior pooled and sequential, and scratch
-  pools are reclaimed between tasks with the high-water gauge published.
+- config: cache-key independence from the backend choice;
+- runtime: sweeps mixing adder thresholds and multiplier modes produce
+  identical results, cache entries, and resume behavior pooled and
+  sequential, and scratch pools are reclaimed between tasks with the
+  high-water gauge published.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.core.backends import (
 )
 from repro.core.backends.base import ComputeBackend
 from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
-from repro.runtime.stats import group_key
 
 SPEC = ExperimentSpec.create(
     "hotspot", metric="mae", rows=16, cols=16, iterations=3
@@ -56,13 +56,13 @@ class TestBatchedBackendParity:
         _assert_identical(outs[1], outs[2])
 
     def test_truncated_batch_rounding_length_mismatch(self):
-        backend = get_backend("fused")
+        backend = get_backend("threaded")
         a = np.ones(8, dtype=np.float32)
         with pytest.raises(ValueError, match="rounding"):
             backend.truncated_multiply_batch(a, a, [0, 8], rounding=[True])
 
     def test_empty_batch_returns_empty(self):
-        backend = get_backend("fused")
+        backend = get_backend("threaded")
         a = np.ones(8, dtype=np.float32)
         assert backend.imprecise_add_batch(a, a, []) == []
         assert backend.configurable_multiply_batch(a, a, []) == []
@@ -73,23 +73,10 @@ class TestBatchedBackendParity:
 # Config layer
 # ----------------------------------------------------------------------
 class TestBatchGrouping:
-    def test_signature_ignores_batchable_knobs_and_backend(self):
-        a = IHWConfig.all_imprecise(adder_threshold=1)
-        b = IHWConfig.all_imprecise(adder_threshold=23).with_backend("fused")
-        assert a.batch_signature() == b.batch_signature()
-
-    def test_signature_splits_on_structural_switches(self):
-        base = IHWConfig.units("mul")
-        mitchell = base.with_multiplier("mitchell", config="fp_tr0")
-        truncated = base.with_multiplier("truncated", truncation=8)
-        assert mitchell.batch_signature() != truncated.batch_signature()
-        quad = IHWConfig.units("rcp").with_sfu_mode("quadratic")
-        assert quad.batch_signature() != IHWConfig.units("rcp").batch_signature()
-
     def test_cache_key_is_batch_invariant(self):
         """The backend choice must never fragment the result cache."""
         cfg = IHWConfig.all_imprecise()
-        assert cfg.cache_key() == cfg.with_backend("fused").cache_key()
+        assert cfg.cache_key() == cfg.with_backend("threaded").cache_key()
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +103,7 @@ def _evaluation_equal(a, b):
 
 
 class TestBatchedSweep:
-    """Sweeps whose configurations span several batch signatures."""
+    """Sweeps whose configurations span several datapaths."""
 
     def test_pooled_matches_sequential_and_shares_cache(self, tmp_path):
         configs = _mixed_configs()
@@ -144,7 +131,7 @@ class TestBatchedSweep:
             assert _evaluation_equal(again[name], pooled[name]), name
 
     def test_batched_sweep_in_worker_pool(self, tmp_path):
-        """Fixed-size chunks that mix signatures, with per-group accounting."""
+        """Fixed-size chunks that mix datapaths match the sequential run."""
         configs = _mixed_configs()
         runner = ExperimentRunner(
             max_workers=2, chunk_size=3,
@@ -157,13 +144,7 @@ class TestBatchedSweep:
         for name in configs:
             assert _evaluation_equal(pooled[name], sequential[name]), name
         assert runner.stats.chunk_size == 3
-        expected = {}
-        for config in configs.values():
-            key = group_key(config)
-            expected[key] = expected.get(key, 0) + 1
-        groups = runner.stats.signature_groups
-        assert {k: v["misses"] for k, v in groups.items()} == expected
-        assert all(v["hits"] == 0 for v in groups.values())
+        assert runner.stats.cache_misses == len(configs)
 
     def test_resume_after_interruption_pooled(self, tmp_path):
         cache = ResultCache(tmp_path / "resume")
@@ -193,7 +174,7 @@ class TestScratchReclamation:
         from repro.runtime.runner import _reclaim_scratch
 
         release_all_scratch()
-        backend = get_backend("fused")
+        backend = get_backend("threaded")
         a = np.linspace(0.5, 2.0, 4096, dtype=np.float32)
         backend.imprecise_add(a, a, 8)
         held = scratch_nbytes()
@@ -212,7 +193,7 @@ class TestScratchReclamation:
         release_all_scratch()
         runner = ExperimentRunner(max_workers=1, cache=None)
         runner.sweep(SPEC, {
-            "th8": IHWConfig.all_imprecise().with_backend("fused"),
+            "th8": IHWConfig.all_imprecise().with_backend("threaded"),
         })
         assert scratch_nbytes() == 0
 

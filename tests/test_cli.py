@@ -142,6 +142,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_op_level_bench_is_gone(self, capsys):
+        # Engine speed is measured end to end (e2ebench and the
+        # fw.evaluate gates in benchmarks/), not per op.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestSweepApp:
     def test_sphinx_sweep(self):

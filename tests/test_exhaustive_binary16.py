@@ -6,8 +6,8 @@ two mantissas, so that grid is their whole input space: its maximum is the
 exact worst case, checked against the Chapter-4 bound (and for closeness
 to it, so a loose bound shows).  The adder also depends on the exponent
 difference ``d`` and the effective operation, so its grid is swept at the
-``d`` on either side of each threshold.  On every grid, ``fused`` and
-``threaded`` must equal ``reference`` bit for bit.
+``d`` on either side of each threshold.  On every grid, the fused kernel
+(``FusedBackend``) and ``threaded`` must equal ``reference`` bit for bit.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.core import (
     truncation_max_error,
 )
 from repro.core.backends import get_backend
+from repro.core.backends.fused import FusedBackend
 from repro.core.backends.threaded import ThreadedFusedBackend
 from repro.erroranalysis.bounds import full_path_bound, log_path_bound
 
@@ -41,7 +42,7 @@ def backends():
     # Two threads over 2^20 elements: real multi-tile execution.
     return {
         "reference": get_backend("reference"),
-        "fused": get_backend("fused"),
+        "fused": FusedBackend(),
         "threaded": ThreadedFusedBackend(threads=2),
     }
 

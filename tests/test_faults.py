@@ -177,7 +177,7 @@ class TestFaultSpecGrammar:
         with pytest.raises(TransientFault):
             injector.task("anything", 0)
         with pytest.raises(BackendFault):
-            injector.backend("anything", 0, "fused")
+            injector.backend("anything", 0, "threaded")
         injector.backend("anything", 0, "reference")  # never on reference
 
 
@@ -303,7 +303,7 @@ class TestHangTimeout:
 class TestBackendFallback:
     def test_flaky_backend_falls_back_to_reference(self, tmp_path):
         configs = {
-            name: config.with_backend("fused")
+            name: config.with_backend("threaded")
             for name, config in make_configs(4).items()
         }
         reference = ExperimentRunner(max_workers=1, cache=None).sweep(
@@ -341,7 +341,7 @@ class TestBackendFallback:
         assert_results_identical(clean, results)
 
     def test_fallback_result_serves_the_original_cache_key(self, tmp_path):
-        configs = {"only": IHWConfig.all_imprecise().with_backend("fused")}
+        configs = {"only": IHWConfig.all_imprecise().with_backend("threaded")}
         with faults.injection("flaky-backend:times=1"):
             runner = ExperimentRunner(
                 max_workers=1, cache=ResultCache(tmp_path),
@@ -349,7 +349,7 @@ class TestBackendFallback:
             )
             runner.sweep(SPEC, configs)
         # The backend field is cache-key exempt, so a later lookup under
-        # the original fused config hits the fallback-computed entry.
+        # the original threaded config hits the fallback-computed entry.
         warm = ExperimentRunner(max_workers=1, cache=ResultCache(tmp_path))
         warm.sweep(SPEC, configs)
         assert warm.stats.cache_hits == 1

@@ -5,7 +5,7 @@ Covers the four layers of the parallel contract:
 - policy: :mod:`repro.core.backends.threads` resolution order (explicit >
   worker pin > ``REPRO_THREADS`` > CPU count) and clamping rules;
 - backend: the ``threaded`` tiling machinery stays bit-identical to the
-  fused/reference kernels even with a forced tiny tile width;
+  reference kernels even with a forced tiny tile width;
 - config/registry: ``backend_threads`` plumbs through ``IHWConfig`` and
   ``get_backend`` without ever reaching a serial backend or the cache key;
 - runtime: a sweep through a ``ProcessPoolExecutor`` pins worker-side
@@ -14,7 +14,6 @@ Covers the four layers of the parallel contract:
   published.
 """
 
-import io
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.core import ArithmeticContext, IHWConfig
 from repro.core.backends import ENV_VAR as BACKEND_ENV_VAR
 from repro.core.backends import backend_accepts_threads, get_backend
 from repro.core.backends import threads as threads_mod
-from repro.core.backends.bench import run_parallel_benchmarks
 from repro.core.backends.parity import check_parity
 from repro.core.backends.threaded import MIN_TILE_ELEMENTS, ThreadedFusedBackend
 from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
@@ -100,16 +98,14 @@ class TestThreadsPlumbing:
     def test_accepts_threads_predicate(self):
         assert backend_accepts_threads("threaded")
         assert not backend_accepts_threads("reference")
-        assert not backend_accepts_threads("fused")
 
     def test_get_backend_forwards_threads(self):
         assert get_backend("threaded", threads=2).threads == 2
         assert get_backend("threaded").threads == threads_mod.cpu_count()
 
     def test_get_backend_rejects_threads_for_serial_backends(self):
-        for name in ("reference", "fused"):
-            with pytest.raises(ValueError, match="does not take a thread"):
-                get_backend(name, threads=2)
+        with pytest.raises(ValueError, match="does not take a thread"):
+            get_backend("reference", threads=2)
 
     def test_config_backend_threads_validation(self):
         assert IHWConfig(backend_threads=2).backend_threads == 2
@@ -237,7 +233,7 @@ class TestThreadedBackend:
 
 
 def test_numba_backends_raise_without_numba():
-    names = r"\('reference', 'fused', 'threaded'\)"
+    names = r"\('reference', 'threaded'\)"
     for name in ("numba", "numba-parallel"):
         assert not backend_accepts_threads(name)
         with pytest.raises(ValueError, match=names):
@@ -303,37 +299,3 @@ class TestRunnerIntegration:
             text = telemetry.get_registry().prometheus_text()
         assert 'backend="threaded"' in text
         assert "repro_backend_op_calls_total" in text
-
-
-# ----------------------------------------------------------------------
-# Bench: the parallel section
-# ----------------------------------------------------------------------
-class TestParallelBench:
-    def test_parallel_section_structure(self):
-        section = run_parallel_benchmarks(size=4096, repeats=1,
-                                          parity_samples=256, threads=1)
-        assert section["baseline"] == "fused"
-        assert section["threads"] == 1
-        threaded = section["backends"]["threaded"]
-        assert threaded["parity_ok"] is True
-        for op in ("add", "mul", "fma"):
-            assert section["fused_seconds"][op] > 0
-            assert threaded["ops"][op]["seconds"] > 0
-            assert "speedup_vs_fused" in threaded["ops"][op]
-        assert set(section["backends"]) == {"threaded"}
-
-    def test_cli_refuses_oversubscription(self):
-        from repro.cli import main
-
-        over = threads_mod.cpu_count() + 1
-        err = io.StringIO()
-        code = main(["bench", "--quick", "--no-write",
-                     "--threads", str(over)], out=err)
-        assert code == 2
-
-    def test_cli_refuses_nonpositive_threads(self):
-        from repro.cli import main
-
-        code = main(["bench", "--quick", "--no-write", "--threads", "0"],
-                    out=io.StringIO())
-        assert code == 2

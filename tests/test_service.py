@@ -466,13 +466,15 @@ class TestWarmCold:
         handle = start_service(tmp_path)
         try:
             client = ServiceClient(handle.base_url)
-            tiny_sweep(client)
-            tiny_sweep(client)
-            groups = client.queuez()["groups"]
-            # precise and add share a ledger shape with sweep --stats:
-            # one miss (first call) + one hit (second call) per group.
-            assert groups["precise|table1|linear"] == {"hits": 1, "misses": 1}
-            assert groups["add|table1|linear"] == {"hits": 1, "misses": 1}
+            cold = tiny_sweep(client)
+            warm = tiny_sweep(client)
+            queue = client.queuez()
+            # Only the cold call's misses reached the queue; the warm
+            # call was answered from the cache without enqueuing.
+            assert cold["served"]["misses"] == queue["completed"] == 3
+            assert warm["served"]["hits"] == 3
+            assert queue["failed"] == queue["inflight"] == 0
+            assert "groups" not in queue
         finally:
             handle.stop()
 
@@ -705,30 +707,6 @@ class TestIntegration:
         with pytest.raises(ValueError, match="not both"):
             framework.evaluate_many(CONFIGS, runner=object(),
                                     client=object())
-
-    def test_sweep_stats_reports_signature_groups(self, tmp_path, monkeypatch):
-        from tests.test_cli import run_cli
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        argv = ("sweep", "hotspot", "--family", "threshold", "--rows", "8",
-                "--iterations", "2", "--workers", "1", "--stats",
-                "--json", str(tmp_path / "out.json"))
-        code, out = run_cli(*argv)
-        assert code == 0
-        assert "signature group" in out
-        # The whole threshold family shares one batch signature; the
-        # ledger key matches the /queuez rendering exactly.
-        key = "add+div+fma+log2+mul+rcp+rsqrt+sqrt|table1|linear"
-        cold = json.loads((tmp_path / "out.json").read_text())
-        assert cold["stats"]["signature_groups"] == {
-            key: {"hits": 0, "misses": 6}
-        }
-        code, _out = run_cli(*argv)
-        assert code == 0
-        warm = json.loads((tmp_path / "out.json").read_text())
-        assert warm["stats"]["signature_groups"] == {
-            key: {"hits": 6, "misses": 0}
-        }
 
     def test_execute_span_reparented_under_request(self, tmp_path):
         with telemetry.override("trace"):
