@@ -46,15 +46,15 @@ def make_context(config: IHWConfig | None, dtype=np.float32) -> ArithmeticContex
     """Context with the given configuration (precise when ``config`` is None).
 
     When telemetry is enabled (``REPRO_TELEMETRY=metrics|trace``) imprecise
-    runs get a numeric-drift probe attached; the precise reference never
-    does (its drift is zero by construction).
+    runs get a numeric-drift probe attached, which also times each
+    imprecise op; the precise reference never does (its drift is zero by
+    construction).
     """
     ctx = ArithmeticContext(
         config if config is not None else IHWConfig.precise(), dtype=dtype
     )
     if config is not None:
         ctx.drift_probe = telemetry.make_drift_probe()
-        ctx.op_timer = telemetry.make_op_timer()
     return ctx
 
 

@@ -416,9 +416,6 @@ def cmd_serve(args, out) -> int:
         remote_cache=args.remote_cache,
         max_pending=args.max_pending,
         max_configs=args.max_configs,
-        queue_workers=args.queue_workers,
-        runner_workers=args.runner_workers,
-        batch_limit=args.batch_limit,
         retry_after=args.retry_after,
         journal=not args.no_journal,
     )
@@ -865,13 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "Retry-After")
     p.add_argument("--max-configs", type=int, default=64,
                    help="per-request configuration bound (413 above)")
-    p.add_argument("--queue-workers", type=int, default=1,
-                   help="queue worker threads draining misses")
-    p.add_argument("--runner-workers", type=int, default=1,
-                   help="process count per queue worker's runner "
-                        "(1 = inline, deterministic)")
-    p.add_argument("--batch-limit", type=int, default=16,
-                   help="most same-experiment items one runner call batches")
     p.add_argument("--retry-after", type=float, default=2.0,
                    help="Retry-After hint (seconds) on 429 responses")
     p.add_argument("--no-journal", action="store_true",

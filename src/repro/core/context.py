@@ -7,11 +7,15 @@ every application kernel routes its floating point arithmetic through an
 :class:`ArithmeticContext`, which
 
 - dispatches each operation to the IEEE-precise NumPy implementation or the
-  corresponding imprecise unit according to its :class:`~repro.core.config.IHWConfig`,
+  corresponding imprecise unit according to its :class:`~repro.core.config.IHWConfig`
+  (the ``{op: unit}`` table is resolved once, when the context is built),
 - counts scalar operations per operation type (the performance counters
   consumed by :mod:`repro.gpu.power` and :mod:`repro.gpu.savings`),
 - lets a kernel pin individual operations to the precise datapath
-  (``precise=True``), as the CP study does for coordinate computations.
+  (``precise=True``), as the CP study does for coordinate computations,
+- times each imprecise operation and hands its result to an attached
+  drift probe (:class:`~repro.telemetry.DriftProbe`), the one per-op
+  observer.
 
 Operations and their executing unit class:
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -39,12 +44,12 @@ from .backends import backend_accepts_threads, default_backend_name, \
     get_backend
 from .config import IHWConfig
 from .quadratic import (
+    quadratic_divide,
     quadratic_log2,
     quadratic_reciprocal,
     quadratic_rsqrt,
     quadratic_sqrt,
 )
-from .floatops import flush_subnormals
 
 __all__ = [
     "ArithmeticContext",
@@ -80,6 +85,48 @@ _OP_UNIT_SWITCH = {
     "rsqrt": "rsqrt",
     "sqrt": "sqrt",
     "log2": "log2",
+}
+
+
+def _ignoring(fn, **errstate):
+    """``fn`` run under ``numpy.errstate(**errstate)``."""
+    def run(*args, **kwargs):
+        with np.errstate(**errstate):
+            return fn(*args, **kwargs)
+    return run
+
+
+#: IEEE-precise implementation of each op, called as
+#: ``fn(*operands, dtype=dtype)``.  Only the SFU ops silence the warnings
+#: their domain edges raise.
+_PRECISE = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "fma": lambda a, b, c, dtype: np.add(
+        np.multiply(a, b, dtype=dtype), c, dtype=dtype),
+    "div": _ignoring(np.divide, divide="ignore", invalid="ignore"),
+    "rcp": _ignoring(lambda x, dtype: np.divide(
+        np.array(1.0, dtype), x, dtype=dtype), divide="ignore"),
+    "rsqrt": _ignoring(lambda x, dtype: np.divide(
+        np.array(1.0, dtype), np.sqrt(x, dtype=dtype), dtype=dtype),
+        divide="ignore", invalid="ignore"),
+    "sqrt": _ignoring(np.sqrt, invalid="ignore"),
+    "log2": _ignoring(np.log2, divide="ignore", invalid="ignore"),
+}
+
+#: Float64-exact value of each op: the drift probe's reference.
+_EXACT = {
+    "add": lambda a, b: np.add(a, b, dtype=np.float64),
+    "sub": lambda a, b: np.subtract(a, b, dtype=np.float64),
+    "mul": lambda a, b: np.multiply(a, b, dtype=np.float64),
+    "fma": lambda a, b, c: np.add(
+        np.multiply(a, b, dtype=np.float64), c, dtype=np.float64),
+    "div": lambda a, b: np.divide(a, b, dtype=np.float64),
+    "rcp": lambda x: 1.0 / np.asarray(x, dtype=np.float64),
+    "rsqrt": lambda x: 1.0 / np.sqrt(np.asarray(x, dtype=np.float64)),
+    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=np.float64)),
+    "log2": lambda x: np.log2(np.asarray(x, dtype=np.float64)),
 }
 
 
@@ -134,28 +181,59 @@ class ArithmeticContext:
             self.backend = _config_backend(self.config)
         #: scalar-operation counts keyed by (op, "imprecise" | "precise")
         self.counts: Counter = Counter()
-        #: optional :class:`~repro.telemetry.DriftProbe` observing imprecise
-        #: results against their float64-exact value.  The probe never
-        #: touches ``counts`` — the power model's inputs are identical with
-        #: and without it.
+        #: optional :class:`~repro.telemetry.DriftProbe` timing each imprecise
+        #: op and observing its result against the float64-exact value.
+        #: Attached externally so the core layer never imports telemetry;
+        #: it never touches ``counts`` — the power model's inputs are
+        #: identical with and without it.
         self.drift_probe = None
-        #: optional :class:`~repro.telemetry.OpTimer` accumulating wall-clock
-        #: time per imprecise operation.  Attached externally (like
-        #: ``drift_probe``) so the core layer never imports telemetry.
-        self.op_timer = None
+        #: imprecise unit of each op the configuration enables
+        self._units = self._unit_table()
+
+    def _unit_table(self) -> dict:
+        """``{op: callable}`` for every op whose unit runs imprecisely.
+
+        Backend methods are looked up on the instance here, so wrappers
+        installed on the backend class before construction see the calls.
+        """
+        config, backend, dtype = self.config, self.backend, self.dtype
+        threshold = config.adder_threshold
+        if config.multiplier_mode == "table1":
+            mul = partial(backend.imprecise_multiply, dtype=dtype)
+        elif config.multiplier_mode == "mitchell":
+            mul = partial(backend.configurable_multiply,
+                          config=config.multiplier_config, dtype=dtype)
+        else:
+            mul = partial(backend.truncated_multiply,
+                          truncation=config.multiplier_truncation,
+                          dtype=dtype,
+                          rounding=config.multiplier_bt_rounding)
+        if config.sfu_mode == "quadratic":
+            sfus = {"div": quadratic_divide, "rcp": quadratic_reciprocal,
+                    "rsqrt": quadratic_rsqrt, "sqrt": quadratic_sqrt,
+                    "log2": quadratic_log2}
+        else:
+            sfus = {"div": backend.imprecise_divide,
+                    "rcp": backend.imprecise_reciprocal,
+                    "rsqrt": backend.imprecise_rsqrt,
+                    "sqrt": backend.imprecise_sqrt,
+                    "log2": backend.imprecise_log2}
+        units = {
+            "add": partial(backend.imprecise_add, threshold=threshold,
+                           dtype=dtype),
+            "sub": partial(backend.imprecise_subtract, threshold=threshold,
+                           dtype=dtype),
+            "mul": mul,
+            "fma": partial(backend.imprecise_fma, threshold=threshold,
+                           dtype=dtype),
+        }
+        units.update((op, partial(fn, dtype=dtype)) for op, fn in sfus.items())
+        return {op: fn for op, fn in units.items()
+                if config.is_enabled(_OP_UNIT_SWITCH[op])}
 
     # ------------------------------------------------------------------
     # Counting
     # ------------------------------------------------------------------
-    def _count(self, op: str, result, imprecise: bool):
-        key = (op, "imprecise" if imprecise else "precise")
-        # Innermost loop of every kernel: results are almost always ndarrays
-        # already, so only wrap the rare scalar case.
-        if isinstance(result, np.ndarray):
-            self.counts[key] += result.size
-        else:
-            self.counts[key] += int(np.asarray(result).size)
-
     def reset_counts(self):
         """Clear the performance counters."""
         self.counts.clear()
@@ -174,224 +252,71 @@ class ArithmeticContext:
             totals[OP_UNIT_CLASS[op]] += n
         return dict(totals)
 
-    def _use_imprecise(self, op: str, precise: bool) -> bool:
-        return not precise and self.config.is_enabled(_OP_UNIT_SWITCH[op])
-
-    def _timed(self, op: str, fn):
-        """Run one imprecise unit op, feeding ``op_timer`` when attached."""
-        timer = self.op_timer
-        if timer is None:
-            return fn()
-        start = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - start
-        if isinstance(out, np.ndarray):
-            size = out.size
-        else:
-            size = int(np.asarray(out).size)
-        timer.record(op, elapsed, size)
-        return out
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
+    def _run(self, op: str, precise: bool, operands: tuple):
+        """Run ``op`` on its imprecise unit when enabled, else precisely.
+
+        Counts the result's scalar operations; with a drift probe
+        attached, also times the unit call and hands the probe the
+        float64-exact thunk.
+        """
+        unit = None if precise else self._units.get(op)
+        if unit is None:
+            out = _PRECISE[op](*operands, dtype=self.dtype)
+            path = "precise"
+        else:
+            probe = self.drift_probe
+            if probe is None:
+                out = unit(*operands)
+            else:
+                start = time.perf_counter()
+                out = unit(*operands)
+                probe.observe(op, out, lambda: _EXACT[op](*operands),
+                              time.perf_counter() - start)
+            path = "imprecise"
+        # Innermost loop of every kernel: results are almost always ndarrays
+        # already, so only wrap the rare scalar case.
+        size = out.size if isinstance(out, np.ndarray) else np.asarray(out).size
+        self.counts[(op, path)] += size
+        return out
+
     def add(self, a, b, precise: bool = False):
         """``a + b``; imprecise threshold adder when the ``add`` unit is on."""
-        if self._use_imprecise("add", precise):
-            out = self._timed("add", lambda: self.backend.imprecise_add(
-                a, b, self.config.adder_threshold, dtype=self.dtype))
-            self._count("add", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "add", out, lambda: np.add(a, b, dtype=np.float64)
-                )
-        else:
-            out = np.add(a, b, dtype=self.dtype)
-            self._count("add", out, False)
-        return out
+        return self._run("add", precise, (a, b))
 
     def sub(self, a, b, precise: bool = False):
         """``a - b``; shares the imprecise adder datapath."""
-        if self._use_imprecise("sub", precise):
-            out = self._timed("sub", lambda: self.backend.imprecise_subtract(
-                a, b, self.config.adder_threshold, dtype=self.dtype))
-            self._count("sub", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "sub", out, lambda: np.subtract(a, b, dtype=np.float64)
-                )
-        else:
-            out = np.subtract(a, b, dtype=self.dtype)
-            self._count("sub", out, False)
-        return out
-
-    def _imprecise_mul(self, a, b):
-        mode = self.config.multiplier_mode
-        if mode == "table1":
-            return self.backend.imprecise_multiply(a, b, dtype=self.dtype)
-        if mode == "mitchell":
-            return self.backend.configurable_multiply(
-                a, b, self.config.multiplier_config, dtype=self.dtype
-            )
-        return self.backend.truncated_multiply(
-            a,
-            b,
-            self.config.multiplier_truncation,
-            dtype=self.dtype,
-            rounding=self.config.multiplier_bt_rounding,
-        )
+        return self._run("sub", precise, (a, b))
 
     def mul(self, a, b, precise: bool = False):
         """``a * b``; dispatches to the configured imprecise multiplier."""
-        if self._use_imprecise("mul", precise):
-            out = self._timed("mul", lambda: self._imprecise_mul(a, b))
-            self._count("mul", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "mul", out, lambda: np.multiply(a, b, dtype=np.float64)
-                )
-        else:
-            out = np.multiply(a, b, dtype=self.dtype)
-            self._count("mul", out, False)
-        return out
+        return self._run("mul", precise, (a, b))
 
     def fma(self, a, b, c, precise: bool = False):
         """``a * b + c`` on the FMA unit."""
-        if self._use_imprecise("fma", precise):
-            out = self._timed("fma", lambda: self.backend.imprecise_fma(
-                a, b, c, self.config.adder_threshold, dtype=self.dtype))
-            self._count("fma", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "fma",
-                    out,
-                    lambda: np.add(
-                        np.multiply(a, b, dtype=np.float64), c, dtype=np.float64
-                    ),
-                )
-        else:
-            out = np.add(np.multiply(a, b, dtype=self.dtype), c, dtype=self.dtype)
-            self._count("fma", out, False)
-        return out
-
-    def _quadratic_divide(self, a, b):
-        """``a * quadratic_rcp(b)`` — the quadratic-mode divider."""
-        a = flush_subnormals(np.asarray(a, dtype=self.dtype))
-        rcp = quadratic_reciprocal(b, dtype=self.dtype)
-        with np.errstate(invalid="ignore"):
-            result = a.astype(np.float64) * rcp.astype(np.float64)
-        return flush_subnormals(result.astype(self.dtype))
+        return self._run("fma", precise, (a, b, c))
 
     def div(self, a, b, precise: bool = False):
         """``a / b`` on the SFU divider."""
-        if self._use_imprecise("div", precise):
-            if self.config.sfu_mode == "quadratic":
-                out = self._timed("div", lambda: self._quadratic_divide(a, b))
-            else:
-                out = self._timed("div", lambda: self.backend.imprecise_divide(
-                    a, b, dtype=self.dtype))
-            self._count("div", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "div", out, lambda: np.divide(a, b, dtype=np.float64)
-                )
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.divide(a, b, dtype=self.dtype)
-            self._count("div", out, False)
-        return out
+        return self._run("div", precise, (a, b))
 
     def rcp(self, x, precise: bool = False):
         """``1 / x`` on the SFU."""
-        if self._use_imprecise("rcp", precise):
-            if self.config.sfu_mode == "quadratic":
-                out = self._timed("rcp", lambda: quadratic_reciprocal(
-                    x, dtype=self.dtype))
-            else:
-                out = self._timed(
-                    "rcp",
-                    lambda: self.backend.imprecise_reciprocal(x, dtype=self.dtype),
-                )
-            self._count("rcp", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "rcp", out, lambda: 1.0 / np.asarray(x, dtype=np.float64)
-                )
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.divide(np.array(1.0, self.dtype), x, dtype=self.dtype)
-            self._count("rcp", out, False)
-        return out
+        return self._run("rcp", precise, (x,))
 
     def rsqrt(self, x, precise: bool = False):
         """``1 / sqrt(x)`` on the SFU."""
-        if self._use_imprecise("rsqrt", precise):
-            if self.config.sfu_mode == "quadratic":
-                out = self._timed("rsqrt", lambda: quadratic_rsqrt(
-                    x, dtype=self.dtype))
-            else:
-                out = self._timed(
-                    "rsqrt",
-                    lambda: self.backend.imprecise_rsqrt(x, dtype=self.dtype),
-                )
-            self._count("rsqrt", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "rsqrt",
-                    out,
-                    lambda: 1.0 / np.sqrt(np.asarray(x, dtype=np.float64)),
-                )
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.divide(
-                    np.array(1.0, self.dtype), np.sqrt(x, dtype=self.dtype), dtype=self.dtype
-                )
-            self._count("rsqrt", out, False)
-        return out
+        return self._run("rsqrt", precise, (x,))
 
     def sqrt(self, x, precise: bool = False):
         """``sqrt(x)`` on the SFU."""
-        if self._use_imprecise("sqrt", precise):
-            if self.config.sfu_mode == "quadratic":
-                out = self._timed("sqrt", lambda: quadratic_sqrt(
-                    x, dtype=self.dtype))
-            else:
-                out = self._timed(
-                    "sqrt",
-                    lambda: self.backend.imprecise_sqrt(x, dtype=self.dtype),
-                )
-            self._count("sqrt", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "sqrt", out, lambda: np.sqrt(np.asarray(x, dtype=np.float64))
-                )
-        else:
-            with np.errstate(invalid="ignore"):
-                out = np.sqrt(x, dtype=self.dtype)
-            self._count("sqrt", out, False)
-        return out
+        return self._run("sqrt", precise, (x,))
 
     def log2(self, x, precise: bool = False):
         """``log2(x)`` on the SFU."""
-        if self._use_imprecise("log2", precise):
-            if self.config.sfu_mode == "quadratic":
-                out = self._timed("log2", lambda: quadratic_log2(
-                    x, dtype=self.dtype))
-            else:
-                out = self._timed(
-                    "log2",
-                    lambda: self.backend.imprecise_log2(x, dtype=self.dtype),
-                )
-            self._count("log2", out, True)
-            if self.drift_probe is not None:
-                self.drift_probe.observe(
-                    "log2", out, lambda: np.log2(np.asarray(x, dtype=np.float64))
-                )
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.log2(x, dtype=self.dtype)
-            self._count("log2", out, False)
-        return out
+        return self._run("log2", precise, (x,))
 
     # ------------------------------------------------------------------
     # Convenience

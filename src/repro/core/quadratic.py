@@ -27,6 +27,7 @@ __all__ = [
     "quadratic_rsqrt",
     "quadratic_sqrt",
     "quadratic_log2",
+    "quadratic_divide",
     "QUADRATIC_RCP_COEFFS",
     "QUADRATIC_RSQRT_COEFFS",
     "QUADRATIC_LOG2_COEFFS",
@@ -120,3 +121,12 @@ def quadratic_log2(x, dtype=np.float32) -> np.ndarray:
         approx = np.where(np.isposinf(x), np.inf, approx)
         approx = np.where((x < 0) | np.isnan(x), np.nan, approx)
     return flush_subnormals(approx.astype(fmt.dtype), fmt)
+
+
+def quadratic_divide(a, b, dtype=np.float32) -> np.ndarray:
+    """``a * quadratic_reciprocal(b)`` — the quadratic-mode divider."""
+    a = flush_subnormals(np.asarray(a, dtype=dtype))
+    rcp = quadratic_reciprocal(b, dtype=dtype)
+    with np.errstate(invalid="ignore"):
+        result = a.astype(np.float64) * rcp.astype(np.float64)
+    return flush_subnormals(result.astype(dtype))

@@ -8,8 +8,8 @@ item instead of enqueuing a duplicate, so N concurrent identical requests
 cost exactly one computation and one cache write
 (``repro_service_coalesced_total`` counts the other N-1).
 
-Worker threads drain the queue; each pops one item, then gathers every
-other pending item of the *same experiment* (up to ``batch_limit``) and
+One worker thread drains the queue; it pops one item, then gathers every
+other pending item of the *same experiment* (up to :data:`BATCH_LIMIT`) and
 evaluates them as one :meth:`~repro.runtime.ExperimentRunner.sweep` call,
 so they share one runner dispatch and cache pass.  Results are
 re-read through the cache (:meth:`~repro.runtime.cache.ResultCache.document`)
@@ -48,6 +48,9 @@ from .protocol import sanitize_document
 
 __all__ = ["DrainingError", "QueueFullError", "SweepQueue"]
 
+#: Most same-experiment items one runner call gathers.
+BATCH_LIMIT = 16
+
 
 class QueueFullError(RuntimeError):
     """The queue's in-flight bound is reached; retry after a delay."""
@@ -82,7 +85,7 @@ class _Item:
 
 
 class SweepQueue:
-    """Work-queue scheduler sharding misses across runner workers.
+    """Work-queue scheduler running misses on one worker thread.
 
     Parameters
     ----------
@@ -91,16 +94,12 @@ class SweepQueue:
         written here and re-read for delivery.
     runner_factory:
         Zero-argument callable producing the
-        :class:`~repro.runtime.ExperimentRunner` a worker thread uses
-        (each thread builds its own — runners are not thread-safe).
-    workers:
-        Worker-thread count (each drains whole same-experiment batches).
+        :class:`~repro.runtime.ExperimentRunner` the worker thread uses
+        (built on that thread — runners are not thread-safe).
     max_pending:
         Bound on distinct in-flight items; beyond it :meth:`submit`
         raises :class:`QueueFullError` (coalescing onto existing items
         is always admitted — it adds no work).
-    batch_limit:
-        Most same-experiment items one runner call may gather.
     retry_after:
         The backoff hint (seconds) carried by :class:`QueueFullError`.
     journal:
@@ -108,17 +107,13 @@ class SweepQueue:
         admissions durable across a node crash.
     """
 
-    def __init__(self, cache, runner_factory, workers: int = 1,
-                 max_pending: int = 64, batch_limit: int = 16,
+    def __init__(self, cache, runner_factory, max_pending: int = 64,
                  retry_after: float = 2.0, journal=None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.cache = cache
         self.runner_factory = runner_factory
         self.max_pending = max_pending
-        self.batch_limit = max(1, batch_limit)
         self.retry_after = retry_after
         self.journal = journal
 
@@ -137,13 +132,8 @@ class SweepQueue:
         self.failed = 0  # items delivered with an error
         self.coalesced = 0  # submits that attached to existing items
 
-        self._threads = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"sweep-queue-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        threading.Thread(target=self._worker_loop, name="sweep-queue",
+                         daemon=True).start()
 
     # ------------------------------------------------------------------
     # Producer side (HTTP handlers)
@@ -151,7 +141,7 @@ class SweepQueue:
     def submit(self, spec, config, waiter, parent_span_id=None) -> str:
         """Enqueue one (spec, config) computation, coalescing duplicates.
 
-        ``waiter(doc, error)`` fires exactly once from a worker thread:
+        ``waiter(doc, error)`` fires exactly once from the worker thread:
         with the sanitized entry document on success, or with the failure
         exception.  Returns ``"queued"`` or ``"coalesced"``.
         """
@@ -230,7 +220,7 @@ class SweepQueue:
             self._draining = False
 
     def pause(self) -> None:
-        """Hold workers before their next pop (deterministic coalescing
+        """Hold the worker before its next pop (deterministic coalescing
         tests: pause, fire N identical requests, then resume)."""
         self._paused.clear()
 
@@ -249,7 +239,7 @@ class SweepQueue:
             return not self._inflight
 
     def shutdown(self) -> None:
-        """Refuse new work and unblock idle workers (daemon threads)."""
+        """Refuse new work and unblock the idle worker (a daemon thread)."""
         with self._not_empty:
             self._stopping = True
             self._not_empty.notify_all()
@@ -283,7 +273,7 @@ class SweepQueue:
         batch = [first]
         spec_id = first.spec
         kept: deque = deque()
-        while self._pending and len(batch) < self.batch_limit:
+        while self._pending and len(batch) < BATCH_LIMIT:
             item = self._pending.popleft()
             if item.spec == spec_id:
                 item.running = True

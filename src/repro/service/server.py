@@ -103,9 +103,6 @@ class ServiceConfig:
     remote_cache: str | None = None  # peer base URL -> shared warm set
     max_pending: int = 64
     max_configs: int = 64  # per-request configuration bound (413 above)
-    queue_workers: int = 1
-    runner_workers: int = 1
-    batch_limit: int = 16
     retry_after: float = 2.0
     request_timeout: float = 300.0
     journal: bool = True  # durable queue journal under cache_dir
@@ -147,9 +144,7 @@ class SweepService:
         self.queue = SweepQueue(
             cache=self.cache,
             runner_factory=self._make_runner,
-            workers=config.queue_workers,
             max_pending=config.max_pending,
-            batch_limit=config.batch_limit,
             retry_after=config.retry_after,
             journal=self.journal,
         )
@@ -200,11 +195,11 @@ class SweepService:
                                   outcome="requeued")
 
     def _make_runner(self) -> ExperimentRunner:
-        # Per-queue-thread runner: inline (max_workers=1) keeps execution
+        # The queue thread's runner: inline (max_workers=1) keeps execution
         # deterministic and fork-free inside server threads; manifests
         # are disabled — the queue is its own progress authority.
         return ExperimentRunner(
-            max_workers=self.config.runner_workers,
+            max_workers=1,
             cache=self.cache,
             policy=RetryPolicy(),
             checkpoint_every=0,

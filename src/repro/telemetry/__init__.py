@@ -9,9 +9,10 @@ the reproduction measure itself the same way:
 - :class:`Tracer` (``tracer.py``) — nested timing spans around sweeps,
   experiments, kernels, cache operations, and unit characterization, with
   per-worker buffers merged by the runner;
-- :class:`DriftProbe` (``drift.py``) — sampled per-op relative-error
-  statistics (count, mean/max \\|ERR%\\|, ``ceil(log2 |ERR%|)`` histogram
-  matching the Figure 8–9 binning) collected from live kernels without
+- :class:`DriftProbe` (``drift.py``) — the one per-op observer: sampled
+  relative-error statistics (count, mean/max \\|ERR%\\|, ``ceil(log2
+  |ERR%|)`` histogram matching the Figure 8–9 binning) plus per-op backend
+  wall time, calls and elements, collected from live kernels without
   perturbing the access counts the power model consumes.
 
 Everything is **off by default** and controlled by one knob::
@@ -39,9 +40,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .drift import DriftProbe, OpDrift, drift_probe_defaults
+from .drift import DriftProbe, OpDrift
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
-from .optimer import OpTimer
 from .tracer import NULL_TRACER, NullTracer, Tracer, render_span_tree
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "OpDrift",
-    "OpTimer",
     "Tracer",
     "MODES",
     "METRICS_FILENAME",
@@ -69,7 +68,6 @@ __all__ = [
     "gauge_set",
     "histogram_observe",
     "make_drift_probe",
-    "make_op_timer",
     "record_kernel",
     "record_runner_stats",
     "drain_worker",
@@ -78,7 +76,6 @@ __all__ = [
     "flush",
     "reset",
     "render_span_tree",
-    "drift_probe_defaults",
 ]
 
 MODES = ("off", "metrics", "trace")
@@ -183,16 +180,12 @@ def make_drift_probe() -> DriftProbe | None:
     return DriftProbe() if metrics_enabled() else None
 
 
-def make_op_timer() -> OpTimer | None:
-    """A backend op timer for one kernel run, or None when metrics are off."""
-    return OpTimer() if metrics_enabled() else None
-
-
 def record_kernel(name: str, context) -> None:
     """Fold one finished kernel execution into the registry.
 
-    Reads the context's counters and drift probe; never mutates
-    ``context.counts`` (the power model's inputs stay untouched).
+    Reads the context's counters and drift probe (whose flush also
+    writes the per-op backend timings); never mutates ``context.counts``
+    (the power model's inputs stay untouched).
     """
     if not metrics_enabled():
         return
@@ -203,11 +196,8 @@ def record_kernel(name: str, context) -> None:
         ).inc(count)
     probe = getattr(context, "drift_probe", None)
     if probe:
-        probe.flush_into(_REGISTRY, kernel=name)
-    timer = getattr(context, "op_timer", None)
-    if timer:
         backend = getattr(getattr(context, "backend", None), "name", "unknown")
-        timer.flush_into(_REGISTRY, kernel=name, backend=backend)
+        probe.flush_into(_REGISTRY, kernel=name, backend=backend)
 
 
 def record_runner_stats(stats, app: str | None = None) -> None:

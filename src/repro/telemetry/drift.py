@@ -11,8 +11,12 @@ end-to-end quality metric only shows after the fact.
 
 An :class:`~repro.core.ArithmeticContext` with a probe attached calls
 :meth:`DriftProbe.observe` from each imprecise dispatch with the
-approximate result and a *thunk* producing the exact result; the probe is
-strictly read-only with respect to the context — it never touches
+approximate result, the unit call's wall time, and a *thunk* producing the
+exact result.  The probe is also the per-op backend timer: every dispatch
+adds to its op's seconds, calls and elements, which :meth:`flush_into`
+writes as ``repro_backend_op_*_total`` labeled with the executing backend
+(how ``reference`` vs ``threaded`` throughput shows in ``repro metrics``).
+It is strictly read-only with respect to the context — it never touches
 ``ArithmeticContext.counts``, so the access counts feeding the power
 model are bit-identical with and without probing (tested).
 
@@ -24,29 +28,23 @@ Cost control (the probe must stay under the telemetry overhead budget):
   most that many elements;
 - the exact-result thunk is only evaluated for sampled calls.
 
-Defaults come from ``REPRO_DRIFT_SAMPLE_EVERY`` / ``REPRO_DRIFT_MAX_ELEMENTS``.
+The defaults (:data:`SAMPLE_EVERY`, :data:`MAX_ELEMENTS`) keep
+metrics-mode overhead under the benchmark gate (< 5% on the
+12-configuration sweep).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DriftProbe", "OpDrift", "drift_probe_defaults"]
+__all__ = ["DriftProbe", "OpDrift"]
 
-
-def drift_probe_defaults() -> tuple:
-    """(sample_every, max_elements) honoring the environment knobs.
-
-    The defaults keep metrics-mode overhead under the benchmark gate
-    (< 5% on the 12-configuration sweep); lower ``REPRO_DRIFT_SAMPLE_EVERY``
-    for denser statistics when overhead does not matter.
-    """
-    every = int(os.environ.get("REPRO_DRIFT_SAMPLE_EVERY", "16") or 16)
-    max_elements = int(os.environ.get("REPRO_DRIFT_MAX_ELEMENTS", "256") or 256)
-    return max(1, every), max(1, max_elements)
+#: Default: observe every 16th call per op.
+SAMPLE_EVERY = 16
+#: Default: compare at most 256 strided elements per observed call.
+MAX_ELEMENTS = 256
 
 
 @dataclass
@@ -60,6 +58,8 @@ class OpDrift:
     err_pct_sum: float = 0.0  # summed |ERR%| over observed results
     err_pct_max: float = 0.0
     bins: dict = field(default_factory=dict)  # ceil(log2 |ERR%|) -> count
+    seconds: float = 0.0  # wall time of the unit calls
+    elements: int = 0  # scalar results produced by the unit calls
 
     @property
     def mean_err_pct(self) -> float:
@@ -71,15 +71,12 @@ class OpDrift:
 
 
 class DriftProbe:
-    """Sampled per-op relative-error accumulator for one kernel run."""
+    """Per-op unit timings and sampled relative errors for one kernel run."""
 
-    def __init__(self, sample_every: int | None = None,
-                 max_elements: int | None = None):
-        default_every, default_max = drift_probe_defaults()
-        self.sample_every = sample_every if sample_every is not None else default_every
-        self.max_elements = (
-            max_elements if max_elements is not None else default_max
-        )
+    def __init__(self, sample_every: int = SAMPLE_EVERY,
+                 max_elements: int = MAX_ELEMENTS):
+        self.sample_every = sample_every
+        self.max_elements = max_elements
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.max_elements < 1:
@@ -92,8 +89,8 @@ class DriftProbe:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def observe(self, op: str, approx, exact) -> None:
-        """Record one imprecise dispatch.
+    def observe(self, op: str, approx, exact, seconds: float = 0.0) -> None:
+        """Record one imprecise dispatch that took ``seconds``.
 
         ``exact`` is a zero-argument callable producing the float64 exact
         result — evaluated only when this call is sampled.
@@ -102,6 +99,8 @@ class DriftProbe:
         if stats is None:
             stats = self.ops[op] = OpDrift()
         stats.calls += 1
+        stats.seconds += seconds
+        stats.elements += np.size(approx)
         if (stats.calls - 1) % self.sample_every:
             return
         stats.sampled_calls += 1
@@ -136,14 +135,22 @@ class DriftProbe:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def flush_into(self, registry, kernel: str) -> None:
+    def flush_into(self, registry, kernel: str, backend: str) -> None:
         """Write the accumulated statistics into a metrics registry.
 
         Everything is expressed as counters (plus a max-aggregated gauge),
         so snapshots from worker processes and successive runs merge
-        exactly; consumers derive the mean as ``sum / observed``.
+        exactly; consumers derive the mean as ``sum / observed``.  The
+        per-op timings are labeled with the executing ``backend``.
         """
         for op, stats in sorted(self.ops.items()):
+            timing = {"kernel": kernel, "op": op, "backend": backend}
+            registry.counter("repro_backend_op_seconds_total", **timing).inc(
+                stats.seconds)
+            registry.counter("repro_backend_op_calls_total", **timing).inc(
+                stats.calls)
+            registry.counter("repro_backend_op_elements_total", **timing).inc(
+                stats.elements)
             labels = {"kernel": kernel, "op": op}
             registry.counter("repro_drift_calls_total", **labels).inc(stats.calls)
             registry.counter("repro_drift_sampled_calls_total", **labels).inc(

@@ -6,8 +6,11 @@ two mantissas, so that grid is their whole input space: its maximum is the
 exact worst case, checked against the Chapter-4 bound (and for closeness
 to it, so a loose bound shows).  The adder also depends on the exponent
 difference ``d`` and the effective operation, so its grid is swept at the
-``d`` on either side of each threshold.  On every grid, the fused kernel
-(``FusedBackend``) and ``threaded`` must equal ``reference`` bit for bit.
+``d`` on either side of each threshold.  The unary SFUs take one operand,
+so all 65,536 binary16 bit patterns are their whole input space; the
+divider runs over every divisor for a few numerators.  On every grid, the
+fused kernel (``FusedBackend``) and ``threaded`` must equal ``reference``
+bit for bit.
 """
 
 import numpy as np
@@ -15,7 +18,15 @@ import pytest
 
 from repro.core import (
     IMPRECISE_MULTIPLY_MAX_ERROR,
+    QUADRATIC_RCP_MAX_ERROR,
+    QUADRATIC_RSQRT_MAX_ERROR,
+    RECIPROCAL_MAX_ERROR,
+    RSQRT_MAX_ERROR,
+    SQRT_MAX_ERROR,
     MultiplierConfig,
+    quadratic_reciprocal,
+    quadratic_rsqrt,
+    quadratic_sqrt,
     truncation_max_error,
 )
 from repro.core.backends import get_backend
@@ -27,6 +38,13 @@ F16 = np.float16
 MANTISSA_BITS = 10
 BIAS = 15
 MAX_EXPONENT = 30
+#: Every binary16 bit pattern: zeros, subnormals, normals, infinities, NaNs.
+ALL_F16 = np.arange(1 << 16, dtype=np.uint16).view(F16)
+#: Smallest normal binary16 value.
+TINY = float(np.finfo(F16).tiny)
+#: Unit roundoff of binary16: rounding the output moves it by at most this
+#: share of its value (half an ulp).
+UNIT_ROUNDOFF = 2.0 ** -(MANTISSA_BITS + 1)
 
 
 def _grid(exp_a: int, exp_b: int):
@@ -119,3 +137,97 @@ def test_adder_parity_grid(threshold, d, backends):
             lambda be: be.imprecise_add(a, y, threshold=threshold, dtype=F16),
             backends,
         )
+
+
+def _rounded(bound):
+    """A unit's relative-error bound after the binary16 output rounding."""
+    return bound + UNIT_ROUNDOFF * (1.0 + bound)
+
+
+UNARY_SFUS = {
+    "rcp": "imprecise_reciprocal",
+    "rsqrt": "imprecise_rsqrt",
+    "sqrt": "imprecise_sqrt",
+    "log2": "imprecise_log2",
+}
+
+
+@pytest.mark.parametrize("op", list(UNARY_SFUS))
+def test_unary_sfu_parity_exhaustive(op, backends):
+    method = UNARY_SFUS[op]
+    _assert_parity(lambda be: getattr(be, method)(ALL_F16, dtype=F16),
+                   backends)
+
+
+@pytest.mark.parametrize("numerator", [1.0, -3.5, 1000.0, 0.0, np.inf,
+                                       np.nan])
+def test_divide_parity_all_divisors(numerator, backends):
+    a = np.full(ALL_F16.size, numerator, dtype=F16)
+    _assert_parity(lambda be: be.imprecise_divide(a, ALL_F16, dtype=F16),
+                   backends)
+
+
+def _check_bound(out, exact_fn, bound, flush_band):
+    """Worst relative error over positive normal inputs with a normal exact
+    result, against ``bound`` and for closeness to it.
+
+    Inputs the unit flushes to zero must be exactly the binary16 values in
+    ``flush_band`` (``(lo, hi)`` or None); they are left out of the bound.
+    """
+    __tracebackhide__ = True
+    x = ALL_F16.astype(np.float64)
+    positive = np.isfinite(x) & (x >= TINY)
+    exact = exact_fn(np.where(positive, x, 1.0))
+    domain = positive & (exact >= TINY) & (exact <= float(np.finfo(F16).max))
+    flushed = domain & (out == 0)
+    band = np.zeros_like(domain)
+    if flush_band is not None:
+        band = domain & (x >= flush_band[0]) & (x <= flush_band[1])
+    assert np.array_equal(flushed, band), x[flushed ^ band]
+    kept = domain & ~flushed
+    worst = float(np.max(np.abs(out[kept].astype(np.float64) - exact[kept])
+                         / exact[kept]))
+    limit = _rounded(bound)
+    assert 0.9 * limit <= worst <= limit, (worst, limit)
+
+
+#: (exact function, Chapter-4 bound, flush-to-zero input band)
+LINEAR_BOUNDS = {
+    # 1/x for x in [15880, 16384] is a normal number just above 2^-14, but
+    # the 5.9%-low approximation lands below 2^-14 and flushes to zero.
+    "rcp": (lambda x: 1.0 / x, RECIPROCAL_MAX_ERROR, (15880.0, 16384.0)),
+    "rsqrt": (lambda x: 1.0 / np.sqrt(x), RSQRT_MAX_ERROR, None),
+    "sqrt": (np.sqrt, SQRT_MAX_ERROR, None),
+}
+
+
+@pytest.mark.parametrize("op", list(LINEAR_BOUNDS))
+def test_linear_sfu_bound_exhaustive(op):
+    exact_fn, bound, band = LINEAR_BOUNDS[op]
+    out = getattr(get_backend("reference"), UNARY_SFUS[op])(ALL_F16, dtype=F16)
+    _check_bound(out, exact_fn, bound, band)
+
+
+def test_reciprocal_flush_band_size():
+    out = get_backend("reference").imprecise_reciprocal(ALL_F16, dtype=F16)
+    x = ALL_F16.astype(np.float64)
+    band = (x >= 15880.0) & (x <= 16384.0)
+    assert np.count_nonzero(band) == 64
+    assert not out[band].any()
+
+
+QUADRATIC_BOUNDS = {
+    # 1/16384 = 2^-14 exactly; the approximation lands just below it.
+    "rcp": (quadratic_reciprocal, lambda x: 1.0 / x, QUADRATIC_RCP_MAX_ERROR,
+            (16384.0, 16384.0)),
+    "rsqrt": (quadratic_rsqrt, lambda x: 1.0 / np.sqrt(x),
+              QUADRATIC_RSQRT_MAX_ERROR, None),
+    # sqrt = x * rsqrt(x) carries the rsqrt bound.
+    "sqrt": (quadratic_sqrt, np.sqrt, QUADRATIC_RSQRT_MAX_ERROR, None),
+}
+
+
+@pytest.mark.parametrize("op", list(QUADRATIC_BOUNDS))
+def test_quadratic_sfu_bound_exhaustive(op):
+    unit, exact_fn, bound, band = QUADRATIC_BOUNDS[op]
+    _check_bound(unit(ALL_F16, dtype=F16), exact_fn, bound, band)

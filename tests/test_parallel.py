@@ -293,7 +293,7 @@ class TestRunnerIntegration:
             telemetry.get_registry().clear()
             ctx = ArithmeticContext(
                 IHWConfig.all_imprecise().with_backend("threaded"))
-            ctx.op_timer = telemetry.make_op_timer()
+            ctx.drift_probe = telemetry.make_drift_probe()
             ctx.mul(np.float32(1.5), np.float32(2.5))
             telemetry.record_kernel("parallel-test", ctx)
             text = telemetry.get_registry().prometheus_text()

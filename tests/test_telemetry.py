@@ -204,7 +204,7 @@ class TestDriftProbe:
         probe = DriftProbe(sample_every=1, max_elements=16)
         probe.observe("mul", np.array([1.5]), lambda: np.array([1.0]))
         reg = MetricsRegistry()
-        probe.flush_into(reg, kernel="k")
+        probe.flush_into(reg, kernel="k", backend="reference")
         assert reg.counter("repro_drift_calls_total", kernel="k",
                            op="mul").value == 1
         assert reg.gauge("repro_drift_err_pct_max", agg="max", kernel="k",
@@ -215,11 +215,29 @@ class TestDriftProbe:
 # ----------------------------------------------------------------------
 # Off is a true no-op
 # ----------------------------------------------------------------------
-def _run_kernel_counts():
-    from repro.apps import hotspot
+# One config per dispatch mode of the context's unit table.
+DISPATCH_MODES = {
+    "table1": IHWConfig.all_imprecise(),
+    "fp_tr8": IHWConfig.all_imprecise().with_multiplier(
+        "mitchell", config="fp_tr8"),
+    "bt_8": IHWConfig.all_imprecise().with_multiplier(
+        "truncated", truncation=8),
+    "quadratic": IHWConfig.all_imprecise().with_sfu_mode("quadratic"),
+}
 
-    result = hotspot.run(IHWConfig.all_imprecise(), 12, 12, 3)
-    return dict(result.counters.arith)
+
+def _run_kernels(config):
+    """Counts and outputs of hotspot (FPU ops) and srad (div, rcp too)."""
+    from repro.apps import hotspot, srad
+
+    results = (hotspot.run(config, 12, 12, 3), srad.run(config, 16, 16, 3))
+    return ([dict(r.counters.arith) for r in results],
+            [r.output for r in results])
+
+
+def _series(snapshot, name):
+    return {(d["labels"]["kernel"], d["labels"]["op"]): d["value"]
+            for d in snapshot if d["name"] == name}
 
 
 class TestOffIsNoOp:
@@ -232,12 +250,20 @@ class TestOffIsNoOp:
         monkeypatch.setenv("REPRO_TELEMETRY", "bogus")
         assert telemetry.telemetry_mode() == "off"
 
-    def test_counts_identical_with_and_without_telemetry(self):
+    @pytest.mark.parametrize("mode", list(DISPATCH_MODES))
+    def test_counts_identical_with_and_without_telemetry(self, mode):
+        config = DISPATCH_MODES[mode]
         with telemetry.override("off"):
-            counts_off = _run_kernel_counts()
+            counts_off, outputs_off = _run_kernels(config)
         with telemetry.override("trace"):
-            counts_on = _run_kernel_counts()
+            counts_on, outputs_on = _run_kernels(config)
+            snapshot = telemetry.get_registry().drain()
         assert counts_off == counts_on
+        for off, on in zip(outputs_off, outputs_on):
+            assert np.array_equal(off, on)
+        calls = _series(snapshot, "repro_backend_op_calls_total")
+        assert calls
+        assert calls == _series(snapshot, "repro_drift_calls_total")
 
     def test_context_probe_never_touches_counts(self):
         a = np.linspace(0.5, 2.0, 32, dtype=np.float32)
