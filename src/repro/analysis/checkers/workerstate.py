@@ -3,8 +3,8 @@
 Generalizes the fork-safety heuristic (any module-level mutable
 container in a worker-imported layer) into a reachability query: flag
 only containers that are actually *written* by a function reachable
-from a worker entry point (``_evaluate_chunk`` and friends — see
-``AnalysisConfig.worker_entrypoint_names``, plus functions handed to a
+from a worker entry point (the runner's ``_evaluate_chunk`` — see
+``AnalysisConfig.worker_entrypoint_names`` — plus functions handed to a
 pool's ``.submit``).  A container nobody on the worker side mutates is
 a static table; one a worker writes without a module-level ``reset()``
 hook diverges silently between pool recycles and poisons retry and

@@ -95,9 +95,7 @@ class AnalysisConfig:
     )
     context_names: tuple = ("ctx", "context")
     backend_base_names: tuple = ("ComputeBackend",)
-    worker_entrypoint_names: tuple = (
-        "_evaluate_chunk", "_call_chunk",
-    )
+    worker_entrypoint_names: tuple = ("_evaluate_chunk",)
     worker_state_layers: tuple = ("core", "runtime")
     #: Populated by the engine: every layer directory found under the root.
     known_layers: frozenset = frozenset()

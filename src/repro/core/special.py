@@ -158,7 +158,8 @@ def imprecise_log2(x, dtype=np.float32) -> np.ndarray:
     """Approximate ``log2(x)`` as ``e + 0.9846 m - 0.9196`` for mantissa m.
 
     The relative error is unbounded near ``x = 1`` where the true logarithm
-    crosses zero (Table 1), but the absolute error stays below ~0.0155.
+    crosses zero (Table 1).  The absolute error is at most 0.065, reached
+    at every power of two, plus half an ulp of output rounding.
     """
     fmt = format_for_dtype(dtype)
     x = flush_subnormals(np.asarray(x, dtype=fmt.dtype), fmt)

@@ -229,29 +229,15 @@ def characterize_units(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     dtype=np.float32,
-    runner=None,
 ) -> dict:
-    """Characterize several Table-1 units, optionally in parallel.
-
-    ``names`` defaults to every Figure-8 panel.  With a
-    :class:`~repro.runtime.ExperimentRunner` the units fan out across
-    worker processes — each unit's full quasi-Monte-Carlo sweep runs
-    unchanged in one worker, so the PMFs are bit-identical to a
-    sequential run.
-    """
+    """Characterize several Table-1 units (default: every Figure-8 panel)."""
     names = list(names) if names is not None else sorted(UNIT_CHARACTERIZATIONS)
     unknown = [n for n in names if n not in UNIT_CHARACTERIZATIONS]
     if unknown:
         raise ValueError(
             f"unknown units {unknown}; expected from {sorted(UNIT_CHARACTERIZATIONS)}"
         )
-    if runner is None:
-        return {
-            name: characterize_unit(name, n_samples, seed, dtype) for name in names
-        }
-    tasks = [(name, n_samples, seed, dtype) for name in names]
-    pmfs = runner.map(characterize_unit, tasks, labels=names)
-    return dict(zip(names, pmfs))
+    return {name: characterize_unit(name, n_samples, seed, dtype) for name in names}
 
 
 def characterize_multiplier_configs(
@@ -259,25 +245,17 @@ def characterize_multiplier_configs(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     dtype=np.float32,
-    runner=None,
 ) -> dict:
     """Characterize several multiplier configurations (Figure-9 sweep).
 
     ``configs`` holds :class:`~repro.core.MultiplierConfig` objects or
     paper-style names (``"lp_tr19"``, ``"bt_21"``); the result maps each
-    configuration's label to its PMF.  Parallelism mirrors
-    :func:`characterize_units`.
+    configuration's label to its PMF.
     """
-    configs = list(configs)
-    if runner is None:
-        pmfs = [
-            characterize_multiplier_config(cfg, n_samples, seed, dtype)
-            for cfg in configs
-        ]
-    else:
-        tasks = [(cfg, n_samples, seed, dtype) for cfg in configs]
-        labels = [cfg if isinstance(cfg, str) else cfg.name for cfg in configs]
-        pmfs = runner.map(characterize_multiplier_config, tasks, labels=labels)
+    pmfs = (
+        characterize_multiplier_config(cfg, n_samples, seed, dtype)
+        for cfg in configs
+    )
     return {pmf.label: pmf for pmf in pmfs}
 
 

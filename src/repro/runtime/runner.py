@@ -1,8 +1,13 @@
 """Parallel, cached, fault-tolerant experiment execution.
 
-:class:`ExperimentRunner` is the one execution path shared by every
-multi-configuration consumer (framework sweeps, autotuner probes, Pareto
-studies, benchmarks, the CLI):
+:class:`ExperimentRunner` evaluates :class:`~repro.core.IHWConfig` objects
+against one :class:`~repro.runtime.spec.ExperimentSpec`, and is the one
+execution path shared by every consumer (``repro sweep``, framework
+``evaluate_many``, autotuner probes, Pareto studies, the service queue).
+It has one task path: :meth:`~ExperimentRunner.sweep` hands its cache
+misses to one dispatch loop, and :meth:`~ExperimentRunner.evaluate` runs
+one configuration through the same in-process retry loop that a
+sequential or degraded sweep uses:
 
 - each requested configuration is first looked up in the content-addressed
   :class:`~repro.runtime.cache.ResultCache` (when enabled);
@@ -20,7 +25,8 @@ governed by a :class:`~repro.runtime.policy.RetryPolicy`:
 - a task that raises is retried with exponential backoff + deterministic
   jitter; a failing task whose config selects a non-``reference`` compute
   backend first **falls back to the reference backend** (bit-identical by
-  the parity contract) and is counted loudly;
+  the parity contract) and is counted loudly — in a sweep and in
+  :meth:`~ExperimentRunner.evaluate` alike;
 - a lost pool (``BrokenProcessPool`` — worker crash, OOM kill) is rebuilt
   and only the unfinished work is requeued; after
   ``policy.pool_failure_limit`` consecutive losses the runner **degrades
@@ -43,7 +49,6 @@ worker, restored from cache, or recomputed on a retry.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -51,6 +56,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import faults, telemetry
 from repro.core.backends import default_backend_name
+from repro.core.backends.threads import (
+    cpu_count as default_worker_count,
+    pin_worker_threads,
+    resolve_thread_count,
+)
 
 from .cache import ResultCache, cache_from_env
 from .manifest import SweepManifest
@@ -58,14 +68,6 @@ from .policy import RetryPolicy
 from .stats import RunnerStats, TaskTiming
 
 __all__ = ["ExperimentRunner", "TaskFailedError", "default_worker_count"]
-
-
-def default_worker_count() -> int:
-    """Usable CPU count (affinity-aware where the platform supports it)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 class TaskFailedError(RuntimeError):
@@ -82,14 +84,13 @@ class TaskFailedError(RuntimeError):
 
 
 class _PendingTask:
-    """One unit of work moving through the fault-tolerant engine."""
+    """One configuration moving through the fault-tolerant engine."""
 
-    __slots__ = ("key", "label", "payload", "attempt", "fallback")
+    __slots__ = ("name", "config", "attempt", "fallback")
 
-    def __init__(self, key, label: str, payload):
-        self.key = key  # unique routing key (config name / map index)
-        self.label = label  # display + fault-injection key
-        self.payload = payload  # IHWConfig for sweeps, argument tuple for map
+    def __init__(self, name: str, config):
+        self.name = name  # routing, display and fault-injection key
+        self.config = config
         self.attempt = 0  # failures so far
         self.fallback = False  # switched to the reference backend
 
@@ -117,9 +118,12 @@ def _memo_framework(memo: dict, spec):
     return framework
 
 
-def _evaluate_spec(spec, config):
-    """One evaluation with per-process framework (and reference) reuse."""
-    framework = _memo_framework(_WORKER_FRAMEWORKS, spec)
+def _evaluate(memo: dict, spec, config):
+    """One timed evaluation, reusing the framework (and reference) in ``memo``.
+
+    Pool workers pass the module memo; the runner passes its own.
+    """
+    framework = _memo_framework(memo, spec)
     start = time.perf_counter()
     evaluation = framework.evaluate(config)
     return evaluation, time.perf_counter() - start
@@ -139,9 +143,7 @@ def _worker_init() -> None:
     ``backend_threads`` still wins over the pin, by design.
     """
     telemetry.reset()
-    from repro.core.backends import threads as backend_threads
-
-    backend_threads.pin_worker_threads()
+    pin_worker_threads()
 
 
 def _reclaim_scratch() -> int:
@@ -180,32 +182,12 @@ def _evaluate_chunk(spec, tasks):
                 injector.worker_task(name, attempt)
                 injector.task(name, attempt)
                 injector.backend(name, attempt, config.backend)
-            rows.append(("ok", name, _evaluate_spec(spec, config)))
+            rows.append(
+                ("ok", name, _evaluate(_WORKER_FRAMEWORKS, spec, config))
+            )
         except Exception as exc:
             rows.append(("err", name, _error_summary(exc)))
     _reclaim_scratch()
-    return rows, telemetry.drain_worker()
-
-
-def _call_chunk(func, tasks):
-    """Worker task for :meth:`ExperimentRunner.map`, same row protocol.
-
-    ``tasks`` is a tuple of ``(index, label, arguments, attempt)``; rows
-    are keyed by the index so results stay aligned with their labels no
-    matter how tasks fail, retry, or complete out of order.
-    """
-    injector = faults.active()
-    rows = []
-    for index, label, arguments, attempt in tasks:
-        try:
-            if injector is not None:
-                injector.worker_task(label, attempt)
-                injector.task(label, attempt)
-            start = time.perf_counter()
-            result = func(*arguments)
-            rows.append(("ok", index, (result, time.perf_counter() - start)))
-        except Exception as exc:
-            rows.append(("err", index, _error_summary(exc)))
     return rows, telemetry.drain_worker()
 
 
@@ -276,8 +258,6 @@ class ExperimentRunner:
         # Parent-process thread resolution for the threaded backend; pool
         # workers are pinned to 1 by _worker_init, so workers x threads
         # stays bounded by max(workers, threads).
-        from repro.core.backends.threads import resolve_thread_count
-
         telemetry.gauge_set("repro_backend_threads", resolve_thread_count())
 
     # ------------------------------------------------------------------
@@ -286,19 +266,16 @@ class ExperimentRunner:
     def evaluate(self, spec, config):
         """One cached evaluation, always in-process (autotuner probes).
 
-        Shares the sweep path's retry and backend-fallback behavior; a
-        probe against a flaky backend degrades to ``reference`` instead
-        of aborting an autotuning session.
+        Runs through the sweep's in-process retry loop, so a probe against
+        a flaky backend falls back to ``reference`` instead of aborting an
+        autotuning session.  ``self.stats`` keeps describing the last
+        sweep; the retry counters still reach telemetry.
         """
         cached = self.cache.get(spec, config) if self.cache else None
         if cached is not None:
             return cached
-        injector = faults.active()
-        task = _PendingTask(key="evaluate", label="evaluate", payload=config)
-        events = _new_events()
-        evaluation, seconds = self._run_inline_with_retry(
-            task, lambda t: self._evaluate_inline_guarded(spec, t, injector),
-            events,
+        evaluation, seconds = self._run_inline(
+            spec, _PendingTask("evaluate", config), RunnerStats()
         )
         if self.cache:
             self.cache.put(spec, config, evaluation, seconds)
@@ -319,12 +296,12 @@ class ExperimentRunner:
         """
         wall_start = time.perf_counter()
         injector = faults.active()
-        events = _new_events()
         results: dict = {}
         timings: dict = {}
         configs = dict(configs)
+        stats = RunnerStats(max_workers=self.max_workers,
+                            chunk_size=self._chunk_size_for(len(configs)))
         manifest = None
-        chunk_size = self._chunk_size_for(len(configs))
         if self.cache is not None:
             self.cache.cleanup_stale()
             # Manifests live under the cache root; a remote (HTTP) backend
@@ -335,19 +312,17 @@ class ExperimentRunner:
 
         def deliver(task, value, seconds):
             nonlocal completions
-            results[task.key] = value
-            timings[task.key] = TaskTiming(
-                task.key, seconds,
+            results[task.name] = value
+            timings[task.name] = TaskTiming(
+                task.name, seconds,
                 attempts=task.attempt + 1, fallback=task.fallback,
             )
-            if task.fallback:
-                events["fallback_notes"].append(task.key)
             if self.cache:
-                self.cache.put(spec, configs[task.key], value, seconds)
-                if injector is not None and injector.corrupt_cache(task.key):
-                    faults.corrupt_entry(self.cache, spec, configs[task.key])
+                self.cache.put(spec, configs[task.name], value, seconds)
+                if injector is not None and injector.corrupt_cache(task.name):
+                    faults.corrupt_entry(self.cache, spec, configs[task.name])
             if manifest is not None:
-                manifest.mark(task.key)
+                manifest.mark(task.name)
                 completions += 1
                 if completions % self.checkpoint_every == 0:
                     manifest.flush()
@@ -367,124 +342,44 @@ class ExperimentRunner:
                         if resume and manifest is not None and (
                             name in manifest.previously_completed
                         ):
-                            events["resumed_skipped"] += 1
+                            stats.resumed_skipped += 1
                     else:
-                        misses.append(_PendingTask(name, name, config))
-                chunk_size = self._chunk_size_for(len(misses))
+                        misses.append(_PendingTask(name, config))
+                stats.chunk_size = self._chunk_size_for(len(misses))
                 self._execute(
-                    tasks=misses,
-                    chunk_size=chunk_size,
-                    call_factory=lambda chunk: (
-                        _evaluate_chunk,
-                        spec,
-                        tuple((t.key, t.payload, t.attempt) for t in chunk),
-                    ),
-                    inline_call=lambda t: self._evaluate_inline_guarded(
-                        spec, t, injector
-                    ),
-                    prepare_retry=self._sweep_prepare_retry,
-                    deliver=deliver,
-                    events=events,
+                    spec, misses, stats, deliver,
                     parent_span_id=sweep_span["id"] if sweep_span else None,
                 )
         finally:
             _reclaim_scratch()
             if manifest is not None:
                 manifest.flush()
-            self.stats = self._build_stats(
-                wall_seconds=time.perf_counter() - wall_start,
-                chunk_size=chunk_size,
-                tasks=[timings[name] for name in configs if name in timings],
-                events=events,
-            )
-            telemetry.record_runner_stats(self.stats, app=spec.app)
-        return {name: results[name] for name in configs}
-
-    def map(self, func, argument_tuples, labels=None) -> list:
-        """Generic fan-out: ``[func(*args) for args in argument_tuples]``.
-
-        ``func`` must be a module-level (picklable) callable.  Used by the
-        characterization sweeps; results keep input order — including
-        across per-task failures and retries, which are routed by index —
-        and the run is recorded in ``self.stats`` (no caching here).
-        """
-        argument_tuples = list(argument_tuples)
-        labels = list(labels) if labels is not None else [
-            f"task{i}" for i in range(len(argument_tuples))
-        ]
-        if len(labels) != len(argument_tuples):
-            raise ValueError("labels and argument_tuples lengths differ")
-        wall_start = time.perf_counter()
-        injector = faults.active()
-        events = _new_events()
-        chunk_size = self._chunk_size_for(len(argument_tuples))
-        slots: list = [None] * len(argument_tuples)
-        timings: list = [None] * len(argument_tuples)
-
-        def inline_call(task):
-            if injector is not None:
-                injector.task(task.label, task.attempt)
-            start = time.perf_counter()
-            result = func(*task.payload)
-            return result, time.perf_counter() - start
-
-        def deliver(task, value, seconds):
-            slots[task.key] = value
-            timings[task.key] = TaskTiming(
-                task.label, seconds, attempts=task.attempt + 1
-            )
-
-        tasks = [
-            _PendingTask(index, label, arguments)
-            for index, (label, arguments) in enumerate(
-                zip(labels, argument_tuples)
-            )
-        ]
-        try:
-            with telemetry.span(
-                "map", func=getattr(func, "__name__", str(func)),
-                tasks=len(argument_tuples),
-            ) as map_span:
-                self._execute(
-                    tasks=tasks,
-                    chunk_size=chunk_size,
-                    call_factory=lambda chunk: (
-                        _call_chunk,
-                        func,
-                        tuple(
-                            (t.key, t.label, t.payload, t.attempt)
-                            for t in chunk
-                        ),
-                    ),
-                    inline_call=inline_call,
-                    prepare_retry=lambda task: "retry",
-                    deliver=deliver,
-                    events=events,
-                    parent_span_id=map_span["id"] if map_span else None,
+            stats.wall_seconds = time.perf_counter() - wall_start
+            stats.tasks = [timings[name] for name in configs if name in timings]
+            fell_back = sorted(t.name for t in stats.tasks if t.fallback)
+            if fell_back:
+                stats.notes.append(
+                    f"backend fell back to reference for: {', '.join(fell_back)}"
                 )
-        finally:
-            self.stats = self._build_stats(
-                wall_seconds=time.perf_counter() - wall_start,
-                chunk_size=chunk_size,
-                tasks=[t for t in timings if t is not None],
-                events=events,
-            )
-        return slots
+            self.stats = stats
+            telemetry.record_runner_stats(stats, app=spec.app)
+        return {name: results[name] for name in configs}
 
     # ------------------------------------------------------------------
     # Fault-tolerant execution engine
     # ------------------------------------------------------------------
-    def _execute(self, tasks, chunk_size, call_factory, inline_call,
-                 prepare_retry, deliver, events, parent_span_id=None):
+    def _execute(self, spec, tasks, stats, deliver, parent_span_id=None):
         """Drive every task to completion (or exhaust its retries).
 
         Tasks flow: queue -> dispatched chunk -> delivered, with failures
         looping back into the queue until ``policy.max_retries`` is
         spent.  ``max_workers == 1`` — or degradation after repeated pool
-        losses — drains the queue through ``inline_call`` instead: the
-        bit-identical sequential path.
+        losses — drains the queue through :meth:`_run_inline` instead:
+        the bit-identical sequential path.  Reliability events are
+        counted on ``stats``.
         """
         policy = self.policy
+        chunk_size = stats.chunk_size
         queue = deque(tasks)
         if not queue:
             return
@@ -495,17 +390,13 @@ class ExperimentRunner:
             max(1, math.ceil(len(tasks) / max(1, chunk_size))),
         )
         consecutive_pool_failures = 0
-        degraded = self.max_workers == 1
+        inline = self.max_workers == 1
         try:
             while queue or pending:
-                if degraded:
+                if inline:
                     while queue:
                         task = queue.popleft()
-                        value, seconds = self._run_inline_with_retry(
-                            task, inline_call, events,
-                            prepare_retry=prepare_retry,
-                        )
-                        deliver(task, value, seconds)
+                        deliver(task, *self._run_inline(spec, task, stats))
                     continue
                 if pool is None:
                     pool = ProcessPoolExecutor(
@@ -519,14 +410,14 @@ class ExperimentRunner:
                         and chunk[0].attempt == 0 and queue[0].attempt == 0
                     ):
                         chunk.append(queue.popleft())
+                    batch = tuple((t.name, t.config, t.attempt) for t in chunk)
                     try:
-                        future = pool.submit(*call_factory(chunk))
+                        future = pool.submit(_evaluate_chunk, spec, batch)
                     except BrokenProcessPool:
                         # A worker died while this round was still being
                         # dispatched; the chunk never ran, so it goes back
                         # uncharged and the pool is rebuilt below.
-                        self._requeue_chunk(chunk, queue, events,
-                                            reason="", charge_attempt=False)
+                        self._requeue_chunk(chunk, queue, stats)
                         pool_broken = True
                         break
                     deadline = policy.chunk_deadline_seconds(len(chunk))
@@ -550,42 +441,38 @@ class ExperimentRunner:
                     except BrokenProcessPool:
                         pool_broken = True
                         self._requeue_chunk(
-                            chunk, queue, events,
+                            chunk, queue, stats,
                             reason="worker process died (BrokenProcessPool)",
-                            charge_attempt=True,
                         )
                         continue
                     consecutive_pool_failures = 0
                     telemetry.absorb_worker(worker_telemetry,
                                             parent_id=parent_span_id)
-                    by_key = {task.key: task for task in chunk}
-                    for status, key, payload in rows:
-                        task = by_key[key]
+                    by_name = {task.name: task for task in chunk}
+                    for status, name, payload in rows:
+                        task = by_name[name]
                         if status == "ok":
                             deliver(task, *payload)
                         else:
-                            self._retry_or_raise(
-                                task, payload, queue, events, prepare_retry
-                            )
+                            self._retry_or_raise(task, payload, stats)
+                            queue.append(task)
 
                 if pool_broken:
                     # Every other in-flight future shares the dead pool.
                     for future, (chunk, _deadline) in pending.items():
                         self._requeue_chunk(
-                            chunk, queue, events,
+                            chunk, queue, stats,
                             reason="worker process died (BrokenProcessPool)",
-                            charge_attempt=True,
                         )
                     pending.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
                     consecutive_pool_failures += 1
-                    events["pool_rebuilds"] += 1
+                    stats.pool_rebuilds += 1
                     telemetry.counter_inc("repro_runtime_pool_rebuilds_total")
                     if consecutive_pool_failures >= policy.pool_failure_limit:
-                        degraded = True
-                        events["degraded"] = True
-                        events["notes"].append(
+                        inline = stats.degraded = True
+                        stats.notes.append(
                             f"degraded to sequential after "
                             f"{consecutive_pool_failures} consecutive pool "
                             "failures"
@@ -605,123 +492,91 @@ class ExperimentRunner:
                     # in-flight chunks are requeued as they were.
                     for future in expired:
                         chunk, _deadline = pending.pop(future)
-                        events["timeouts"] += 1
+                        stats.timeouts += 1
                         telemetry.counter_inc("repro_runtime_timeouts_total")
                         self._requeue_chunk(
-                            chunk, queue, events,
+                            chunk, queue, stats,
                             reason=(
                                 f"task deadline exceeded "
                                 f"({policy.task_timeout}s/task)"
                             ),
-                            charge_attempt=True,
                         )
                     for future, (chunk, _deadline) in pending.items():
-                        self._requeue_chunk(chunk, queue, events,
-                                            reason="", charge_attempt=False)
+                        self._requeue_chunk(chunk, queue, stats)
                     pending.clear()
                     _terminate_pool(pool)
                     pool = None
-                    events["pool_rebuilds"] += 1
+                    stats.pool_rebuilds += 1
                     telemetry.counter_inc("repro_runtime_pool_rebuilds_total")
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    def _requeue_chunk(self, chunk, queue, events, reason: str,
-                       charge_attempt: bool) -> None:
-        """Put a chunk's tasks back on the queue after a pool-level loss."""
-        for task in chunk:
-            if charge_attempt:
-                self._retry_or_raise(task, reason, queue, events,
-                                     prepare_retry=None, backoff=False)
-            else:
-                queue.append(task)
-
-    def _retry_or_raise(self, task, error: str, queue, events,
-                        prepare_retry=None, backoff: bool = True) -> None:
-        """Charge one failed attempt; requeue with backoff or give up."""
-        task.attempt += 1
-        if task.attempt > self.policy.max_retries:
-            raise TaskFailedError(task.label, task.attempt, error)
-        kind = prepare_retry(task) if prepare_retry is not None else "retry"
-        events["retries"] += 1
-        telemetry.counter_inc("repro_runtime_retries_total", kind=kind)
-        if kind == "backend-fallback":
-            events["fallbacks"] += 1
-            telemetry.counter_inc("repro_runtime_fallbacks_total",
-                                  kind="backend")
-        if backoff:
-            delay = self.policy.backoff_seconds(task.label, task.attempt)
-            if delay > 0:
-                time.sleep(delay)
-        queue.append(task)
-
-    def _run_inline_with_retry(self, task, inline_call, events,
-                               prepare_retry=None):
-        """Sequential execution of one task, same retry/fallback rules."""
+    def _run_inline(self, spec, task, stats):
+        """In-process execution of one task: retry in place until it
+        succeeds or exhausts its budget, under the same fallback rule."""
+        injector = faults.active()
         while True:
             try:
-                return inline_call(task)
+                if injector is not None:
+                    injector.task(task.name, task.attempt)
+                    injector.backend(task.name, task.attempt,
+                                     task.config.backend)
+                return _evaluate(self._frameworks, spec, task.config)
             except Exception as exc:
-                # Inline retry loop: requeue-to-self (the deque-based
-                # engine handles pool dispatch; here the task just spins
-                # in place until it succeeds or exhausts its budget).
-                local: deque = deque()
-                self._retry_or_raise(task, _error_summary(exc), local,
-                                     events, prepare_retry)
+                self._retry_or_raise(task, _error_summary(exc), stats)
+
+    def _requeue_chunk(self, chunk, queue, stats, reason=None) -> None:
+        """Put a chunk's tasks back on the queue after a pool-level loss.
+
+        With a ``reason`` every task is charged an attempt (the pool died
+        under it or its deadline expired); without one it goes back
+        uncharged.
+        """
+        for task in chunk:
+            if reason is not None:
+                self._retry_or_raise(task, reason, stats, pool_loss=True)
+            queue.append(task)
+
+    def _retry_or_raise(self, task, error: str, stats,
+                        pool_loss: bool = False) -> None:
+        """Charge one failed attempt, or raise once the budget is spent.
+
+        A task failure backs off and falls back to ``reference`` (see
+        :meth:`_fall_back`); a pool loss does neither — the pool failed,
+        not the task.
+        """
+        task.attempt += 1
+        if task.attempt > self.policy.max_retries:
+            raise TaskFailedError(task.name, task.attempt, error)
+        kind = "retry" if pool_loss else self._fall_back(task)
+        stats.retries += 1
+        telemetry.counter_inc("repro_runtime_retries_total", kind=kind)
+        if kind == "backend-fallback":
+            stats.fallbacks += 1
+            telemetry.counter_inc("repro_runtime_fallbacks_total",
+                                  kind="backend")
+        if not pool_loss:
+            delay = self.policy.backoff_seconds(task.name, task.attempt)
+            if delay > 0:
+                time.sleep(delay)
 
     @staticmethod
-    def _sweep_prepare_retry(task) -> str:
-        """Classify a sweep retry: flaky non-reference backends fall back.
+    def _fall_back(task) -> str:
+        """Classify a task retry: flaky non-reference backends fall back.
 
         Any failure of a task whose config selects a non-``reference``
         compute backend (a ``None`` selection resolves to the process
         default) retries on ``reference`` — the parity contract makes the
         results bit-identical, so trading speed for certainty is always
-        sound mid-sweep.
+        sound.
         """
-        config = task.payload
-        backend = getattr(config, "backend", None) or default_backend_name()
+        backend = task.config.backend or default_backend_name()
         if backend != "reference":
-            task.payload = config.with_backend("reference")
+            task.config = task.config.with_backend("reference")
             task.fallback = True
             return "backend-fallback"
         return "retry"
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _evaluate_inline_guarded(self, spec, task, injector):
-        """Inline evaluation with the process-agnostic fault guards."""
-        if injector is not None:
-            injector.task(task.label, task.attempt)
-            injector.backend(task.label, task.attempt, task.payload.backend)
-        return self._evaluate_inline(spec, task.payload)
-
-    def _evaluate_inline(self, spec, config):
-        framework = _memo_framework(self._frameworks, spec)
-        start = time.perf_counter()
-        evaluation = framework.evaluate(config)
-        return evaluation, time.perf_counter() - start
-
-    def _build_stats(self, wall_seconds, chunk_size, tasks, events):
-        notes = list(events["notes"])
-        if events["fallback_notes"]:
-            fell_back = ", ".join(sorted(events["fallback_notes"]))
-            notes.append(f"backend fell back to reference for: {fell_back}")
-        return RunnerStats(
-            wall_seconds=wall_seconds,
-            max_workers=self.max_workers,
-            chunk_size=chunk_size,
-            tasks=tasks,
-            retries=events["retries"],
-            fallbacks=events["fallbacks"],
-            timeouts=events["timeouts"],
-            pool_rebuilds=events["pool_rebuilds"],
-            degraded=events["degraded"],
-            resumed_skipped=events["resumed_skipped"],
-            notes=notes,
-        )
 
     def _chunk_size_for(self, n_tasks: int) -> int:
         if self.chunk_size is not None:
@@ -729,16 +584,3 @@ class ExperimentRunner:
         if n_tasks <= 0 or self.max_workers == 1:
             return 1
         return max(1, math.ceil(n_tasks / (self.max_workers * 2)))
-
-
-def _new_events() -> dict:
-    return {
-        "retries": 0,
-        "fallbacks": 0,
-        "timeouts": 0,
-        "pool_rebuilds": 0,
-        "degraded": False,
-        "resumed_skipped": 0,
-        "notes": [],
-        "fallback_notes": [],
-    }

@@ -1,9 +1,9 @@
 """Timing and cache statistics of one runner invocation.
 
-Every :meth:`repro.runtime.ExperimentRunner.sweep` (and ``map``) call
-produces a :class:`RunnerStats`: wall time, per-task latencies, how many
-results came from the cache, and the estimated speedup over a one-task-at-
-a-time execution.  The CLI and :mod:`repro.reporting` render its
+Every :meth:`repro.runtime.ExperimentRunner.sweep` call produces a
+:class:`RunnerStats`: wall time, per-task latencies, how many results came
+from the cache, and the estimated speedup over a one-task-at-a-time
+execution.  The CLI and :mod:`repro.reporting` render its
 :meth:`~RunnerStats.summary`; benchmarks persist :meth:`~RunnerStats.to_dict`.
 """
 

@@ -14,8 +14,8 @@ service instance (``repro serve``) exposes:
   :class:`~repro.runtime.HTTPCacheBackend`, so N boxes converge on one
   cache with zero recomputation;
 - ``/healthz`` / ``/readyz`` / ``/drainz`` — liveness, readiness
-  (queue depth, draining, degraded backends — what fleet placement
-  routes on), and graceful drain;
+  (queue depth, draining — what fleet placement routes on), and
+  graceful drain;
 - ``/queuez`` / ``/metricsz`` — queue depths and counters, and
   Prometheus metrics.
 

@@ -125,7 +125,6 @@ class SweepQueue:
         self._paused.set()  # set = running; cleared = paused
         self._stopping = False
         self._draining = False
-        self._degraded = False  # any runner finished on the inline path
 
         self.executions = 0  # runner.sweep calls
         self.completed = 0  # items delivered successfully
@@ -195,7 +194,6 @@ class SweepQueue:
                 "coalesced": self.coalesced,
                 "paused": not self._paused.is_set(),
                 "draining": self._draining,
-                "degraded": self._degraded,
                 "journal": self.journal is not None,
             }
 
@@ -203,11 +201,6 @@ class SweepQueue:
     def draining(self) -> bool:
         with self._lock:
             return self._draining
-
-    @property
-    def degraded(self) -> bool:
-        with self._lock:
-            return self._degraded
 
     def start_draining(self) -> None:
         """Stop admitting new work; in-flight items run to completion."""
@@ -305,13 +298,6 @@ class SweepQueue:
                 error = exc
         telemetry.histogram_observe("repro_service_execute_seconds",
                                     time.perf_counter() - start)
-        if runner.stats is not None and runner.stats.degraded:
-            # The pool was lost and this sweep finished on the sequential
-            # inline path.  Results stay bit-identical, but the node's
-            # throughput is compromised — readiness reports it so fleet
-            # placement can prefer healthy peers.
-            with self._lock:
-                self._degraded = True
         for item in batch:
             self._deliver(item, error)
 

@@ -269,13 +269,10 @@ class SweepService:
             reasons.append("draining")
         if snapshot["inflight"] >= snapshot["max_pending"]:
             reasons.append("queue-full")
-        if snapshot["degraded"]:
-            reasons.append("degraded-backend")
         return {
             "ready": not reasons,
             "reasons": reasons,
             "draining": snapshot["draining"],
-            "degraded": snapshot["degraded"],
             "pending": snapshot["pending"],
             "inflight": snapshot["inflight"],
             "max_pending": snapshot["max_pending"],

@@ -11,6 +11,8 @@ import repro
 from repro.analysis import (
     AnalysisConfig,
     SuppressionIndex,
+    build_program,
+    discover_modules,
     load_baseline,
     make_fingerprint,
     run_analysis,
@@ -664,6 +666,17 @@ class TestWorkerState:
         report = run_analysis(root, config)
         assert report.ok
         assert report.suppressed == 2
+
+
+    def test_real_worker_entrypoints_resolve(self):
+        # A renamed entry point would silently switch the checker off.
+        root = Path(repro.__file__).parent
+        config = AnalysisConfig()
+        program = build_program(discover_modules(root), config)
+        names = {fn.name for fn in program.functions.values()}
+        assert set(config.worker_entrypoint_names) <= names
+        assert ("runtime/runner.py::_evaluate_chunk"
+                in program.worker_entrypoints)
 
 
 # ----------------------------------------------------------------------

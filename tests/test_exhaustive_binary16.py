@@ -8,7 +8,9 @@ to it, so a loose bound shows).  The adder also depends on the exponent
 difference ``d`` and the effective operation, so its grid is swept at the
 ``d`` on either side of each threshold.  The unary SFUs take one operand,
 so all 65,536 binary16 bit patterns are their whole input space; the
-divider runs over every divisor for a few numerators.  On every grid, the
+divider runs over every divisor for a few numerators.  The linear log2's
+absolute-error bound is checked on every positive normal binary16 input
+and on every binary32 power of two, where its maximum falls.  On every grid, the
 fused kernel (``FusedBackend``) and ``threaded`` must equal ``reference``
 bit for bit.
 """
@@ -18,6 +20,7 @@ import pytest
 
 from repro.core import (
     IMPRECISE_MULTIPLY_MAX_ERROR,
+    LOG2_COEFFS,
     QUADRATIC_RCP_MAX_ERROR,
     QUADRATIC_RSQRT_MAX_ERROR,
     RECIPROCAL_MAX_ERROR,
@@ -231,3 +234,50 @@ QUADRATIC_BOUNDS = {
 def test_quadratic_sfu_bound_exhaustive(op):
     unit, exact_fn, bound, band = QUADRATIC_BOUNDS[op]
     _check_bound(unit(ALL_F16, dtype=F16), exact_fn, bound, band)
+
+
+def _log2_formula_max():
+    """Largest ``|c1 m + c0 - log2 m|`` over the mantissa range [1, 2).
+
+    The error is convex in ``m`` (its second derivative is
+    ``1 / (m^2 ln 2) > 0``), so the maximum of its magnitude sits at an
+    endpoint or, with the opposite sign, at the stationary point
+    ``m = 1 / (c1 ln 2)``.  It is ``c1 + c0 = 0.065`` at ``m = 1``.
+    """
+    c0, c1 = LOG2_COEFFS
+    m = np.array([1.0, 2.0, 1.0 / (c1 * np.log(2.0))])
+    return float(np.max(np.abs(c1 * m + c0 - np.log2(m))))
+
+
+#: Coefficient and evaluation rounding of ``e + c1 m + c0`` in float64
+#: for ``|e| <= 150``: the coefficients' representation and three
+#: roundings, each at most 2^-53 of a value below 2^8.
+LOG2_EVAL_SLACK = 2.0 ** -44
+LOG2_MAX_ABS_ERROR = _log2_formula_max() + LOG2_EVAL_SLACK
+
+
+def _log2_worst(x, dtype):
+    """Worst absolute log2 error over ``x``; every lane must stay within
+    the formula bound plus half an output ulp (round to nearest)."""
+    __tracebackhide__ = True
+    out = get_backend("reference").imprecise_log2(x.astype(dtype), dtype=dtype)
+    err = np.abs(out.astype(np.float64) - np.log2(x.astype(np.float64)))
+    half_ulp = np.spacing(np.abs(out)).astype(np.float64) / 2
+    over = err > LOG2_MAX_ABS_ERROR + half_ulp
+    assert not over.any(), x[over]
+    return float(err.max())
+
+
+def test_log2_bound_every_positive_normal_binary16():
+    x = ALL_F16[np.isfinite(ALL_F16) & (ALL_F16 >= TINY)]
+    assert x.size == 30 * (1 << MANTISSA_BITS)
+    worst = _log2_worst(x, F16)
+    # |log2 x| < 16, so the output rounds by at most 2^-8 (half an ulp).
+    assert _log2_formula_max() <= worst <= LOG2_MAX_ABS_ERROR + 2.0 ** -8
+
+
+def test_log2_bound_every_binary32_power_of_two():
+    x = np.ldexp(np.float32(1.0), np.arange(-126, 128))
+    worst = _log2_worst(x, np.float32)
+    # |log2 x| < 128, so the output rounds by at most 2^-18 (half an ulp).
+    assert _log2_formula_max() <= worst <= LOG2_MAX_ABS_ERROR + 2.0 ** -18

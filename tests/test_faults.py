@@ -198,6 +198,22 @@ class TestTransientRetry:
         by_name = {t.name: t for t in runner.stats.tasks}
         assert by_name["cfg02"].attempts == 2
 
+    def test_sequential_sweep_retries_and_completes(self, tmp_path):
+        configs = make_configs(4)
+        clean = ExperimentRunner(max_workers=1, cache=None).sweep(SPEC, configs)
+        with faults.injection("transient:match=cfg02,times=1"):
+            runner = ExperimentRunner(
+                max_workers=1, cache=ResultCache(tmp_path),
+                policy=fast_policy(max_retries=1),
+            )
+            results = runner.sweep(SPEC, configs)
+        assert list(results) == list(configs)
+        assert runner.stats.retries == 1
+        by_name = {t.name: t for t in runner.stats.tasks}
+        assert by_name["cfg02"].attempts == 2
+        assert all(by_name[n].attempts == 1 for n in configs if n != "cfg02")
+        assert_results_identical(clean, results)
+
     def test_exhausted_retries_raise_task_failed(self, tmp_path):
         with faults.injection("transient:match=cfg01,times=99"):
             runner = ExperimentRunner(
@@ -339,6 +355,24 @@ class TestBackendFallback:
         by_name = {t.name: t for t in runner.stats.tasks}
         assert all(by_name[n].fallback for n in configs)
         assert_results_identical(clean, results)
+
+    def test_evaluate_falls_back_to_reference(self, tmp_path):
+        """``evaluate`` shares the sweep's retry loop and fallback rule."""
+        config = IHWConfig.all_imprecise().with_backend("threaded")
+        clean = ExperimentRunner(max_workers=1, cache=None).evaluate(
+            SPEC, config.with_backend("reference")
+        )
+        with faults.injection("flaky-backend:times=3"):
+            runner = ExperimentRunner(
+                max_workers=1, cache=ResultCache(tmp_path),
+                policy=fast_policy(max_retries=2),
+            )
+            evaluation = runner.evaluate(SPEC, config)
+        # Parity contract: the fallback result is bit-identical.
+        assert_results_identical({"evaluate": clean},
+                                 {"evaluate": evaluation})
+        assert evaluation.breakdown.watts == clean.breakdown.watts
+        assert (evaluation.output == clean.output).all()
 
     def test_fallback_result_serves_the_original_cache_key(self, tmp_path):
         configs = {"only": IHWConfig.all_imprecise().with_backend("threaded")}

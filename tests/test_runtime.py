@@ -21,7 +21,6 @@ from repro.runtime import (
     ExperimentRunner,
     ExperimentSpec,
     ResultCache,
-    RetryPolicy,
     RunnerStats,
     TaskTiming,
     cache_disabled,
@@ -293,19 +292,6 @@ class TestParetoIntegration:
 
 
 class TestCharacterizeIntegration:
-    def test_parallel_matches_sequential(self):
-        from repro.erroranalysis import characterize_units
-
-        names = ["ifpmul", "ircp"]
-        seq = characterize_units(names, n_samples=2048)
-        par = characterize_units(
-            names, n_samples=2048, runner=ExperimentRunner(max_workers=2)
-        )
-        assert set(seq) == set(par) == set(names)
-        for name in names:
-            assert np.array_equal(seq[name].bins, par[name].bins)
-            assert np.array_equal(seq[name].probabilities, par[name].probabilities)
-
     def test_multiplier_configs(self):
         from repro.erroranalysis import characterize_multiplier_configs
 
@@ -433,53 +419,3 @@ class TestDefaultWorkerCount:
         survivor = specs[-_FRAMEWORK_MEMO_CAP]
         kept = memo[survivor]
         assert _memo_framework(memo, survivor) is kept
-
-
-# ----------------------------------------------------------------------
-# map(): label alignment across failures and retries
-# ----------------------------------------------------------------------
-def _flaky_square(x):
-    """Module-level (picklable) map target; fails via injected faults."""
-    return x * x
-
-
-class TestMapRetryAlignment:
-    def test_results_stay_aligned_when_some_tasks_retry(self):
-        from repro import faults
-
-        labels = [f"item{i}" for i in range(6)]
-        arguments = [(i,) for i in range(6)]
-        # Fail item1 and item4 once each: both succeed on retry, and the
-        # result list must still line up with the inputs.
-        with faults.injection("transient:match=item1,times=1;"
-                              "transient:match=item4,times=1"):
-            runner = ExperimentRunner(
-                max_workers=2, cache=None,
-                policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-            )
-            results = runner.map(_flaky_square, arguments, labels=labels)
-        assert results == [i * i for i in range(6)]
-        assert runner.stats.retries == 2
-        by_name = {t.name: t for t in runner.stats.tasks}
-        assert by_name["item1"].attempts == 2
-        assert by_name["item4"].attempts == 2
-        assert by_name["item0"].attempts == 1
-
-    def test_sequential_map_alignment_with_retries(self):
-        from repro import faults
-
-        labels = [f"s{i}" for i in range(4)]
-        with faults.injection("transient:match=s2,times=1"):
-            runner = ExperimentRunner(
-                max_workers=1, cache=None,
-                policy=RetryPolicy(max_retries=1, backoff_base=0.0),
-            )
-            results = runner.map(_flaky_square, [(i,) for i in range(4)],
-                                 labels=labels)
-        assert results == [0, 1, 4, 9]
-        assert runner.stats.retries == 1
-
-    def test_label_length_mismatch_rejected(self):
-        runner = ExperimentRunner(max_workers=1, cache=None)
-        with pytest.raises(ValueError):
-            runner.map(_flaky_square, [(1,), (2,)], labels=["only-one"])

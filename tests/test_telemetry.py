@@ -375,20 +375,21 @@ class TestEndToEnd:
         ).value
         assert misses == len(SWEEP)
 
-    def test_sequential_map_preserves_buffered_telemetry(self):
-        # The in-process map path must not drain the parent's buffers the
-        # way a worker chunk does.
+    def test_sequential_sweep_preserves_buffered_telemetry(self):
+        # The in-process sweep path must not drain the parent's buffers
+        # the way a worker chunk does.
         with telemetry.override("trace"):
             telemetry.counter_inc("repro_preexisting_total")
             with telemetry.span("preexisting"):
                 pass
             runner = ExperimentRunner(max_workers=1, cache=None)
-            assert runner.map(abs, [(-1,), (2,)]) == [1, 2]
+            results = runner.sweep(HOTSPOT, {"precise": IHWConfig.precise()})
+            assert list(results) == ["precise"]
             names = [s["name"] for s in telemetry.get_tracer().spans()]
             counter = telemetry.get_registry().counter(
                 "repro_preexisting_total"
             )
-            assert "preexisting" in names and "map" in names
+            assert "preexisting" in names and "sweep" in names
             assert counter.value == 1
 
     def test_flush_merges_metrics_and_appends_trace(self, tmp_path,
