@@ -101,7 +101,7 @@ def test_runtime_sweep(benchmark, tmp_path):
         "warm_speedup": round(warm_speedup, 1),
         "cache_hit_rate": warm_runner.stats.hit_rate,
     }
-    path = write_bench_json("runtime", payload)
+    path = write_bench_json("runtime", payload, update=True)
 
     benchmark.extra_info.update(payload)
     emit("Runtime: 12-config HotSpot sweep (64x64x30)", [

@@ -14,6 +14,13 @@ sequential or degraded sweep uses:
 - the misses fan out over a ``concurrent.futures.ProcessPoolExecutor`` in
   chunks, each worker memoizing a bounded LRU of frameworks (and thus one
   precise reference run) per :class:`~repro.runtime.spec.ExperimentSpec`;
+- the pool is built on the first pooled sweep and kept for the runner's
+  later sweeps, so its workers import the app and quality modules and
+  fill their memos once per runner, not once per sweep.  It is replaced
+  when it is lost or terminated, when a sweep aborts, when a sweep needs
+  more workers than it has, or when the ``REPRO_*`` environment the
+  workers were forked with has changed; dropping the runner shuts its
+  workers down;
 - ``max_workers=1`` degrades to a fully in-process sequential path —
   no pool, no pickling — so results stay bit-identical and debuggable;
 - per-task compute time is captured either way and aggregated into a
@@ -49,6 +56,7 @@ worker, restored from cache, or recomputed on a retry.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -103,7 +111,7 @@ class _PendingTask:
 #: reference run, which can hold a large output array).
 _FRAMEWORK_MEMO_CAP = 8
 
-# repro-lint: disable=fork-safety,worker-state -- per-process memo, rebuilt from the spec on first use
+# repro-lint: disable=fork-safety,worker-state -- per-process memo kept for the worker's life (one runner's pool), rebuilt from the spec on first use
 _WORKER_FRAMEWORKS: dict = {}
 
 
@@ -191,20 +199,9 @@ def _evaluate_chunk(spec, tasks):
     return rows, telemetry.drain_worker()
 
 
-def _terminate_pool(pool) -> None:
-    """Tear a pool down even when its workers are hung.
-
-    ``shutdown`` alone would join a hung worker forever, so the worker
-    processes are terminated first.  Touches the executor's private
-    process table — there is no public kill switch — guarded so a future
-    stdlib reshape degrades to a plain shutdown.
-    """
-    for process in list(getattr(pool, "_processes", {}).values() or []):
-        try:
-            process.terminate()
-        except OSError:
-            pass  # already gone
-    pool.shutdown(wait=False, cancel_futures=True)
+def _repro_environ() -> dict:
+    """The ``REPRO_*`` variables a forked worker reads its settings from."""
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
 
 
 class ExperimentRunner:
@@ -255,6 +252,11 @@ class ExperimentRunner:
         self.checkpoint_every = checkpoint_every
         self.stats = RunnerStats(max_workers=self.max_workers)
         self._frameworks: dict = {}
+        # The kept pool, built by the first pooled sweep: (executor,
+        # worker count, the REPRO_* environment its workers inherited).
+        self._pool = None
+        self._pool_workers = 0
+        self._pool_environ: dict = {}
         # Parent-process thread resolution for the threaded backend; pool
         # workers are pinned to 1 by _worker_init, so workers x threads
         # stays bounded by max(workers, threads).
@@ -391,6 +393,7 @@ class ExperimentRunner:
         )
         consecutive_pool_failures = 0
         inline = self.max_workers == 1
+        finished = False
         try:
             while queue or pending:
                 if inline:
@@ -399,9 +402,7 @@ class ExperimentRunner:
                         deliver(task, *self._run_inline(spec, task, stats))
                     continue
                 if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=_worker_init
-                    )
+                    pool = self._acquire_pool(workers)
                 pool_broken = False
                 while queue:
                     chunk = [queue.popleft()]
@@ -465,7 +466,7 @@ class ExperimentRunner:
                             reason="worker process died (BrokenProcessPool)",
                         )
                     pending.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._drop_pool()
                     pool = None
                     consecutive_pool_failures += 1
                     stats.pool_rebuilds += 1
@@ -504,13 +505,58 @@ class ExperimentRunner:
                     for future, (chunk, _deadline) in pending.items():
                         self._requeue_chunk(chunk, queue, stats)
                     pending.clear()
-                    _terminate_pool(pool)
+                    self._drop_pool(terminate=True)
                     pool = None
                     stats.pool_rebuilds += 1
                     telemetry.counter_inc("repro_runtime_pool_rebuilds_total")
+            finished = True
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            if not finished:
+                # An aborted sweep can leave chunks running, or the pool
+                # broken, so the next sweep starts from a fresh pool.
+                self._drop_pool()
+
+    def _acquire_pool(self, workers: int):
+        """The kept pool, (re)built when it is missing or no longer fits.
+
+        A kept pool is replaced when it has fewer than ``workers``
+        processes, or when the ``REPRO_*`` environment differs from the
+        one its workers were forked with: workers read their faults,
+        telemetry mode and backend from that environment, so a pool
+        forked outside ``faults.injection`` would never see its faults.
+        """
+        environ = _repro_environ()
+        if self._pool is not None and (
+            self._pool_workers < workers or self._pool_environ != environ
+        ):
+            self._drop_pool()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init
+            )
+            self._pool_workers, self._pool_environ = workers, environ
+        return self._pool
+
+    def _drop_pool(self, terminate: bool = False) -> None:
+        """Shut the kept pool down; the next pooled sweep builds a new one.
+
+        ``terminate`` tears it down even when its workers are hung:
+        ``shutdown`` alone would join a hung worker forever, so the worker
+        processes are terminated first.  That touches the executor's
+        private process table — there is no public kill switch — guarded
+        so a future stdlib reshape degrades to a plain shutdown.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if terminate:
+            processes = getattr(pool, "_processes", None) or {}
+            for process in list(processes.values()):
+                try:
+                    process.terminate()
+                except OSError:
+                    pass  # already gone
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_inline(self, spec, task, stats):
         """In-process execution of one task: retry in place until it

@@ -301,6 +301,26 @@ class TestWorkerCrashRecovery:
         assert runner.stats.pool_rebuilds == 1
         assert runner.stats.retries == 0  # the unsent chunk is not charged
 
+    def test_faults_armed_after_a_clean_sweep_reach_kept_workers(self):
+        # Workers read REPRO_FAULTS from the environment they were forked
+        # with, so a pool kept from a clean sweep must not serve a sweep
+        # run inside faults.injection.
+        configs = {
+            "precise": IHWConfig.precise(),
+            "add": IHWConfig.units("add"),
+            "mul": IHWConfig.units("mul"),
+            "all": IHWConfig.all_imprecise(),
+        }
+        runner = ExperimentRunner(max_workers=2, cache=None,
+                                  policy=fast_policy())
+        clean = runner.sweep(SPEC, configs)
+        assert runner.stats.pool_rebuilds == 0
+        with faults.injection("crash:match=add,times=1"):
+            disturbed = runner.sweep(SPEC, configs)
+        assert runner.stats.pool_rebuilds == 1
+        assert runner.stats.retries >= 1
+        assert_results_identical(clean, disturbed)
+
 
 class TestHangTimeout:
     def test_hung_worker_terminated_and_task_retried(self, tmp_path):

@@ -6,14 +6,18 @@ and anything the cache cannot faithfully serve (corrupted, stale, or
 truncated entries) is recomputed, never served.
 """
 
+import gc
 import json
+import multiprocessing
 import os
 import time
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import IHWConfig
+from repro.core.config import config_family
 from repro.framework import PowerQualityFramework
 from repro.quality import MultiplierAutoTuner, sweep_design_points
 from repro.runtime import (
@@ -21,6 +25,7 @@ from repro.runtime import (
     ExperimentRunner,
     ExperimentSpec,
     ResultCache,
+    RetryPolicy,
     RunnerStats,
     TaskTiming,
     cache_disabled,
@@ -39,6 +44,18 @@ SWEEP = {
     "mul": IHWConfig.units("mul"),
     "all": IHWConfig.all_imprecise(),
 }
+
+#: The six apps of the end-to-end ``units`` sweep, at toy size.
+APP_SPECS = [
+    ExperimentSpec.create("hotspot", metric="mae", rows=16, cols=16,
+                          iterations=4),
+    ExperimentSpec.create("srad", metric="mae", rows=16, cols=16,
+                          iterations=4),
+    ExperimentSpec.create("raytracing", metric="ssim", width=16, height=16),
+    ExperimentSpec.create("cp", metric="mae", grid=12),
+    ExperimentSpec.create("dct", metric="mae", size=16),
+    ExperimentSpec.create("blackscholes", metric="mae", n_options=64),
+]
 
 
 def assert_evaluations_identical(a, b):
@@ -90,6 +107,20 @@ class TestParallelSequentialIdentity:
         for name in SWEEP:
             assert_evaluations_identical(seq[name], par[name])
 
+    def test_reused_workers_bit_identical_on_every_app(self):
+        # The second sweep of each app runs in workers that already hold
+        # every app's framework, reference run and backend scratch.
+        configs = config_family("units")
+        sequential = ExperimentRunner(max_workers=1, cache=None)
+        pooled = ExperimentRunner(max_workers=2, cache=None)
+        for spec in APP_SPECS:
+            seq = sequential.sweep(spec, configs)
+            for _ in range(2):
+                par = pooled.sweep(spec, configs)
+                assert list(par) == list(configs)
+                for name in configs:
+                    assert_evaluations_identical(seq[name], par[name])
+
     def test_stats_capture(self):
         runner = ExperimentRunner(max_workers=1, cache=None)
         runner.sweep(HOTSPOT, SWEEP)
@@ -100,6 +131,54 @@ class TestParallelSequentialIdentity:
         assert all(t.seconds > 0 for t in stats.tasks)
         assert "hit rate" in stats.summary()
         assert stats.to_dict()["n_tasks"] == len(SWEEP)
+
+
+def _new_children(known: set) -> dict:
+    """``{pid: process}`` of live child processes not in ``known``."""
+    return {p.pid: p for p in multiprocessing.active_children()
+            if p.pid not in known}
+
+
+class TestKeptPool:
+    """One runner keeps one pool across its sweeps until it is dropped."""
+
+    def test_sweeps_share_workers_until_the_runner_is_dropped(self):
+        known = set(_new_children(set()))
+        runner = ExperimentRunner(max_workers=2, cache=None)
+        runner.sweep(HOTSPOT, SWEEP)
+        first = _new_children(known)
+        runner.sweep(SRAD, SWEEP)
+        assert len(first) == 2
+        assert set(_new_children(known)) == set(first)
+        del runner
+        gc.collect()
+        deadline = time.monotonic() + 30
+        while any(p.is_alive() for p in first.values()):
+            assert time.monotonic() < deadline, "workers outlived the runner"
+            time.sleep(0.05)
+
+    def test_pool_lost_to_a_crash_is_replaced_on_the_next_sweep(self):
+        clean = ExperimentRunner(max_workers=1, cache=None).sweep(
+            HOTSPOT, SWEEP
+        )
+        known = set(_new_children(set()))
+        runner = ExperimentRunner(max_workers=2, cache=None,
+                                  policy=RetryPolicy(backoff_base=0.0,
+                                                     pool_failure_limit=1))
+        with faults.injection("crash:match=add,times=1"):
+            runner.sweep(HOTSPOT, SWEEP)
+            # The crash broke the pool and the sweep finished in process.
+            assert runner.stats.degraded
+            lost = set(_new_children(known))
+            # Same environment and no "add" task: only a pool left over
+            # from the crash could fail this sweep.
+            rest = {n: c for n, c in SWEEP.items() if n != "add"}
+            results = runner.sweep(HOTSPOT, rest)
+        assert runner.stats.pool_rebuilds == 0
+        assert not runner.stats.degraded
+        assert len(set(_new_children(known)) - lost) == 2  # a fresh pool
+        for name in rest:
+            assert_evaluations_identical(clean[name], results[name])
 
 
 class TestResultCache:
