@@ -7,6 +7,12 @@ cache), check the Prometheus cache-hit counters, and gate the warm-hit
 overhead: the p50 warm HTTP round trip must sit within 10 ms of a
 direct in-process cache read of the same entry.  Numbers land in
 ``BENCH_service.json`` so successive PRs can track the serving overhead.
+
+A second test kills ``repro serve`` mid-batch with an injected
+``node-crash`` fault, restarts it on the same cache directory, and
+checks that the journal replay recomputes nothing that completed before
+the kill and that the follow-up call is all hits, byte-equal to a clean
+run on a fresh cache.
 """
 
 import json
@@ -16,10 +22,13 @@ import statistics
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
 
 from repro.core import IHWConfig
+from repro.faults.injector import CRASH_EXIT_CODE
 from repro.runtime import ExperimentSpec, ResultCache
-from repro.service import ServiceClient
+from repro.service import QueueJournal, ServiceClient
 
 from report import emit, format_row, write_bench_json
 
@@ -29,6 +38,10 @@ CALL_ARGS = ["hotspot", "--configs", "precise|all",
              "--rows", "8", "--iterations", "2"]
 CONFIGS = {"precise": IHWConfig.precise(), "all": IHWConfig.all_imprecise()}
 WARM_GATE_SECONDS = 0.010  # p50 warm HTTP overhead over a direct read
+# Heavy enough that the batch is still executing when the crash lands
+# (~0.4 s per imprecise configuration), light enough for a smoke job.
+KILL_ARGS = ["hotspot", "--configs", "precise|add|all",
+             "--rows", "64", "--iterations", "100"]
 
 
 def _repro(*argv, env=None, timeout=240):
@@ -39,10 +52,13 @@ def _repro(*argv, env=None, timeout=240):
     )
 
 
-def _start_server(cache_dir):
+def _start_server(cache_dir, faults=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env["REPRO_TELEMETRY"] = "metrics"
+    env.pop("REPRO_FAULTS", None)
+    if faults:
+        env["REPRO_FAULTS"] = faults
     process = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve",
          "--port", "0", "--cache-dir", str(cache_dir)],
@@ -126,3 +142,86 @@ def test_service_smoke(tmp_path):
         f"{direct_p50 * 1e3:.2f} ms by more than "
         f"{WARM_GATE_SECONDS * 1e3:.0f} ms"
     )
+
+
+def _call_json(tmp_path, name, url, *extra, env):
+    """``repro call`` with ``KILL_ARGS``; returns the --json document."""
+    out = tmp_path / f"{name}.json"
+    done = _repro("call", *KILL_ARGS, "--url", url, *extra,
+                  "--json", str(out), env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(out.read_text())
+
+
+def test_killed_serve_restarts_without_recompute(tmp_path):
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("REPRO_FAULTS", None)
+    process, url = _start_server(cache_dir,
+                                 faults="node-crash:match=?boom,times=1")
+    processes = [process]
+    try:
+        # 1. Admit a sweep the node will never deliver: the client gives
+        #    up after 0.3 s while the batch is still computing.
+        stranded = _repro("call", *KILL_ARGS, "--url", url,
+                          "--timeout", "0.3", "--retries", "0", env=env)
+        assert stranded.returncode == 1, stranded.stderr
+
+        # 2. Kill the node mid-batch (no cleanup, no goodbye).
+        try:
+            urllib.request.urlopen(f"{url}/healthz?boom", timeout=10)
+        except (urllib.error.URLError, ConnectionError, OSError):
+            pass
+        assert process.wait(timeout=15) == CRASH_EXIT_CODE
+        orphans = QueueJournal(
+            cache_dir / "manifests" / "queue.journal").replay()
+        assert orphans, "the killed node left no journaled orphans"
+
+        # 3. Restart on the same cache dir.  Orphans whose entry landed
+        #    before the kill are complete; the rest are requeued, and
+        #    only those are computed.
+        process, url = _start_server(cache_dir)
+        processes.append(process)
+        client = ServiceClient(url)
+        recovered = client.readyz()["recovered"]
+        assert recovered["invalid"] == 0
+        assert recovered["requeued"] + recovered["complete"] == len(orphans)
+        deadline = time.monotonic() + 120
+        queue = client.queuez()
+        while queue["inflight"] and time.monotonic() < deadline:
+            time.sleep(0.05)
+            queue = client.queuez()
+        assert queue["inflight"] == 0
+        assert queue["failed"] == 0
+        assert queue["completed"] == recovered["requeued"]
+        assert queue["executions"] <= recovered["requeued"]
+
+        # 4. The follow-up call is all hits, byte-equal to a clean run
+        #    on a fresh cache.
+        follow_up = _call_json(tmp_path, "follow_up", url, env=env)
+        assert follow_up["served"] == {"hits": 3, "misses": 0, "errors": 0}
+        clean_process, clean_url = _start_server(tmp_path / "clean")
+        processes.append(clean_process)
+        clean = _call_json(tmp_path, "clean", clean_url, env=env)
+        assert follow_up["results"] == clean["results"]
+    finally:
+        for proc in processes:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in processes:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+            proc.stdout.close()
+
+    emit("Service: serve killed mid-batch, restarted on its cache dir", [
+        format_row("stage", "outcome", widths=[30, 24]),
+        format_row("orphans journaled at crash", str(len(orphans)),
+                   widths=[30, 24]),
+        format_row("replay: complete / requeued",
+                   f"{recovered['complete']} / {recovered['requeued']}",
+                   widths=[30, 24]),
+        format_row("follow-up vs clean run", "byte-equal, all hits",
+                   widths=[30, 24]),
+    ])

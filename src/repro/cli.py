@@ -413,7 +413,6 @@ def cmd_serve(args, out) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        remote_cache=args.remote_cache,
         max_pending=args.max_pending,
         max_configs=args.max_configs,
         retry_after=args.retry_after,
@@ -427,12 +426,7 @@ def cmd_call(args, out) -> int:
     import json as _json
     import time as _time
 
-    from repro.service import (
-        FleetClient,
-        FleetError,
-        ServiceClient,
-        ServiceError,
-    )
+    from repro.service import ServiceClient, ServiceError
 
     if args.app not in _SWEEP_APPS:
         print(f"unknown app {args.app!r}; expected one of {sorted(_SWEEP_APPS)}",
@@ -454,17 +448,8 @@ def cmd_call(args, out) -> int:
     if args.quality_target is not None:
         kwargs["quality_target"] = args.quality_target
 
-    if args.fleet:
-        if args.stream:
-            print("--stream is not supported with --fleet",
-                  file=sys.stderr)
-            return 2
-        client = FleetClient(args.fleet, timeout=args.timeout,
-                             retries=args.retries,
-                             hedge_after=args.hedge_after)
-    else:
-        client = ServiceClient(args.url, timeout=args.timeout,
-                               retries=args.retries)
+    client = ServiceClient(args.url, timeout=args.timeout,
+                           retries=args.retries)
     try:
         if args.stream:
             for line in client.sweep_stream(args.app,
@@ -481,7 +466,7 @@ def cmd_call(args, out) -> int:
             response = client.sweep(args.app, timeout=args.timeout,
                                     **kwargs)
             latencies.append(_time.perf_counter() - start)
-    except (ServiceError, FleetError) as exc:
+    except ServiceError as exc:
         print(f"service call failed: {exc}", file=sys.stderr)
         return 1
 
@@ -503,15 +488,6 @@ def cmd_call(args, out) -> int:
         met = [n for n, ok in response["target_met"].items() if ok]
         print(f"quality target met by: {', '.join(met) if met else '(none)'}",
               file=out)
-    if "fleet" in response:
-        fleet = response["fleet"]
-        extras = []
-        if fleet["hedges"]:
-            extras.append(f"{fleet['hedges']} hedged")
-        if fleet["failovers"]:
-            extras.append(f"{fleet['failovers']} failed over")
-        print(f"fleet: {len(fleet['members'])} members"
-              + (f" ({', '.join(extras)})" if extras else ""), file=out)
     if len(latencies) > 1:
         ordered = sorted(latencies)
         p50 = _percentile(ordered, 0.50)
@@ -854,9 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 = ephemeral; default 8642)")
     p.add_argument("--cache-dir", default=".repro_cache",
                    help="local result-cache directory")
-    p.add_argument("--remote-cache", default=None,
-                   help="base URL of a peer instance to use as the shared "
-                        "cache backend (e.g. http://hostA:8642)")
     p.add_argument("--max-pending", type=int, default=64,
                    help="work-queue bound; beyond it requests get 429 + "
                         "Retry-After")
@@ -874,12 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("app", help="hotspot | srad | raytracing | cp")
     p.add_argument("--url", default="http://127.0.0.1:8642",
                    help="service base URL")
-    p.add_argument("--fleet", default=None,
-                   help="comma-separated member URLs (host:port,...); "
-                        "place the sweep across a fleet instead of --url")
-    p.add_argument("--hedge-after", type=float, default=None,
-                   help="with --fleet: hedge a straggling sub-request to "
-                        "a second node after this many seconds")
     p.add_argument("--family", default="units",
                    choices=("units", "threshold", "multiplier"),
                    help="preset configuration family")

@@ -14,7 +14,7 @@ Grammar (clauses separated by ``;``)::
             | KIND [":" param ("," param)*]
     KIND    = "crash" | "hang" | "transient" | "flaky-backend"
             | "corrupt-cache" | "slow-response" | "dropped-connection"
-            | "queue-full" | "node-crash" | "partition" | "slow-node"
+            | "queue-full" | "node-crash"
     param   = "match=" SUBSTR             # fire only for task keys
                                           # containing SUBSTR (default: all)
             | "times=" INT                # fire on the first N attempts of
@@ -53,17 +53,9 @@ Fault kinds and the recovery path each one proves:
     were at capacity → the client backs off and retries.
 ``node-crash``
     a sweep-service *process* dies mid-request (``os._exit``, exactly as
-    a power cut would) → the fleet client fails over to the next node in
-    rendezvous order and, on restart, the node's queue journal re-enqueues
-    only orphaned work.
-``partition``
-    the fleet client treats a member as unreachable (the request never
-    leaves the box) → the member's circuit breaker opens and placement
-    re-routes its keys.
-``slow-node``
-    a sweep service stalls ``seconds`` before *handling* each matching
-    request → the fleet client's hedge deadline expires and a second
-    node races to answer first.
+    a power cut would) → on restart on the same cache directory, the
+    queue journal re-enqueues only orphaned work, so no configuration
+    completed before the kill is recomputed.
 
 The three service kinds guard the HTTP boundary (``repro.service``), not
 worker processes; their ``key`` is the request path, and the attempt axis
@@ -71,12 +63,9 @@ is the client's retry counter (``X-Repro-Attempt``), so ``times=N``
 clauses disturb the first N attempts and then let the retry succeed —
 recovery is provable, not probabilistic.
 
-The three fleet kinds extend that scheme across nodes.  ``node-crash``
-and ``slow-node`` guard the server with ``key = "<host:port><path>"``
-(match by port to target one member of an in-process fleet, by path to
-target one endpoint); ``partition`` guards the *client* with the member's
-``host:port`` as key and the client's per-member contact counter as the
-attempt axis, so ``times=N`` heals the partition after N refusals.
+``node-crash`` guards the same boundary with ``key =
+"<host:port><path>"`` (match by port to target one instance, by path to
+target one crafted request such as ``/healthz?boom``).
 
 Decisions are **deterministic**: ``crash``/``hang``/``transient``/
 ``flaky-backend`` fire iff ``attempt < times`` (and, when ``p`` is given,
@@ -116,8 +105,7 @@ __all__ = [
 
 FAULT_KINDS = (
     "crash", "hang", "transient", "flaky-backend", "corrupt-cache",
-    "slow-response", "dropped-connection", "queue-full",
-    "node-crash", "partition", "slow-node",
+    "slow-response", "dropped-connection", "queue-full", "node-crash",
 )
 
 #: Exit code of an injected worker crash (distinguishable in core dumps
@@ -332,30 +320,6 @@ class FaultInjector:
             self._record("node-crash")
             return True
         return False
-
-    def partition(self, key: str, attempt: int) -> bool:
-        """Fleet-client guard: whether a member looks unreachable.
-
-        ``key`` is the member's ``host:port``; ``attempt`` is the
-        client's per-member contact counter.
-        """
-        if self._armed("partition", key, attempt):
-            self._record("partition")
-            return True
-        return False
-
-    def slow_node(self, key: str, attempt: int) -> float:
-        """Server guard: seconds to stall before *handling* (0.0 = none).
-
-        Unlike ``slow-response`` (which stalls a single response), a slow
-        node delays every matching request — the straggler profile that
-        hedged retries exist for.
-        """
-        clause = self._armed("slow-node", key, attempt)
-        if clause:
-            self._record("slow-node")
-            return clause.seconds
-        return 0.0
 
     def corrupt_cache(self, key: str) -> bool:
         """Whether to corrupt the entry just written for ``key`` (stateful)."""

@@ -145,34 +145,22 @@ class PowerQualityFramework:
             output=result.output,
         )
 
-    def evaluate_many(self, configs: dict, runner=None, client=None) -> dict:
+    def evaluate_many(self, configs: dict, runner=None) -> dict:
         """Evaluate a named set of configurations (insertion-ordered).
 
         With ``runner=None`` every configuration is evaluated here,
         sequentially.  Passing an :class:`~repro.runtime.ExperimentRunner`
         routes the sweep through the shared parallel + cached execution
-        path; passing a :class:`~repro.service.ServiceClient` as
-        ``client`` delegates to a sweep-service instance instead (its
-        warm cache and coalescing queue), fetching the full validated
-        evaluations back through the instance's cache peer surface.
-        Both remote paths require the framework to have been built from
-        a spec (:meth:`from_spec`), since closures cannot cross
-        processes.
+        path, which requires the framework to have been built from a
+        spec (:meth:`from_spec`), since closures cannot cross processes.
         """
-        if runner is not None and client is not None:
-            raise ValueError("pass either runner= or client=, not both")
-        if runner is None and client is None:
+        if runner is None:
             return {name: self.evaluate(cfg) for name, cfg in configs.items()}
         if self.spec is None:
             raise ValueError(
                 "parallel evaluation needs a spec-built framework; "
                 "construct it with PowerQualityFramework.from_spec(...)"
             )
-        if client is not None:
-            names = list(configs)
-            evaluations = client.evaluate_many(self.spec,
-                                               list(configs.values()))
-            return dict(zip(names, evaluations))
         return runner.sweep(self.spec, configs)
 
     def sweep(self, configs: dict, runner=None) -> dict:

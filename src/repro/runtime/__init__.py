@@ -44,22 +44,12 @@ from .policy import RetryPolicy
 from .runner import ExperimentRunner, TaskFailedError, default_worker_count
 from .spec import APP_RUNNERS, METRIC_NAMES, ExperimentSpec
 from .stats import SPEEDUP_CAP, RunnerStats, TaskTiming
-from .storage import (
-    CacheBackend,
-    CacheBackendError,
-    DirectoryBackend,
-    HTTPCacheBackend,
-)
 
 __all__ = [
     "APP_RUNNERS",
-    "CacheBackend",
-    "CacheBackendError",
     "CacheStats",
-    "DirectoryBackend",
     "ExperimentRunner",
     "ExperimentSpec",
-    "HTTPCacheBackend",
     "MANIFEST_VERSION",
     "METRIC_NAMES",
     "ResultCache",

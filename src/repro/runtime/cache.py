@@ -8,22 +8,20 @@ canonical serialization of the :class:`~repro.core.IHWConfig`
 whether issued by the autotuner, a Pareto sweep, a benchmark, or a sweep
 service request — therefore share one entry.
 
-:class:`ResultCache` owns the entry *semantics*: addressing,
-serialization, checksum validation, and quarantine policy.  The *bytes*
-live behind a :class:`~repro.runtime.storage.CacheBackend`:
+Entries live in a directory tree under one root::
 
-- :class:`~repro.runtime.storage.DirectoryBackend` (default) — the local
-  ``.repro_cache/`` tree, layout unchanged since PR 1 (``<key[:2]>/
-  <key>.json`` + ``.npz``, ``quarantine/``, ``manifests/``), so existing
-  cache trees stay valid byte for byte;
-- :class:`~repro.runtime.storage.HTTPCacheBackend` — a sweep-service peer
-  acting as a shared store (see ``docs/SERVICE.md``).
+    <key[:2]>/<key>.json   entry document
+    <key[:2]>/<key>.npz    output array payload (when present)
+    <key[:2]>/<key>.lock   advisory in-flight write marker (transient)
+    quarantine/            damaged entries moved aside, never served
+    manifests/<id>.json    sweep progress records (checkpoint/resume)
 
-Entries carry a schema version and an output checksum; anything that
-fails to load, verify, or parse is treated as a miss, **quarantined**
-(moved aside for post-mortem, never deleted silently), and recomputed —
-never served.  Backend *transport* failures are counted and treated as
-plain misses without quarantine.  Environment knobs:
+Writes are crash-safe: every file lands via a sibling temp path and
+``os.replace``, npz before json, so a crash mid-write never leaves a
+half-entry that parses.  Entries carry a schema version and an output
+checksum; anything that fails to load, verify, or parse is treated as a
+miss, **quarantined** (moved aside for post-mortem, never deleted
+silently), and recomputed — never served.  Environment knobs:
 
 - ``REPRO_CACHE=off`` (also ``0``/``no``/``false``): disable caching.
 - ``REPRO_CACHE_DIR=<path>``: relocate the cache root.
@@ -35,20 +33,13 @@ import hashlib
 import io
 import json
 import os
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
-
-from .storage import (
-    QUARANTINE_DIRNAME,
-    STALE_LOCK_SECONDS,
-    CacheBackend,
-    CacheBackendError,
-    DirectoryBackend,
-)
 
 __all__ = [
     "CacheStats",
@@ -62,14 +53,18 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
+QUARANTINE_DIRNAME = "quarantine"
+
+#: Age after which an advisory write lock (or orphaned temp file) left by
+#: a crashed writer is considered stale and removed.
+STALE_LOCK_SECONDS = 300.0
 
 
 def entry_key(spec, config) -> str:
     """The content address of one (experiment, configuration) result.
 
-    Module-level so clients that never touch a store — the fleet client
-    places work by cache key — can compute addresses identical to the
-    server's without instantiating a :class:`ResultCache`.
+    Module-level so callers without a store (tests that forge journal
+    records, tooling) compute addresses identical to the cache's.
     """
     doc = {
         "schema": SCHEMA_VERSION,
@@ -108,7 +103,6 @@ class CacheStats:
     quarantined: int = 0  # invalid entries moved aside for post-mortem
     lock_skips: int = 0  # writes skipped because another writer held the lock
     stale_cleaned: int = 0  # stale locks / orphaned temp files removed
-    backend_errors: int = 0  # transport failures (treated as misses)
 
     @property
     def hit_rate(self) -> float:
@@ -125,40 +119,23 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created on first write).  Ignored when an
-        explicit ``backend`` is given.
+        Cache directory (created on first write).
     max_entries:
         Optional LRU bound; oldest entries are evicted after a write
-        pushes the count above it (directory backend only).
-    backend:
-        A :class:`~repro.runtime.storage.CacheBackend` owning the bytes;
-        defaults to a :class:`DirectoryBackend` at ``root``.
+        pushes the count above it.
     """
 
-    def __init__(self, root=None, max_entries: int | None = None,
-                 backend: CacheBackend | None = None):
-        if backend is None:
-            backend = DirectoryBackend(Path(root or DEFAULT_CACHE_DIR))
-        self.backend = backend
+    def __init__(self, root=None, max_entries: int | None = None):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.root = Path(root or DEFAULT_CACHE_DIR)
         self.max_entries = max_entries
         self.stats = CacheStats()
 
     @property
-    def root(self):
-        """The directory root, or the backend's description (remote URL)."""
-        local = self.backend.local_root
-        return local if local is not None else self.backend.describe()
-
-    @property
-    def local_root(self) -> Path | None:
-        """Directory root when the store is local, else None.
-
-        Sweep manifests (checkpoint/resume) and stale-artifact cleanup
-        only exist for local stores; the runner gates on this.
-        """
-        return self.backend.local_root
+    def local_root(self) -> Path:
+        """The directory root (the name tooling that reads entry files uses)."""
+        return self.root
 
     # ------------------------------------------------------------------
     # Addressing
@@ -167,50 +144,38 @@ class ResultCache:
         """The content address of one (experiment, configuration) result."""
         return entry_key(spec, config)
 
-    def entry_paths(self, spec, config) -> tuple:
-        """The (json, npz) paths addressing one result (tooling/tests).
+    def _paths(self, key: str) -> tuple:
+        shard = self.root / key[:2]
+        return shard / f"{key}.json", shard / f"{key}.npz"
 
-        Only meaningful for directory-backed caches.
-        """
-        local = self.backend.local_root
-        if local is None:
-            raise ValueError(
-                f"cache backend {self.backend.name!r} has no local paths"
-            )
-        return self.backend.paths(self.key(spec, config))
+    def entry_paths(self, spec, config) -> tuple:
+        """The (json, npz) paths addressing one result (tooling/tests)."""
+        return self._paths(self.key(spec, config))
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    def _read_json(self, key: str) -> str | None:
+        try:
+            return self._paths(key)[0].read_text()
+        except FileNotFoundError:
+            return None
+
     def get(self, spec, config):
         """The cached :class:`Evaluation`, or None (miss / invalid entry)."""
         key = self.key(spec, config)
         with telemetry.span("cache.get", key=key[:12]):
-            try:
-                json_text = self.backend.read_json(key)
-            except CacheBackendError:
-                return self._backend_miss()
+            json_text = self._read_json(key)
             if json_text is None:
-                self.stats.misses += 1
-                telemetry.counter_inc("repro_cache_requests_total",
-                                      outcome="miss")
-                return None
+                return self._miss()
             try:
                 evaluation = self._load(json_text, key, config)
-            except CacheBackendError:
-                return self._backend_miss()
             except Exception:
                 # Corrupted or stale entry: quarantine it (not a silent
                 # delete — the damaged bytes stay inspectable) and let the
                 # caller recompute.
-                self._quarantine(key)
-                self.stats.invalid += 1
-                self.stats.misses += 1
-                telemetry.counter_inc("repro_cache_requests_total",
-                                      outcome="invalid")
-                return None
-            self.stats.hits += 1
-            telemetry.counter_inc("repro_cache_requests_total", outcome="hit")
+                return self._invalid(key)
+            self._hit()
             return evaluation
 
     def document(self, spec, config) -> dict | None:
@@ -222,56 +187,55 @@ class ResultCache:
         this level quarantines the entry just like :meth:`get`.
         """
         key = self.key(spec, config)
-        try:
-            json_text = self.backend.read_json(key)
-        except CacheBackendError:
-            self._backend_miss()
-            return None
+        json_text = self._read_json(key)
         if json_text is None:
-            self.stats.misses += 1
-            telemetry.counter_inc("repro_cache_requests_total",
-                                  outcome="miss")
-            return None
+            return self._miss()
         try:
-            doc = json.loads(json_text)
-            if doc["schema"] != SCHEMA_VERSION:
-                raise ValueError(f"schema {doc['schema']} != {SCHEMA_VERSION}")
-            if doc["config"] != config.canonical():
-                raise ValueError("stored config does not match the request")
+            doc = self._parse(json_text, config)
         except Exception:
-            self._quarantine(key)
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            telemetry.counter_inc("repro_cache_requests_total",
-                                  outcome="invalid")
-            return None
-        self.stats.hits += 1
-        telemetry.counter_inc("repro_cache_requests_total", outcome="hit")
+            return self._invalid(key)
+        self._hit()
         return doc
 
-    def _backend_miss(self):
-        self.stats.backend_errors += 1
+    def _hit(self) -> None:
+        self.stats.hits += 1
+        telemetry.counter_inc("repro_cache_requests_total", outcome="hit")
+
+    def _miss(self):
         self.stats.misses += 1
-        telemetry.counter_inc("repro_cache_requests_total",
-                              outcome="backend-error")
+        telemetry.counter_inc("repro_cache_requests_total", outcome="miss")
         return None
+
+    def _invalid(self, key: str):
+        self._quarantine(key)
+        self.stats.invalid += 1
+        self.stats.misses += 1
+        telemetry.counter_inc("repro_cache_requests_total", outcome="invalid")
+        return None
+
+    @staticmethod
+    def _parse(json_text: str, config) -> dict:
+        doc = json.loads(json_text)
+        if doc["schema"] != SCHEMA_VERSION:
+            raise ValueError(f"schema {doc['schema']} != {SCHEMA_VERSION}")
+        if doc["config"] != config.canonical():
+            raise ValueError("stored config does not match the request")
+        return doc
 
     def _load(self, json_text: str, key: str, config):
         from repro.framework import Evaluation
         from repro.gpu import PowerBreakdown, SavingsReport
         from repro.gpu.simulator import KernelTiming
 
-        doc = json.loads(json_text)
-        if doc["schema"] != SCHEMA_VERSION:
-            raise ValueError(f"schema {doc['schema']} != {SCHEMA_VERSION}")
-        if doc["config"] != config.canonical():
-            raise ValueError("stored config does not match the request")
-
+        doc = self._parse(json_text, config)
         out_meta = doc["output"]
         if out_meta["kind"] == "ndarray":
-            npz_bytes = self.backend.read_npz(key)
-            if npz_bytes is None:
-                raise ValueError("entry document present but npz payload missing")
+            try:
+                npz_bytes = self._paths(key)[1].read_bytes()
+            except FileNotFoundError:
+                raise ValueError(
+                    "entry document present but npz payload missing"
+                ) from None
             with np.load(io.BytesIO(npz_bytes)) as archive:
                 output = archive["output"]
             if output.dtype.str != out_meta["dtype"]:
@@ -363,69 +327,126 @@ class ResultCache:
         key = self.key(spec, config)
         doc = self._document(key, spec, config, evaluation, out_meta,
                              compute_seconds)
-        npz_bytes = None
-        if array is not None:
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, output=array)
-            npz_bytes = buffer.getvalue()
-        json_text = json.dumps(doc, sort_keys=True, indent=1)
-
-        try:
-            reclaimed_before = self.backend.stale_locks_reclaimed
-            acquired = self.backend.acquire_lock(key)
-            self.stats.stale_cleaned += (
-                self.backend.stale_locks_reclaimed - reclaimed_before
-            )
-            if not acquired:
-                # A concurrent writer owns this entry; its bytes will be
-                # identical (content-addressed), so losing the race is free.
-                self.stats.lock_skips += 1
-                return False
-            try:
-                self.backend.write_entry(key, json_text, npz_bytes)
-            finally:
-                self.backend.release_lock(key)
-        except CacheBackendError:
-            self.stats.backend_errors += 1
-            telemetry.counter_inc("repro_cache_writes_total",
-                                  outcome="backend-error")
+        if not self._acquire_lock(key):
+            # A concurrent writer owns this entry; its bytes will be
+            # identical (content-addressed), so losing the race is free.
+            self.stats.lock_skips += 1
             return False
+        try:
+            json_path, npz_path = self._paths(key)
+            # Atomic landing: npz first, json last — the json's presence
+            # is what makes the entry visible to readers.
+            if array is not None:
+                buffer = io.BytesIO()
+                np.savez_compressed(buffer, output=array)
+                tmp_npz = npz_path.with_name(f"{key}.tmp.npz")
+                tmp_npz.write_bytes(buffer.getvalue())
+                os.replace(tmp_npz, npz_path)
+            tmp_json = json_path.with_name(f"{key}.json.tmp")
+            tmp_json.write_text(json.dumps(doc, sort_keys=True, indent=1))
+            os.replace(tmp_json, json_path)
+        finally:
+            self._lock_path(key).unlink(missing_ok=True)
         self.stats.writes += 1
         telemetry.counter_inc("repro_cache_writes_total", outcome="stored")
         self._enforce_limit()
         return True
 
+    def _lock_path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.lock"
+
+    def _acquire_lock(self, key: str) -> bool:
+        """Create the per-key advisory lock; False when held by another.
+
+        The lock only signals an in-flight write to concurrent writers
+        (correctness comes from the atomic renames); a lock older than
+        :data:`STALE_LOCK_SECONDS` belongs to a crashed writer and is
+        reclaimed.
+        """
+        lock_path = self._lock_path(key)
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        for _ in range(2):  # second pass after reclaiming a stale lock
+            try:
+                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                try:
+                    age = time.time() - lock_path.stat().st_mtime
+                except OSError:
+                    continue  # lock vanished between open and stat: retry
+                if age <= STALE_LOCK_SECONDS:
+                    return False
+                lock_path.unlink(missing_ok=True)
+                self.stats.stale_cleaned += 1
+                continue
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+            os.close(fd)
+            return True
+        return False
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def _remove(self, key: str) -> None:
+        for path in self._paths(key):
+            path.unlink(missing_ok=True)
+
     def _quarantine(self, key: str) -> None:
-        if self.backend.quarantine(key):
+        """Move a damaged entry's files aside instead of deleting them."""
+        quarantine_dir = self.root / QUARANTINE_DIRNAME
+        quarantine_dir.mkdir(parents=True, exist_ok=True)
+        moved = False
+        for path in self._paths(key):
+            if not path.exists():
+                continue
+            try:
+                os.replace(path, quarantine_dir / path.name)
+                moved = True
+            except OSError:
+                path.unlink(missing_ok=True)  # cross-device: drop instead
+        if moved:
             self.stats.quarantined += 1
         telemetry.counter_inc("repro_cache_quarantined_total")
 
     def quarantine_count(self) -> int:
-        backend = self.backend
-        counter = getattr(backend, "quarantine_count", None)
-        return counter() if counter is not None else 0
+        return sum(1 for _ in (self.root / QUARANTINE_DIRNAME).glob("*.json"))
 
     def cleanup_stale(self, max_age_seconds: float = STALE_LOCK_SECONDS) -> int:
         """Remove stale locks and orphaned temp files; returns the count.
 
-        Called by the runner at sweep start and available as maintenance
-        API; a no-op for remote backends (the peer cleans its own store).
+        Both are the remains of a writer that died mid-write; neither is
+        ever read, so removal is always safe.  Called by the runner at
+        sweep start.
         """
-        removed = self.backend.cleanup_stale(max_age_seconds)
+        removed = 0
+        now = time.time()
+        for pattern in ("??/*.lock", "??/*.tmp", "??/*.tmp.npz",
+                        "manifests/*.tmp"):
+            for path in self.root.glob(pattern):
+                try:
+                    if now - path.stat().st_mtime > max_age_seconds:
+                        path.unlink()
+                        removed += 1
+                except OSError:
+                    continue  # concurrent cleanup or vanished file
         self.stats.stale_cleaned += removed
         return removed
 
     def _enforce_limit(self) -> None:
         if self.max_entries is None:
             return
-        self.stats.evictions += self.backend.enforce_limit(self.max_entries)
+        entries = sorted(self.root.glob("??/*.json"),
+                         key=lambda p: p.stat().st_mtime)
+        for stale in entries[: max(0, len(entries) - self.max_entries)]:
+            self._remove(stale.stem)
+            self.stats.evictions += 1
 
     def entry_count(self) -> int:
-        return self.backend.entry_count()
+        return sum(1 for _ in self.root.glob("??/*.json"))
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        return self.backend.clear()
+        removed = 0
+        for json_path in list(self.root.glob("??/*.json")):
+            self._remove(json_path.stem)
+            removed += 1
+        return removed

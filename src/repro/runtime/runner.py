@@ -306,9 +306,7 @@ class ExperimentRunner:
         manifest = None
         if self.cache is not None:
             self.cache.cleanup_stale()
-            # Manifests live under the cache root; a remote (HTTP) backend
-            # has no local paths, so checkpoint/resume is local-only.
-            if self.checkpoint_every and self.cache.local_root is not None:
+            if self.checkpoint_every:
                 manifest = SweepManifest.for_sweep(self.cache, spec, configs)
         completions = 0
 

@@ -1,8 +1,7 @@
 """HTTP client of the sweep service (stdlib ``http.client``).
 
-:class:`ServiceClient` is what ``repro call`` and
-:func:`repro.framework.evaluate_many` (``client=`` routing) use: it
-speaks the ``/v1/sweep`` protocol, retries through the service's
+:class:`ServiceClient` is what ``repro call`` uses: it speaks the
+``/v1/sweep`` protocol, retries through the service's
 backpressure and fault semantics (429 + ``Retry-After``, torn
 connections), and advertises its retry count in the ``X-Repro-Attempt``
 header — the attempt axis deterministic service faults key on, so a
@@ -11,8 +10,7 @@ attempt and the retry provably recovers.
 
 Every endpoint accepts an explicit per-request ``timeout=`` overriding
 the client-wide socket default — a health probe should give up in a
-second while a cold sweep on the same client may wait minutes; the fleet
-client leans on this for its short probes and hedge deadlines.
+second while a cold sweep on the same client may wait minutes.
 """
 
 from __future__ import annotations
@@ -204,15 +202,6 @@ class ServiceClient:
         """
         doc = self._request_doc(app, configs, config_specs, family, params,
                                 metric, seed, threshold, quality_target)
-        return self.sweep_document(doc, timeout=timeout)
-
-    def sweep_document(self, doc: dict,
-                       timeout: float | None = None) -> dict:
-        """``POST /v1/sweep`` with a prebuilt request document.
-
-        The fleet client resolves configurations once and fans subsets
-        of the same document out to its members through this entry.
-        """
         status, _headers, payload = self.request(
             "POST", "/v1/sweep", canonical_json(doc).encode("utf-8"),
             timeout=timeout,
@@ -270,44 +259,6 @@ class ServiceClient:
         if quality_target is not None:
             doc["quality_target"] = float(quality_target)
         return doc
-
-    # ------------------------------------------------------------------
-    # Framework entry
-    # ------------------------------------------------------------------
-    def evaluate_many(self, spec, configs) -> list:
-        """Full :class:`~repro.framework.Evaluation` objects via the service.
-
-        Ensures every configuration is computed (one coalesced sweep
-        request), then reconstructs validated evaluations — including the
-        output arrays — by reading the instance's cache peer surface
-        through :class:`~repro.runtime.HTTPCacheBackend`, so checksums
-        are verified client-side exactly as for a local cache.
-        """
-        from repro.runtime import HTTPCacheBackend, ResultCache
-
-        configs = list(configs)
-        named = {f"cfg{i:03d}": cfg for i, cfg in enumerate(configs)}
-        response = self.sweep(
-            spec.app, configs=named, params=spec.params_dict(),
-            metric=spec.metric, seed=spec.seed,
-        )
-        failures = {
-            name: doc["error"]
-            for name, doc in response["results"].items() if "error" in doc
-        }
-        if failures:
-            raise ServiceError(f"service failed to evaluate: {failures}")
-        remote = ResultCache(backend=HTTPCacheBackend(self.base_url))
-        evaluations = []
-        for name, config in named.items():
-            evaluation = remote.get(spec, config)
-            if evaluation is None:
-                raise ServiceError(
-                    f"service reported {name} computed but its cache "
-                    "entry could not be fetched"
-                )
-            evaluations.append(evaluation)
-        return evaluations
 
 
 def _retry_after(headers: dict) -> float | None:

@@ -15,11 +15,11 @@ JSONL file next to the manifest store (``<cache dir>/manifests/``):
 
 On restart, :meth:`replay` folds the log: admits without a matching done
 are *orphans*.  The server checks each orphan against the result cache —
-a key already present was completed by this node (the crash hit between
-cache write and journal append) or by a peer answering from the shared
-store, and is **not** recomputed; the rest are re-enqueued through the
-normal admission path.  That is the fleet-grade extension of the sweep
-manifest's guarantee: a killed node recomputes zero completed configs.
+a key already present was completed before the crash (which hit between
+the cache write and the journal append) and is **not** recomputed; the
+rest are re-enqueued through the normal admission path.  That extends
+the sweep manifest's guarantee to the service: a killed node recomputes
+zero completed configs.
 
 Crash-safety model: appends are single ``write`` calls of one ``\\n``-
 terminated line, so the only possible damage is a torn *final* line,

@@ -23,7 +23,7 @@ the result is delivered or its timeout passes.  Backpressure is a hard bound on 
 in-flight items — :class:`QueueFullError` carries the ``Retry-After``
 hint the server turns into a 429.
 
-Two fleet-facing extensions ride on the same admission path:
+Two operational extensions ride on the same admission path:
 
 - **Durability** — when a :class:`~repro.service.journal.QueueJournal`
   is attached, every admission appends an ``admit`` record before
@@ -32,8 +32,8 @@ Two fleet-facing extensions ride on the same admission path:
   module docstring for the recovery contract).
 - **Draining** — :meth:`start_draining` stops admitting *new* work
   (:class:`DrainingError` → 503) while coalescing onto in-flight items
-  and warm cache reads continue; readiness (``/readyz``) flips so fleet
-  placement routes around the node while it finishes what it owns.
+  and warm cache reads continue; readiness (``/readyz``) flips so a
+  load balancer routes around the node while it finishes what it owns.
 """
 
 from __future__ import annotations

@@ -17,31 +17,28 @@ Endpoints (schema in ``docs/SERVICE.md``):
   ``"stream": true`` switches the response to NDJSON progress lines.
 - ``GET /healthz`` — pure liveness: the process is up and answering.
 - ``GET /readyz`` — readiness: 200 only when the node should receive
-  *new* work (not draining, queue below capacity, backends healthy);
-  503 otherwise, with the reasons in the body.  Fleet placement routes
+  *new* work (not draining, queue below capacity); 503 otherwise, with
+  the reasons in the body.  Load balancers and start-up scripts route
   on this, never on liveness.
 - ``POST /drainz`` — graceful drain: stop admitting cache-miss work,
   finish everything in flight, flip readiness.  ``DELETE /drainz``
   resumes admissions.
 - ``GET /queuez`` / ``GET /metricsz`` — queue introspection and
   Prometheus metrics.
-- ``/cache/v1/...`` — the shared-cache peer surface consumed by
-  :class:`~repro.runtime.HTTPCacheBackend`, so one instance's warm store
-  can back another's reads (N boxes, one warm set).
 
 Admitted cache-miss work is journaled (``<cache dir>/manifests/
 queue.journal``) and replayed at startup: orphans already present in the
-(possibly shared) cache are recovered without recomputation, the rest are
-re-enqueued — see :mod:`repro.service.journal`.
+cache are recovered without recomputation, the rest are re-enqueued —
+see :mod:`repro.service.journal`.
 
 Deterministic service faults (``REPRO_FAULTS`` kinds ``slow-response``,
 ``dropped-connection``, ``queue-full``) are injected at the request
 boundary, keyed by request path with the client's ``X-Repro-Attempt``
 header as the attempt axis — so ``times=N`` clauses disturb exactly the
-first N attempts and provably recover on retry.  The fleet kinds
-``node-crash`` and ``slow-node`` guard the same boundary keyed by
-``"<host:port><path>"`` so one member of an in-process fleet can be
-targeted by port (see :mod:`repro.faults`).
+first N attempts and provably recover on retry.  ``node-crash`` guards
+the same boundary keyed by ``"<host:port><path>"`` and kills the whole
+process, so a clause can target one instance by port or one crafted
+request by path (see :mod:`repro.faults`).
 """
 
 from __future__ import annotations
@@ -61,11 +58,8 @@ from repro.core import IHWConfig
 from repro.core.backends.threads import resolve_thread_count
 from repro.faults.injector import CRASH_EXIT_CODE
 from repro.runtime import (
-    CacheBackendError,
-    DirectoryBackend,
     ExperimentRunner,
     ExperimentSpec,
-    HTTPCacheBackend,
     ResultCache,
     RetryPolicy,
 )
@@ -84,9 +78,10 @@ from .queue import DrainingError, QueueFullError, SweepQueue
 __all__ = ["ServiceConfig", "SweepService", "ServerHandle",
            "serve_in_thread", "run_server"]
 
-#: Largest accepted request body (a sweep request is a few KiB of JSON;
-#: cache-peer npz payload PUTs are the big legitimate writes).
-MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Largest accepted request body.  One canonical configuration is
+#: 200-250 bytes of JSON, so a request at the default ``max_configs``
+#: (64) is about 16 KB.
+MAX_BODY_BYTES = 1024 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 
 _JSON = "application/json"
@@ -100,7 +95,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral
     cache_dir: str = ".repro_cache"
-    remote_cache: str | None = None  # peer base URL -> shared warm set
     max_pending: int = 64
     max_configs: int = 64  # per-request configuration bound (413 above)
     retry_after: float = 2.0
@@ -118,23 +112,13 @@ class SweepService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        if config.remote_cache:
-            backend = HTTPCacheBackend(config.remote_cache)
-            self.cache = ResultCache(backend=backend)
-        else:
-            self.cache = ResultCache(
-                backend=DirectoryBackend(config.cache_dir)
-            )
+        self.cache = ResultCache(config.cache_dir)
         #: Set by the transport once the socket is bound ("host:port");
-        #: the node-targeted fault kinds key on it.
+        #: the ``node-crash`` fault kind keys on it.
         self.node_id = ""
         self.journal = None
         orphans: list = []
         if config.journal:
-            # Node-local state even when the *store* is a remote peer:
-            # the journal records what this node's queue owes, and the
-            # (possibly shared) cache is consulted at replay to decide
-            # what still needs computing.
             self.journal = QueueJournal(
                 Path(config.cache_dir) / MANIFEST_DIRNAME
                 / "queue.journal"
@@ -158,15 +142,11 @@ class SweepService:
         # sweeps execute single-threaded.
         telemetry.gauge_set("repro_backend_threads",
                             resolve_thread_count())
-        # npz payloads a cache peer staged ahead of the entry document
-        # (the backend protocol writes npz-before-json for crash safety).
-        self._staged_npz: dict = {}
-        self._staged_lock = threading.Lock()
 
     def _recover(self, orphans: list) -> None:
         """Resolve journal orphans: cache-present keys are already done
-        (computed by this node pre-crash or by a peer on the shared
-        store); the rest re-enter the queue through normal admission.
+        (the crash hit between the cache write and the journal's done
+        record); the rest re-enter the queue through normal admission.
         The invariant this enforces is the acceptance criterion of the
         journal: a killed node recomputes **zero** completed configs.
         """
@@ -179,12 +159,7 @@ class SweepService:
                 telemetry.counter_inc("repro_service_journal_replayed_total",
                                       outcome="invalid")
                 continue
-            try:
-                present = self.cache.backend.contains(
-                    self.cache.key(spec, config))
-            except CacheBackendError:
-                present = False  # unreachable peer: recompute (idempotent)
-            if present:
+            if self.cache.entry_paths(spec, config)[0].exists():
                 self.recovered["complete"] += 1
                 telemetry.counter_inc("repro_service_journal_replayed_total",
                                       outcome="complete")
@@ -243,15 +218,13 @@ class SweepService:
                             content_type="text/plain; charset=utf-8")
         elif path == "/v1/sweep" and method == "POST":
             self._handle_sweep(request)
-        elif path.startswith("/cache/v1/"):
-            self._handle_cache(request, path)
         else:
             request.respond(404, {"error": f"no route for {method} {path}"})
 
     def _healthz(self) -> dict:
         # Liveness only: "the process is up".  Everything that should
-        # steer *placement* — draining, capacity, degradation — lives in
-        # /readyz, so a drained node still answers health probes.
+        # steer new work — draining, capacity — lives in /readyz, so a
+        # drained node still answers health probes.
         snapshot = self.queue.snapshot()
         return {
             "status": "ok",
@@ -324,8 +297,8 @@ class SweepService:
                 return
             except DrainingError as exc:
                 # The request needed new computation and this node is
-                # winding down: refuse the whole sweep so the client
-                # (or fleet placement) routes it to a ready peer.
+                # winding down: refuse the whole sweep with a retryable
+                # status instead of admitting work it may not finish.
                 request.respond(503, {"error": str(exc), "draining": True})
                 return
             telemetry.counter_inc("repro_service_requests_total",
@@ -389,91 +362,6 @@ class SweepService:
         stream({"done": True, "served": {
             "hits": len(warm), "misses": len(replies), "errors": errors,
         }})
-
-    # ------------------------------------------------------------------
-    # Cache peer surface
-    # ------------------------------------------------------------------
-    def _handle_cache(self, request, path) -> None:
-        backend = self.cache.backend
-        parts = path[len("/cache/v1/"):].split("/")
-        method = request.command
-
-        if parts == ["statz"] and method == "GET":
-            request.respond(200, {"entries": backend.entry_count()})
-            return
-        if not parts or not parts[0]:
-            request.respond(404, {"error": "missing cache key"})
-            return
-        key = parts[0]
-        if not _valid_key(key):
-            request.respond(400, {"error": f"malformed cache key {key!r}"})
-            return
-        sub = parts[1] if len(parts) > 1 else None
-        if len(parts) > 2 or sub not in (None, "npz", "lock"):
-            request.respond(404, {"error": f"no cache route {path!r}"})
-            return
-
-        handler = {
-            (None, "GET"): self._cache_get_json,
-            (None, "HEAD"): self._cache_head,
-            (None, "PUT"): self._cache_put_json,
-            ("npz", "GET"): self._cache_get_npz,
-            ("npz", "PUT"): self._cache_put_npz,
-            ("lock", "POST"): self._cache_lock,
-            ("lock", "DELETE"): self._cache_unlock,
-        }.get((sub, method))
-        if handler is None:
-            request.respond(405,
-                            {"error": f"{method} not supported on {path}"})
-            return
-        handler(backend, key, request)
-
-    def _cache_get_json(self, backend, key, request):
-        text = backend.read_json(key)
-        if text is None:
-            request.respond(404, {"error": "no such entry"})
-        else:
-            request.respond(200, text.encode("utf-8"), content_type=_JSON)
-
-    def _cache_head(self, backend, key, request):
-        status = 200 if backend.contains(key) else 404
-        request.respond(status, b"", head=True)
-
-    def _cache_put_json(self, backend, key, request):
-        with self._staged_lock:
-            npz = self._staged_npz.pop(key, None)
-        backend.write_entry(key, request.body.decode("utf-8"), npz)
-        telemetry.counter_inc("repro_service_peer_writes_total")
-        request.respond(200, {"stored": key})
-
-    def _cache_get_npz(self, backend, key, request):
-        data = backend.read_npz(key)
-        if data is None:
-            request.respond(404, {"error": "no such payload"})
-        else:
-            request.respond(200, data, content_type=_BINARY)
-
-    def _cache_put_npz(self, backend, key, request):
-        # Staged until the entry document lands: the backend contract
-        # writes npz-before-json so a torn write can never parse.
-        with self._staged_lock:
-            self._staged_npz[key] = request.body
-        request.respond(200, {"staged": key})
-
-    def _cache_lock(self, backend, key, request):
-        if backend.acquire_lock(key):
-            request.respond(200, {"locked": key})
-        else:
-            request.respond(409, {"error": "entry is locked"})
-
-    def _cache_unlock(self, backend, key, request):
-        backend.release_lock(key)
-        request.respond(200, {"unlocked": key})
-
-
-def _valid_key(key: str) -> bool:
-    return (0 < len(key) <= 64 and
-            all(c in "0123456789abcdef" for c in key))
 
 
 def _discard_waiter(doc, error) -> None:
@@ -541,7 +429,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             return
         self.body = self.rfile.read(length)
         if len(self.body) < length:
-            return  # the peer hung up mid-body
+            return  # the client hung up mid-body
         try:
             self.attempt = int(self.headers.get("X-Repro-Attempt", "0"))
         except ValueError:
@@ -549,18 +437,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.injector = faults.active()
         service = self.server.service
         try:
-            if self.injector is not None:
-                # Node-targeted fleet faults: keyed by "<host:port><path>"
-                # so a clause can match one member of an in-process fleet
-                # by port, one endpoint by path, or both.
-                node_key = f"{service.node_id}{self.path}"
-                if self.injector.node_crash(node_key, self.attempt):
-                    # Die exactly as a power cut would: no cleanup, no
-                    # journal compaction, no goodbye on the socket.
-                    os._exit(CRASH_EXIT_CODE)
-                stall = self.injector.slow_node(node_key, self.attempt)
-                if stall > 0:
-                    time.sleep(stall)
+            # Keyed by "<host:port><path>": a clause can match one
+            # instance by port, one crafted request by path, or both.
+            if self.injector is not None and self.injector.node_crash(
+                    f"{service.node_id}{self.path}", self.attempt):
+                # Die exactly as a power cut would: no cleanup, no
+                # journal compaction, no goodbye on the socket.
+                os._exit(CRASH_EXIT_CODE)
             if self.injector is not None and self.injector.queue_full(
                     self.path, self.attempt):
                 retry_after = service.config.retry_after
@@ -573,7 +456,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             else:
                 service.handle(self)
         except ConnectionError:
-            pass  # the peer went away, or an injected drop tore the socket
+            pass  # the client went away, or an injected drop tore the socket
         except Exception as exc:  # one request must not take the server down
             telemetry.counter_inc("repro_service_errors_total")
             if not self.responded:
@@ -582,10 +465,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 except ConnectionError:
                     pass
 
-    do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = _dispatch
+    do_GET = do_POST = do_DELETE = _dispatch
 
     def respond(self, status, payload, content_type=None, headers=None,
-                stream=False, head=False):
+                stream=False):
         """Write one response; with ``stream`` return a line writer."""
         self.responded = True
         injector = self.injector
@@ -613,14 +496,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Connection", "close")
         if not stream:
-            self.send_header("Content-Length", str(0 if head else len(body)))
+            self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         if stream:
             return self._send_line
-        if not head:
-            self.wfile.write(body)
+        self.wfile.write(body)
         return None
 
     def _send_line(self, doc) -> None:

@@ -1,17 +1,19 @@
-"""Tests for the sweep service: protocol, cache backends, queue, HTTP.
+"""Tests for the sweep service: protocol, cache entries, queue, HTTP.
 
 The contract under test mirrors docs/SERVICE.md: every answer is the
 sanitized content-addressed cache entry serialized canonically, so the
-warm, cold, coalesced, remote-cache, and fault-disturbed paths all
-produce bit-identical bytes; identical in-flight work coalesces to one
-computation; and the queue's backpressure bounds are enforced with
-retryable statuses.
+warm, cold, coalesced, replayed, and fault-disturbed paths all produce
+bit-identical bytes; identical in-flight work coalesces to one
+computation; the queue's backpressure bounds are enforced with retryable
+statuses; and a killed node's journal replay recomputes no completed
+configuration.
 """
 
 import concurrent.futures
+import io
 import json
 import socket
-import threading
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -20,20 +22,15 @@ import pytest
 
 from repro import faults, telemetry
 from repro.core import IHWConfig
-from repro.runtime import (
-    CacheBackend,
-    CacheBackendError,
-    DirectoryBackend,
-    ExperimentSpec,
-    HTTPCacheBackend,
-    ResultCache,
-)
+from repro.runtime import ExperimentSpec, ResultCache, entry_key
 from repro.service import (
     ProtocolError,
+    QueueJournal,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     SweepRequest,
+    SweepService,
     canonical_json,
     meets_target,
     sanitize_document,
@@ -56,10 +53,25 @@ def start_service(tmp_path, **overrides):
     return serve_in_thread(config)
 
 
+def start_node(cache_dir, **overrides):
+    return serve_in_thread(ServiceConfig(cache_dir=str(cache_dir),
+                                         **overrides))
+
+
 def tiny_sweep(client, configs=None, **kwargs):
     configs = CONFIGS if configs is None else configs
     return client.sweep("hotspot", configs=configs, params=TINY_PARAMS,
                         metric="mae", **kwargs)
+
+
+def ground_truth(tmp_path, seed=0, configs=None):
+    """Results of a clean single-node run on a fresh cache."""
+    handle = start_node(tmp_path / "ground_truth")
+    try:
+        return tiny_sweep(ServiceClient(handle.base_url),
+                          configs=configs, seed=seed)["results"]
+    finally:
+        handle.stop()
 
 
 # ----------------------------------------------------------------------
@@ -141,58 +153,25 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Cache backend extraction
+# Cache entries
 # ----------------------------------------------------------------------
-class _FailingBackend(CacheBackend):
-    """A backend whose transport is down."""
-
-    name = "failing"
-
-    def read_json(self, key):
-        raise CacheBackendError("transport down")
-
-    def read_npz(self, key):
-        raise CacheBackendError("transport down")
-
-    def write_entry(self, key, json_text, npz_bytes):
-        raise CacheBackendError("transport down")
-
-    def contains(self, key):
-        return False
-
-    def acquire_lock(self, key):
-        return True
-
-    def release_lock(self, key):
-        pass
-
-
 class TestCacheBackends:
-    def test_directory_backend_is_byte_compatible_default(self, tmp_path):
-        """Explicit DirectoryBackend and plain root produce identical trees."""
+    def test_entry_layout_is_sharded_by_key_prefix(self, tmp_path):
+        """An entry lands at <root>/<key[:2]>/<key>.json and .npz."""
         config = IHWConfig.units("add")
         evaluation = TINY.framework().evaluate(config)
-        a = ResultCache(tmp_path / "a")
-        b = ResultCache(backend=DirectoryBackend(tmp_path / "b"))
-        assert a.put(TINY, config, evaluation)
-        assert b.put(TINY, config, evaluation)
-        json_a, _ = a.entry_paths(TINY, config)
-        json_b, _ = b.entry_paths(TINY, config)
-        assert json_a.relative_to(tmp_path / "a") == \
-            json_b.relative_to(tmp_path / "b")
-        assert json_a.read_bytes() == json_b.read_bytes()
-
-    def test_transport_errors_are_misses_not_quarantines(self):
-        cache = ResultCache(backend=_FailingBackend())
-        config = IHWConfig.precise()
-        assert cache.get(TINY, config) is None
-        assert cache.document(TINY, config) is None
-        assert cache.stats.backend_errors == 2
-        assert cache.stats.misses == 2
-        assert cache.stats.quarantined == 0
-        evaluation = TINY.framework().evaluate(config)
-        assert cache.put(TINY, config, evaluation) is False
-        assert cache.stats.backend_errors == 3
+        cache = ResultCache(tmp_path)
+        assert cache.put(TINY, config, evaluation)
+        key = entry_key(TINY, config)
+        assert cache.entry_paths(TINY, config) == (
+            tmp_path / key[:2] / f"{key}.json",
+            tmp_path / key[:2] / f"{key}.npz",
+        )
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*") if p.is_file()) == [
+            f"{key[:2]}/{key}.json", f"{key[:2]}/{key}.npz",
+        ]
+        assert cache.local_root == tmp_path
 
     def test_document_matches_entry_json(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -206,144 +185,6 @@ class TestCacheBackends:
         built = cache.build_document(TINY, config, evaluation,
                                      compute_seconds=1.5)
         assert built == doc
-
-    def test_http_backend_round_trip_via_peer(self, tmp_path):
-        handle = start_service(tmp_path)
-        try:
-            remote = ResultCache(backend=HTTPCacheBackend(handle.base_url))
-            config = IHWConfig.units("add")
-            evaluation = TINY.framework().evaluate(config)
-            assert remote.get(TINY, config) is None
-            assert remote.put(TINY, config, evaluation) is True
-            served = remote.get(TINY, config)
-            assert served is not None
-            assert served.quality == evaluation.quality
-            assert served.savings == evaluation.savings
-            # The bytes landed in the peer's local tree, byte-compatible.
-            local = handle.service.cache
-            assert local.entry_count() == 1
-            assert remote.backend.contains(remote.key(TINY, config))
-            assert remote.entry_count() == 1
-            # And locks round-trip through the peer.
-            key = remote.key(TINY, config)
-            assert remote.backend.acquire_lock(key) is True
-            assert remote.backend.acquire_lock(key) is False
-            remote.backend.release_lock(key)
-            assert remote.backend.acquire_lock(key) is True
-            remote.backend.release_lock(key)
-        finally:
-            handle.stop()
-
-    def test_http_backend_unreachable_is_transport_error(self):
-        backend = HTTPCacheBackend("http://127.0.0.1:9")  # discard port
-        with pytest.raises(CacheBackendError):
-            backend.read_json("ab" * 32)
-        cache = ResultCache(backend=backend)
-        assert cache.get(TINY, IHWConfig.precise()) is None
-        assert cache.stats.backend_errors == 1
-
-    def test_remote_backed_cache_reports_no_local_root(self):
-        cache = ResultCache(backend=HTTPCacheBackend("http://127.0.0.1:9"))
-        assert cache.local_root is None
-        with pytest.raises(ValueError, match="no local paths"):
-            cache.entry_paths(TINY, IHWConfig.precise())
-
-
-class _ScriptedPeer:
-    """Raw TCP server whose per-connection behavior is a callable — the
-    transport-fault shapes (truncation, stalls) a real HTTP stack won't
-    produce on demand."""
-
-    def __init__(self, behavior):
-        self._behavior = behavior
-        self._sock = socket.socket()
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(4)
-        self._sock.settimeout(0.1)
-        self.base_url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            try:
-                conn.settimeout(2.0)
-                try:
-                    conn.recv(65536)  # the request line; content irrelevant
-                except OSError:
-                    pass
-                self._behavior(conn)
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    def close(self):
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._sock.close()
-
-
-class TestHTTPBackendTransportFaults:
-    """Every transport-level failure shape is a counted miss
-    (``CacheStats.backend_errors``), never a quarantine — the peer's
-    bytes are not damaged just because the network is."""
-
-    def test_connection_refused_is_counted_backend_error(self):
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        cache = ResultCache(
-            backend=HTTPCacheBackend(f"http://127.0.0.1:{port}")
-        )
-        assert cache.get(TINY, IHWConfig.precise()) is None
-        assert cache.stats.backend_errors == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.quarantined == 0
-
-    def test_mid_body_truncation_is_miss_not_quarantine(self):
-        def truncate(conn):
-            # Promise 4096 body bytes, deliver 5, sever: the client's
-            # read raises IncompleteRead (an HTTPException, not OSError).
-            conn.sendall(b"HTTP/1.1 200 OK\r\n"
-                         b"Content-Type: application/json\r\n"
-                         b"Content-Length: 4096\r\n"
-                         b"Connection: close\r\n\r\n"
-                         b'{"tr')
-
-        peer = _ScriptedPeer(truncate)
-        try:
-            cache = ResultCache(backend=HTTPCacheBackend(peer.base_url))
-            assert cache.get(TINY, IHWConfig.precise()) is None
-            assert cache.stats.backend_errors == 1
-            assert cache.stats.misses == 1
-            assert cache.stats.quarantined == 0
-        finally:
-            peer.close()
-
-    def test_slow_peer_times_out_as_backend_error(self):
-        def stall(conn):
-            time.sleep(1.0)  # never answer within the client's budget
-
-        peer = _ScriptedPeer(stall)
-        try:
-            cache = ResultCache(
-                backend=HTTPCacheBackend(peer.base_url, timeout=0.2)
-            )
-            start = time.monotonic()
-            assert cache.document(TINY, IHWConfig.precise()) is None
-            assert time.monotonic() - start < 5.0
-            assert cache.stats.backend_errors == 1
-            assert cache.stats.quarantined == 0
-        finally:
-            peer.close()
 
 
 # ----------------------------------------------------------------------
@@ -393,17 +234,6 @@ class TestEndpoints:
             with pytest.raises(ServiceError) as excinfo:
                 tiny_sweep(client)  # 3 configs > limit 2
             assert excinfo.value.status == 413
-        finally:
-            handle.stop()
-
-    def test_malformed_cache_key_is_400(self, tmp_path):
-        handle = start_service(tmp_path)
-        try:
-            client = ServiceClient(handle.base_url)
-            status, _headers, _body = client.request(
-                "GET", "/cache/v1/not-a-key"
-            )
-            assert status == 400
         finally:
             handle.stop()
 
@@ -648,66 +478,300 @@ class TestServiceFaults:
 
 
 # ----------------------------------------------------------------------
-# Two-instance topology (acceptance E2E)
+# Queue journal (unit)
 # ----------------------------------------------------------------------
-class TestSharedCacheTopology:
-    def test_b_serves_warm_from_a_with_zero_recompute(self, tmp_path):
-        a = start_service(tmp_path)
-        b = None
+class TestQueueJournal:
+    def journal(self, tmp_path, **kwargs):
+        return QueueJournal(tmp_path / "queue.journal", **kwargs)
+
+    def test_replay_of_missing_file_is_empty(self, tmp_path):
+        assert self.journal(tmp_path).replay() == []
+
+    def test_done_retires_admits(self, tmp_path):
+        journal = self.journal(tmp_path)
+        journal.admit("k1", {"app": "a"}, {"c": 1})
+        journal.admit("k2", {"app": "a"}, {"c": 2})
+        journal.done("k1")
+        journal.close()
+        orphans = self.journal(tmp_path).replay()
+        assert [record["key"] for record in orphans] == ["k2"]
+        assert orphans[0]["spec"] == {"app": "a"}
+        assert orphans[0]["config"] == {"c": 2}
+
+    def test_replay_survives_torn_tail(self, tmp_path):
+        journal = self.journal(tmp_path)
+        journal.admit("k1", {}, {})
+        journal.close()
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"v":1,"op":"admit","key":"torn')  # no newline
+        orphans = self.journal(tmp_path).replay()
+        assert [record["key"] for record in orphans] == ["k1"]
+
+    def test_reset_truncates(self, tmp_path):
+        journal = self.journal(tmp_path)
+        journal.admit("k1", {}, {})
+        journal.reset()
+        assert journal.path.read_text() == ""
+        assert self.journal(tmp_path).replay() == []
+
+    def test_compaction_keeps_only_live_records(self, tmp_path):
+        journal = self.journal(tmp_path, compact_every=2)
+        for key in ("k1", "k2", "k3"):
+            journal.admit(key, {}, {})
+        journal.done("k1")
+        journal.done("k2")  # triggers compaction
+        journal.close()
+        lines = [line for line in journal.path.read_text().splitlines()
+                 if line.strip()]
+        assert len(lines) == 1
+        orphans = self.journal(tmp_path).replay()
+        assert [record["key"] for record in orphans] == ["k3"]
+
+    def test_live_counts_undelivered(self, tmp_path):
+        journal = self.journal(tmp_path)
+        assert journal.live == 0
+        journal.admit("k1", {}, {})
+        journal.admit("k2", {}, {})
+        assert journal.live == 2
+        journal.done("k1")
+        assert journal.live == 1
+
+    def test_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="compact_every"):
+            self.journal(tmp_path, compact_every=0)
+
+
+# ----------------------------------------------------------------------
+# Journal wired into a service instance
+# ----------------------------------------------------------------------
+class TestServiceJournal:
+    def test_miss_is_journaled_then_retired(self, tmp_path):
+        cache_dir = tmp_path / "svc_cache"
+        handle = start_node(cache_dir)
         try:
-            b = serve_in_thread(ServiceConfig(remote_cache=a.base_url))
-            client_a = ServiceClient(a.base_url, timeout=120)
-            client_b = ServiceClient(b.base_url, timeout=120)
-
-            computed = tiny_sweep(client_a)
-            assert computed["served"]["misses"] == 3
-
-            served = tiny_sweep(client_b)
-            assert served["served"] == {"hits": 3, "misses": 0, "errors": 0}
-            assert b.service.queue.snapshot()["executions"] == 0
-            assert canonical_json(computed["results"]) == \
-                canonical_json(served["results"])
-
-            # B can also compute cold work, writing through to A's store.
-            extra = {"mul": IHWConfig.units("mul")}
-            cold_b = tiny_sweep(client_b, extra)
-            assert cold_b["served"]["misses"] == 1
-            warm_a = tiny_sweep(client_a, extra)
-            assert warm_a["served"]["hits"] == 1
-            assert canonical_json(cold_b["results"]) == \
-                canonical_json(warm_a["results"])
+            tiny_sweep(ServiceClient(handle.base_url),
+                       configs={"precise": CONFIGS["precise"]})
+            journal = handle.service.journal
+            assert journal is not None
+            assert journal.live == 0  # admitted, computed, retired
+            key = entry_key(TINY, CONFIGS["precise"])
+            text = journal.path.read_text()
+            assert f'"key":"{key}"' in text
+            assert '"op":"admit"' in text and '"op":"done"' in text
+            assert ServiceClient(handle.base_url).queuez()["journal"]
         finally:
-            if b is not None:
-                b.stop()
-            a.stop()
+            handle.stop()
+
+    def test_no_journal_flag(self, tmp_path):
+        cache_dir = tmp_path / "svc_cache"
+        handle = start_node(cache_dir, journal=False)
+        try:
+            client = ServiceClient(handle.base_url)
+            tiny_sweep(client, configs={"precise": CONFIGS["precise"]})
+            assert not client.queuez()["journal"]
+            assert not (cache_dir / "manifests" / "queue.journal").exists()
+        finally:
+            handle.stop()
+
+    def test_replay_recovers_orphans(self, tmp_path):
+        cache_dir = tmp_path / "svc_cache"
+        handle = start_node(cache_dir)
+        tiny_sweep(ServiceClient(handle.base_url),
+                   configs={"precise": CONFIGS["precise"]})
+        handle.stop()
+
+        # Forge the journal a crashed node would leave behind: one orphan
+        # already computed (the crash hit between cache write and the
+        # done append), one never computed, one unparsable record, and a
+        # torn final line.
+        journal = QueueJournal(cache_dir / "manifests" / "queue.journal")
+        journal.admit(entry_key(TINY, CONFIGS["precise"]),
+                      TINY.canonical(), CONFIGS["precise"].canonical())
+        journal.admit(entry_key(TINY, CONFIGS["add"]),
+                      TINY.canonical(), CONFIGS["add"].canonical())
+        journal.admit("feedface", {"app": "no-such-app", "metric": "mae"},
+                      CONFIGS["add"].canonical())
+        journal.close()
+        with open(journal.path, "a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"op":"admit","key":"torn')
+
+        restarted = start_node(cache_dir)
+        try:
+            assert restarted.service.recovered == {
+                "complete": 1, "requeued": 1, "invalid": 1,
+            }
+            assert restarted.service.queue.drain(timeout=30.0)
+            # The orphan landed in the cache through normal execution...
+            local = ResultCache(cache_dir)
+            assert local.document(TINY, CONFIGS["add"]) is not None
+            # ...and the already-complete one was NOT recomputed.
+            assert restarted.service.queue.executions == 1
+            assert restarted.service.journal.live == 0
+            doc = ServiceClient(restarted.base_url).readyz()
+            assert doc["recovered"] == {
+                "complete": 1, "requeued": 1, "invalid": 1,
+            }
+        finally:
+            restarted.stop()
+
+
+# ----------------------------------------------------------------------
+# Readiness and draining
+# ----------------------------------------------------------------------
+class TestReadyAndDrain:
+    def test_readyz_initially_ready(self, tmp_path):
+        handle = start_node(tmp_path / "svc")
+        try:
+            doc = ServiceClient(handle.base_url).readyz()
+            assert doc["ready"] is True
+            assert doc["reasons"] == []
+            assert doc["draining"] is False
+            assert doc["recovered"] == {"complete": 0, "requeued": 0,
+                                        "invalid": 0}
+        finally:
+            handle.stop()
+
+    def test_drain_rejects_cold_work_but_serves_warm(self, tmp_path):
+        handle = start_node(tmp_path / "svc")
+        client = ServiceClient(handle.base_url, retries=0)
+        try:
+            warm = tiny_sweep(client,
+                              configs={"precise": CONFIGS["precise"]})
+            assert client.drain()["draining"] is True
+            ready = client.readyz()
+            assert ready["ready"] is False
+            assert "draining" in ready["reasons"]
+            # Cold admissions are refused with a routable 503...
+            with pytest.raises(ServiceError) as excinfo:
+                tiny_sweep(client, configs={"add": CONFIGS["add"]})
+            assert excinfo.value.status == 503
+            # ...while warm reads keep flowing.
+            again = tiny_sweep(client,
+                               configs={"precise": CONFIGS["precise"]})
+            assert canonical_json(again["results"]) == \
+                canonical_json(warm["results"])
+            # Undrain restores admissions.
+            assert client.undrain()["draining"] is False
+            assert client.readyz()["ready"] is True
+            cold = tiny_sweep(client, configs={"add": CONFIGS["add"]})
+            assert "error" not in cold["results"]["add"]
+        finally:
+            handle.stop()
+
+    def test_drain_still_coalesces_onto_inflight_work(self, tmp_path):
+        import concurrent.futures
+
+        handle = start_node(tmp_path / "svc")
+        queue = handle.service.queue
+        client = ServiceClient(handle.base_url)
+        try:
+            queue.pause()
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                first = pool.submit(tiny_sweep, client,
+                                    {"all": CONFIGS["all"]})
+                deadline = time.monotonic() + 10.0
+                while (queue.snapshot()["pending"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert queue.snapshot()["pending"] == 1
+                queue.start_draining()
+                # The identical request attaches to the in-flight item
+                # instead of being refused: coalescing adds no work.
+                second = pool.submit(tiny_sweep, client,
+                                     {"all": CONFIGS["all"]})
+                deadline = time.monotonic() + 10.0
+                while (queue.snapshot()["coalesced"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert queue.snapshot()["coalesced"] == 1
+                queue.resume()
+                first_doc = first.result(timeout=30.0)
+                second_doc = second.result(timeout=30.0)
+            assert canonical_json(first_doc["results"]) == \
+                canonical_json(second_doc["results"])
+            assert queue.executions == 1
+        finally:
+            queue.resume()
+            handle.stop()
+
+    def test_readyz_reports_queue_full(self, tmp_path):
+        service = SweepService(ServiceConfig(
+            cache_dir=str(tmp_path / "svc"), max_pending=1, journal=False,
+        ))
+        try:
+            service.queue.pause()
+            service.queue.submit(TINY, CONFIGS["precise"],
+                                 waiter=lambda doc, error: None)
+            doc = service._readyz()
+            assert doc["ready"] is False
+            assert "queue-full" in doc["reasons"]
+            service.queue.resume()
+            assert service.queue.drain(timeout=30.0)
+            assert service._readyz()["ready"] is True
+        finally:
+            service.queue.resume()
+            service.close()
+
+
+# ----------------------------------------------------------------------
+# Crash recovery: a killed node restarts on its cache directory
+# ----------------------------------------------------------------------
+class TestCrashRecovery:
+    def test_killed_node_requeues_orphans_once_then_serves_warm(
+            self, tmp_path):
+        """A node dies holding a whole admitted sweep; restarted on the
+        same cache directory it requeues every orphan exactly once,
+        computes each configuration once, and then answers the sweep
+        warm and bit-identical to a clean run."""
+        cache_dir = tmp_path / "svc_cache"
+        handle = start_node(cache_dir)
+
+        # 1. Admit a full sweep the node will never deliver: its queue is
+        #    held, so the admits are journaled, and then the node stops.
+        handle.service.queue.pause()
+        impatient = ServiceClient(handle.base_url, timeout=0.5, retries=0)
+        with pytest.raises(ServiceError):
+            tiny_sweep(impatient)
+        deadline = time.monotonic() + 10.0
+        while (handle.service.journal.live < len(CONFIGS)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert handle.service.journal.live == len(CONFIGS)
+        handle.stop()
+
+        # 2. Restart on the same cache directory: nothing was computed
+        #    before the stop, so every orphan is requeued, exactly once.
+        restarted = start_node(cache_dir)
+        try:
+            assert restarted.service.recovered == {
+                "complete": 0, "requeued": len(CONFIGS), "invalid": 0,
+            }
+            queue = restarted.service.queue
+            assert queue.drain(timeout=60.0)
+            # One computation and one cache write per configuration.
+            # Executions count runner batches, which the queue forms
+            # opportunistically from whatever is pending.
+            assert queue.completed == len(CONFIGS)
+            assert restarted.service.cache.stats.writes == len(CONFIGS)
+            assert 1 <= queue.executions <= len(CONFIGS)
+            assert restarted.service.journal.live == 0
+
+            # 3. The follow-up sweep is all hits, bit-identical to a
+            #    clean run on a fresh cache.
+            follow_up = tiny_sweep(ServiceClient(restarted.base_url))
+            assert follow_up["served"] == {
+                "hits": len(CONFIGS), "misses": 0, "errors": 0,
+            }
+            assert canonical_json(follow_up["results"]) == \
+                canonical_json(ground_truth(tmp_path))
+        finally:
+            restarted.stop()
 
 
 # ----------------------------------------------------------------------
 # Framework and telemetry integration
 # ----------------------------------------------------------------------
 class TestIntegration:
-    def test_evaluate_many_via_client_matches_local(self, tmp_path):
-        from tests.test_runtime import assert_evaluations_identical
-
-        handle = start_service(tmp_path)
-        try:
-            client = ServiceClient(handle.base_url, timeout=120)
-            framework = TINY.framework()
-            local = {name: framework.evaluate(cfg)
-                     for name, cfg in CONFIGS.items()}
-            remote = framework.evaluate_many(CONFIGS, client=client)
-            assert list(remote) == list(CONFIGS)
-            for name in CONFIGS:
-                assert_evaluations_identical(local[name], remote[name])
-        finally:
-            handle.stop()
-
-    def test_runner_and_client_are_exclusive(self):
-        framework = TINY.framework()
-        with pytest.raises(ValueError, match="not both"):
-            framework.evaluate_many(CONFIGS, runner=object(),
-                                    client=object())
-
     def test_execute_span_reparented_under_request(self, tmp_path):
         with telemetry.override("trace"):
             telemetry.reset()
@@ -829,6 +893,20 @@ class TestTransport:
             assert_no_2xx(raw_exchange(
                 handle, b"THIS IS NOT A REQUEST LINE\r\n\r\n"))
             assert ServiceClient(handle.base_url).healthz()["status"] == "ok"
+            # A request at the configuration bound fits under the body
+            # bound and is answered.
+            max_configs = handle.service.config.max_configs
+            body = canonical_json({
+                "app": "hotspot", "params": TINY_PARAMS, "metric": "mae",
+                "configs": {f"c{i:02d}": IHWConfig.all_imprecise().canonical()
+                            for i in range(max_configs)},
+            }).encode("utf-8")
+            assert len(body) < MAX_BODY_BYTES
+            status, _headers, reply = ServiceClient(
+                handle.base_url, timeout=120).request("POST", "/v1/sweep",
+                                                      body)
+            assert status == 200
+            assert len(json.loads(reply)["results"]) == max_configs
         finally:
             handle.stop()
 
@@ -850,5 +928,88 @@ class TestTransport:
                     assert not held.done()
                     held.result(timeout=120)
             assert took < 0.5
+        finally:
+            handle.stop()
+
+
+# ----------------------------------------------------------------------
+# CLI surface: repro call --repeats / broken pipes
+# ----------------------------------------------------------------------
+def run_cli(*argv):
+    from repro.cli import main
+
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+class TestCallCLI:
+    def test_call_repeats_reports_percentiles(self, tmp_path):
+        import json
+
+        handle = start_node(tmp_path / "svc")
+        try:
+            json_path = tmp_path / "response.json"
+            code, out = run_cli(
+                "call", "hotspot", "--url", handle.base_url,
+                "--configs", "precise", "--rows", "8",
+                "--iterations", "2", "--repeats", "4",
+                "--json", str(json_path),
+            )
+            assert code == 0
+            assert "p50" in out and "p95" in out and "p99" in out
+            payload = json.loads(json_path.read_text())
+            for key in ("latency_p50_seconds", "latency_p95_seconds",
+                        "latency_p99_seconds"):
+                assert key in payload
+                assert payload[key] >= 0.0
+            assert payload["latency_p50_seconds"] <= \
+                payload["latency_p95_seconds"] <= \
+                payload["latency_p99_seconds"]
+        finally:
+            handle.stop()
+
+    def test_call_survives_broken_pipe(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        class BrokenOut:
+            def write(self, text):
+                raise BrokenPipeError()
+
+            def flush(self):
+                pass
+
+        handle = start_node(tmp_path / "svc")
+        try:
+            # stdout without a real fd, as under a closed pipe's dup2
+            # fallback: the handler must cope with both.
+            monkeypatch.setattr(sys, "stdout", io.StringIO())
+            code = main(
+                ["call", "hotspot", "--url", handle.base_url,
+                 "--configs", "precise", "--rows", "8",
+                 "--iterations", "2", "--repeats", "3"],
+                out=BrokenOut(),
+            )
+            assert code == 0
+        finally:
+            handle.stop()
+
+
+# ----------------------------------------------------------------------
+# Per-request timeout knob (ServiceClient)
+# ----------------------------------------------------------------------
+class TestPerRequestTimeout:
+    def test_request_timeout_overrides_client_default(self, tmp_path):
+        handle = start_node(tmp_path / "svc")
+        client = ServiceClient(handle.base_url, timeout=30.0, retries=0)
+        try:
+            with faults.injection(
+                "slow-response:match=/healthz,seconds=0.5,times=100"
+            ):
+                # A 0.1s probe gives up on the stalled response...
+                with pytest.raises(ServiceError):
+                    client.healthz(timeout=0.1)
+                # ...while the client-wide 30s default rides it out.
+                assert client.healthz()["status"] == "ok"
         finally:
             handle.stop()
