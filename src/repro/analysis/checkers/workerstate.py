@@ -8,7 +8,7 @@ from a worker entry point (the runner's ``_evaluate_chunk`` — see
 pool's ``.submit``).  A container nobody on the worker side mutates is
 a static table; one a worker writes without a module-level ``reset()``
 hook diverges silently between pool recycles and poisons retry and
-resume semantics.
+rerun semantics.
 
 Writes are the dataflow summaries' ``writes_globals`` facts — direct
 ``global`` assignment, subscript/attribute stores, mutator-method

@@ -317,21 +317,17 @@ def cmd_sweep(args, out) -> int:
         print(f"bad retry policy: {exc}", file=sys.stderr)
         return 2
     runner = ExperimentRunner(max_workers=args.workers, cache=cache,
-                              policy=policy,
-                              checkpoint_every=args.checkpoint_every)
-    if args.resume and runner.cache is None:
-        print("--resume needs the result cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
+                              policy=policy)
     try:
-        results = runner.sweep(spec, configs, resume=args.resume)
+        results = runner.sweep(spec, configs)
     except TaskFailedError as exc:
-        # Completed work is already checkpointed (cache + manifest);
-        # tell the operator how to pick it back up.
+        # Completed work is already in the cache; a rerun serves it from
+        # there and computes only the rest.
         print(f"sweep failed: {exc}", file=sys.stderr)
         print(f"{runner.stats.summary()}", file=sys.stderr)
-        print("completed configurations are checkpointed; rerun with "
-              "--resume to continue", file=sys.stderr)
+        if runner.cache is not None:
+            print("completed configurations are in the result cache; rerun "
+                  "the same command to continue", file=sys.stderr)
         return 1
     stats = runner.stats
 
@@ -352,7 +348,7 @@ def cmd_sweep(args, out) -> int:
                       "speedup_vs_sequential", "max_workers", "chunk_size",
                       "n_tasks", "cache_hits", "cache_misses", "hit_rate",
                       "retries", "fallbacks", "timeouts", "pool_rebuilds",
-                      "degraded", "resumed_skipped"):
+                      "degraded"):
             print(f"  {field:24s} {doc[field]}", file=out)
         for note in doc["notes"]:
             print(f"  note: {note}", file=out)
@@ -810,17 +806,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="also write results to a JSON file")
     p.add_argument("--stats", action="store_true",
                    help="print the detailed runner statistics after the sweep")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted sweep: skip configurations the "
-                        "previous run already completed (needs the cache)")
     p.add_argument("--retries", type=int, default=2,
                    help="retries per failing configuration (default 2)")
     p.add_argument("--task-timeout", type=float, default=None,
                    help="per-task deadline in seconds; hung workers are "
                         "terminated and the task retried (default: none)")
-    p.add_argument("--checkpoint-every", type=int, default=8,
-                   help="completed tasks between sweep-manifest flushes "
-                        "(0 disables checkpoint/resume manifests)")
 
     p = sub.add_parser(
         "serve", help="serve power-quality tradeoff queries over HTTP"

@@ -67,7 +67,6 @@ class ScratchPool:
 
     def __init__(self):
         self._buffers: dict = {}
-        self._high_water = 0
 
     def get(self, name: str, dtype, shape) -> np.ndarray:
         n = 1
@@ -78,19 +77,11 @@ class ScratchPool:
         if buf is None or buf.size < n:
             buf = np.empty(max(n, 1), dtype=dtype)
             self._buffers[key] = buf
-            total = self.nbytes()
-            if total > self._high_water:
-                self._high_water = total
         return buf[:n].reshape(shape)
 
     def nbytes(self) -> int:
         """Total bytes currently held (telemetry / debugging)."""
         return sum(buf.nbytes for buf in self._buffers.values())
-
-    @property
-    def high_water_bytes(self) -> int:
-        """Peak bytes ever held (not reset by :meth:`release`)."""
-        return self._high_water
 
     def release(self) -> int:
         """Drop every buffer; returns the bytes freed.
@@ -101,27 +92,6 @@ class ScratchPool:
         """
         freed = self.nbytes()
         self._buffers.clear()
-        return freed
-
-    def trim(self, max_bytes: int) -> int:
-        """Drop the largest buffers until at most ``max_bytes`` remain.
-
-        Returns the bytes freed.  ``trim(0)`` is equivalent to
-        :meth:`release`.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        freed = 0
-        by_size = sorted(
-            self._buffers.items(), key=lambda kv: kv[1].nbytes, reverse=True
-        )
-        held = self.nbytes()
-        for key, buf in by_size:
-            if held <= max_bytes:
-                break
-            del self._buffers[key]
-            held -= buf.nbytes
-            freed += buf.nbytes
         return freed
 
 

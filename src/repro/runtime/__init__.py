@@ -10,8 +10,8 @@ The architectural seam every multi-configuration consumer shares:
 - :class:`ExperimentRunner` — fault-tolerant process-pool fan-out with
   chunked dispatch, per-task retries, backend fallback, pool-loss
   recovery, and optional task deadlines (see :class:`RetryPolicy`);
-  ``max_workers=1`` is the bit-identical sequential path;
-- :class:`SweepManifest` — durable sweep progress for checkpoint/resume;
+  ``max_workers=1`` is the bit-identical sequential path; an interrupted
+  sweep run again finds its finished configs in the cache;
 - :class:`RunnerStats` — wall time, per-task latency, hit rate, speedup,
   and the run's reliability events.
 
@@ -39,7 +39,6 @@ from .cache import (
     cache_from_env,
     entry_key,
 )
-from .manifest import MANIFEST_VERSION, SweepManifest, atomic_write_text
 from .policy import RetryPolicy
 from .runner import ExperimentRunner, TaskFailedError, default_worker_count
 from .spec import APP_RUNNERS, METRIC_NAMES, ExperimentSpec
@@ -50,16 +49,13 @@ __all__ = [
     "CacheStats",
     "ExperimentRunner",
     "ExperimentSpec",
-    "MANIFEST_VERSION",
     "METRIC_NAMES",
     "ResultCache",
     "RetryPolicy",
     "RunnerStats",
     "SPEEDUP_CAP",
-    "SweepManifest",
     "TaskFailedError",
     "TaskTiming",
-    "atomic_write_text",
     "cache_disabled",
     "cache_from_env",
     "default_worker_count",

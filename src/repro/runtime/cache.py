@@ -14,7 +14,6 @@ Entries live in a directory tree under one root::
     <key[:2]>/<key>.npz    output array payload (when present)
     <key[:2]>/<key>.lock   advisory in-flight write marker (transient)
     quarantine/            damaged entries moved aside, never served
-    manifests/<id>.json    sweep progress records (checkpoint/resume)
 
 Writes are crash-safe: every file lands via a sibling temp path and
 ``os.replace``, npz before json, so a crash mid-write never leaves a
@@ -97,7 +96,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    evictions: int = 0
     invalid: int = 0  # corrupted / stale entries detected and dropped
     uncacheable: int = 0  # outputs the cache declined to serialize
     quarantined: int = 0  # invalid entries moved aside for post-mortem
@@ -120,16 +118,10 @@ class ResultCache:
     ----------
     root:
         Cache directory (created on first write).
-    max_entries:
-        Optional LRU bound; oldest entries are evicted after a write
-        pushes the count above it.
     """
 
-    def __init__(self, root=None, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, root=None):
         self.root = Path(root or DEFAULT_CACHE_DIR)
-        self.max_entries = max_entries
         self.stats = CacheStats()
 
     @property
@@ -349,7 +341,6 @@ class ResultCache:
             self._lock_path(key).unlink(missing_ok=True)
         self.stats.writes += 1
         telemetry.counter_inc("repro_cache_writes_total", outcome="stored")
-        self._enforce_limit()
         return True
 
     def _lock_path(self, key: str) -> Path:
@@ -419,8 +410,7 @@ class ResultCache:
         """
         removed = 0
         now = time.time()
-        for pattern in ("??/*.lock", "??/*.tmp", "??/*.tmp.npz",
-                        "manifests/*.tmp"):
+        for pattern in ("??/*.lock", "??/*.tmp", "??/*.tmp.npz"):
             for path in self.root.glob(pattern):
                 try:
                     if now - path.stat().st_mtime > max_age_seconds:
@@ -430,15 +420,6 @@ class ResultCache:
                     continue  # concurrent cleanup or vanished file
         self.stats.stale_cleaned += removed
         return removed
-
-    def _enforce_limit(self) -> None:
-        if self.max_entries is None:
-            return
-        entries = sorted(self.root.glob("??/*.json"),
-                         key=lambda p: p.stat().st_mtime)
-        for stale in entries[: max(0, len(entries) - self.max_entries)]:
-            self._remove(stale.stem)
-            self.stats.evictions += 1
 
     def entry_count(self) -> int:
         return sum(1 for _ in self.root.glob("??/*.json"))

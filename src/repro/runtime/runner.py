@@ -41,9 +41,9 @@ governed by a :class:`~repro.runtime.policy.RetryPolicy`:
 - with ``policy.task_timeout`` set, a dispatched chunk that blows its
   deadline has its workers terminated and its tasks retried — a hung
   worker cannot stall a sweep forever;
-- completed sweep results are checkpointed through the cache plus a
-  :class:`~repro.runtime.manifest.SweepManifest`, so an interrupted sweep
-  resumed with ``resume=True`` recomputes none of its finished configs.
+- every completed result is written to the cache as it arrives, so an
+  interrupted sweep run again gets its finished configs as cache hits
+  and computes only the rest.
 
 Deterministic fault injection (``REPRO_FAULTS``, :mod:`repro.faults`)
 exercises every one of these paths in ``tests/test_faults.py``.
@@ -71,7 +71,6 @@ from repro.core.backends.threads import (
 )
 
 from .cache import ResultCache, cache_from_env
-from .manifest import SweepManifest
 from .policy import RetryPolicy
 from .stats import RunnerStats, TaskTiming
 
@@ -221,23 +220,15 @@ class ExperimentRunner:
     policy:
         :class:`~repro.runtime.policy.RetryPolicy` governing retries,
         timeouts, and degradation (default: two retries, no deadline).
-    checkpoint_every:
-        Completed tasks between sweep-manifest flushes (0 disables
-        manifests entirely).
     """
 
     def __init__(self, max_workers: int | None = None, cache="auto",
                  chunk_size: int | None = None,
-                 policy: RetryPolicy | None = None,
-                 checkpoint_every: int = 8):
+                 policy: RetryPolicy | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
         self.max_workers = max_workers or default_worker_count()
         if cache == "auto":
             self.cache = cache_from_env()
@@ -249,7 +240,6 @@ class ExperimentRunner:
             self.cache = ResultCache(cache)
         self.chunk_size = chunk_size
         self.policy = policy or RetryPolicy()
-        self.checkpoint_every = checkpoint_every
         self.stats = RunnerStats(max_workers=self.max_workers)
         self._frameworks: dict = {}
         # The kept pool, built by the first pooled sweep: (executor,
@@ -283,18 +273,14 @@ class ExperimentRunner:
             self.cache.put(spec, config, evaluation, seconds)
         return evaluation
 
-    def sweep(self, spec, configs, resume: bool = False) -> dict:
+    def sweep(self, spec, configs) -> dict:
         """Evaluate ``{name: IHWConfig}`` and return ``{name: Evaluation}``.
 
         Insertion order is preserved; ``self.stats`` afterwards describes
-        this sweep.  With ``resume=True`` and a cache, a manifest left by
-        an interrupted run of the same sweep is consulted and the count
-        of already-completed configurations is reported in
-        ``stats.resumed_skipped`` (their results come from the cache —
-        zero recomputation).  On an unrecoverable failure
-        (:class:`TaskFailedError`) the manifest still records every
-        completed configuration, so the next ``resume=True`` run picks up
-        where this one stopped.
+        this sweep.  Each result reaches the cache as it completes, so
+        after an unrecoverable failure (:class:`TaskFailedError`) running
+        the same sweep again serves every finished configuration from the
+        cache and computes only the rest.
         """
         wall_start = time.perf_counter()
         injector = faults.active()
@@ -303,15 +289,10 @@ class ExperimentRunner:
         configs = dict(configs)
         stats = RunnerStats(max_workers=self.max_workers,
                             chunk_size=self._chunk_size_for(len(configs)))
-        manifest = None
         if self.cache is not None:
             self.cache.cleanup_stale()
-            if self.checkpoint_every:
-                manifest = SweepManifest.for_sweep(self.cache, spec, configs)
-        completions = 0
 
         def deliver(task, value, seconds):
-            nonlocal completions
             results[task.name] = value
             timings[task.name] = TaskTiming(
                 task.name, seconds,
@@ -321,11 +302,6 @@ class ExperimentRunner:
                 self.cache.put(spec, configs[task.name], value, seconds)
                 if injector is not None and injector.corrupt_cache(task.name):
                     faults.corrupt_entry(self.cache, spec, configs[task.name])
-            if manifest is not None:
-                manifest.mark(task.name)
-                completions += 1
-                if completions % self.checkpoint_every == 0:
-                    manifest.flush()
 
         try:
             with telemetry.span(
@@ -337,12 +313,6 @@ class ExperimentRunner:
                     if cached is not None:
                         results[name] = cached
                         timings[name] = TaskTiming(name, 0.0, cached=True)
-                        if manifest is not None:
-                            manifest.mark(name)
-                        if resume and manifest is not None and (
-                            name in manifest.previously_completed
-                        ):
-                            stats.resumed_skipped += 1
                     else:
                         misses.append(_PendingTask(name, config))
                 stats.chunk_size = self._chunk_size_for(len(misses))
@@ -352,8 +322,6 @@ class ExperimentRunner:
                 )
         finally:
             _reclaim_scratch()
-            if manifest is not None:
-                manifest.flush()
             stats.wall_seconds = time.perf_counter() - wall_start
             stats.tasks = [timings[name] for name in configs if name in timings]
             fell_back = sorted(t.name for t in stats.tasks if t.fallback)

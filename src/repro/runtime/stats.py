@@ -47,7 +47,6 @@ class RunnerStats:
     timeouts: int = 0  # chunk deadlines that expired (pool was terminated)
     pool_rebuilds: int = 0  # process pools lost and rebuilt
     degraded: bool = False  # finished on the sequential inline path
-    resumed_skipped: int = 0  # configs a --resume run found already complete
     notes: list = field(default_factory=list)  # human-readable reliability notes
 
     # ------------------------------------------------------------------
@@ -112,7 +111,7 @@ class RunnerStats:
 
     def reliability_summary(self) -> str:
         """One-line account of the run's reliability events ("" when clean)."""
-        if not self.had_faults and not self.resumed_skipped:
+        if not self.had_faults:
             return ""
         parts = []
         if self.retries:
@@ -128,8 +127,6 @@ class RunnerStats:
                          f"{'s' if self.pool_rebuilds != 1 else ''}")
         if self.degraded:
             parts.append("degraded to sequential")
-        if self.resumed_skipped:
-            parts.append(f"resumed past {self.resumed_skipped} completed")
         return ", ".join(parts)
 
     def summary(self) -> str:
@@ -163,7 +160,6 @@ class RunnerStats:
             "timeouts": self.timeouts,
             "pool_rebuilds": self.pool_rebuilds,
             "degraded": self.degraded,
-            "resumed_skipped": self.resumed_skipped,
             "notes": list(self.notes),
             "tasks": [
                 {"name": t.name, "seconds": t.seconds, "cached": t.cached,

@@ -3,7 +3,7 @@
 The coalescing queue holds admitted work in memory; a node that dies
 mid-sweep would silently forget every item that had been admitted but not
 yet delivered.  :class:`QueueJournal` closes that gap with an append-only
-JSONL file next to the manifest store (``<cache dir>/manifests/``):
+JSONL file, ``<cache dir>/manifests/queue.journal``:
 
 - ``{"op": "admit", "key": ..., "spec": ..., "config": ...}`` is
   appended (write + flush + fsync) the moment the queue admits a
@@ -17,16 +17,15 @@ On restart, :meth:`replay` folds the log: admits without a matching done
 are *orphans*.  The server checks each orphan against the result cache —
 a key already present was completed before the crash (which hit between
 the cache write and the journal append) and is **not** recomputed; the
-rest are re-enqueued through the normal admission path.  That extends
-the sweep manifest's guarantee to the service: a killed node recomputes
+rest are re-enqueued through the normal admission path.  That gives the
+service the runner's zero-recompute guarantee: a killed node recomputes
 zero completed configs.
 
 Crash-safety model: appends are single ``write`` calls of one ``\\n``-
 terminated line, so the only possible damage is a torn *final* line,
 which replay tolerates (unparsable lines are skipped).  Compaction —
 dropping the matched admit/done pairs — rewrites the file through
-:func:`repro.runtime.atomic_write_text`, the same tempfile +
-``os.replace`` idiom every other durable cache artifact uses.
+:func:`atomic_write_text` (tempfile + ``os.replace``).
 """
 
 from __future__ import annotations
@@ -36,12 +35,23 @@ import os
 import threading
 from pathlib import Path
 
-from repro.runtime import atomic_write_text
-
-__all__ = ["QueueJournal", "JOURNAL_FILENAME", "JOURNAL_VERSION"]
+__all__ = ["QueueJournal", "JOURNAL_FILENAME", "JOURNAL_VERSION",
+           "MANIFEST_DIRNAME"]
 
 JOURNAL_VERSION = 1
 JOURNAL_FILENAME = "queue.journal"
+#: Directory under the cache root that holds the journal; the name is
+#: kept so journals written by earlier releases still replay.
+MANIFEST_DIRNAME = "manifests"
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (tempfile + ``os.replace``)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 class QueueJournal:

@@ -232,11 +232,27 @@ class SweepQueue:
             return not self._inflight
 
     def shutdown(self) -> None:
-        """Refuse new work and unblock the idle worker (a daemon thread)."""
+        """Refuse new work, unblock the idle worker (a daemon thread), and
+        fail the waiters of every item not yet running.
+
+        Those items stay admitted in the journal, so a restart on the
+        same cache requeues them once.
+        """
         with self._not_empty:
             self._stopping = True
+            waiters = []
+            while self._pending:
+                item = self._pending.popleft()
+                del self._inflight[item.key]
+                waiters.extend(item.waiters)
             self._not_empty.notify_all()
         self._paused.set()
+        error = RuntimeError("node shutting down")
+        for waiter in waiters:
+            try:
+                waiter(None, error)
+            except Exception:
+                telemetry.counter_inc("repro_service_waiter_errors_total")
 
     # ------------------------------------------------------------------
     # Worker side

@@ -57,15 +57,9 @@ from repro import faults, telemetry
 from repro.core import IHWConfig
 from repro.core.backends.threads import resolve_thread_count
 from repro.faults.injector import CRASH_EXIT_CODE
-from repro.runtime import (
-    ExperimentRunner,
-    ExperimentSpec,
-    ResultCache,
-    RetryPolicy,
-)
-from repro.runtime.manifest import MANIFEST_DIRNAME
+from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
 
-from .journal import QueueJournal
+from .journal import JOURNAL_FILENAME, MANIFEST_DIRNAME, QueueJournal
 from .protocol import (
     ProtocolError,
     SweepRequest,
@@ -120,8 +114,7 @@ class SweepService:
         orphans: list = []
         if config.journal:
             self.journal = QueueJournal(
-                Path(config.cache_dir) / MANIFEST_DIRNAME
-                / "queue.journal"
+                Path(config.cache_dir) / MANIFEST_DIRNAME / JOURNAL_FILENAME
             )
             orphans = self.journal.replay()
             self.journal.reset()
@@ -171,14 +164,8 @@ class SweepService:
 
     def _make_runner(self) -> ExperimentRunner:
         # The queue thread's runner: inline (max_workers=1) keeps execution
-        # deterministic and fork-free inside server threads; manifests
-        # are disabled — the queue is its own progress authority.
-        return ExperimentRunner(
-            max_workers=1,
-            cache=self.cache,
-            policy=RetryPolicy(),
-            checkpoint_every=0,
-        )
+        # deterministic and fork-free inside server threads.
+        return ExperimentRunner(max_workers=1, cache=self.cache)
 
     def close(self) -> None:
         self.queue.shutdown()

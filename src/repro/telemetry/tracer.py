@@ -108,13 +108,6 @@ class Tracer:
             with self._lock:
                 self._buffer.append(span)
 
-    def export_jsonl(self) -> str:
-        """One compact JSON document per buffered span."""
-        return "\n".join(
-            json.dumps(span, sort_keys=True, separators=(",", ":"))
-            for span in self.spans()
-        )
-
     def append_jsonl(self, path) -> Path:
         """Drain the buffer into a JSON-lines file (append)."""
         path = Path(path)

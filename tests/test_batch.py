@@ -6,7 +6,7 @@ Covers:
   configuration, each bit-identical to the per-config call;
 - config: cache-key independence from the backend choice;
 - runtime: sweeps mixing adder thresholds and multiplier modes produce
-  identical results, cache entries, and resume behavior pooled and
+  identical results, cache entries, and rerun behavior pooled and
   sequential, and scratch pools are reclaimed between tasks with the
   high-water gauge published.
 """
@@ -152,7 +152,7 @@ class TestBatchedSweep:
         first = dict(list(configs.items())[:3])
         ExperimentRunner(max_workers=2, cache=cache).sweep(SPEC, first)
         resumed_runner = ExperimentRunner(max_workers=2, cache=cache)
-        results = resumed_runner.sweep(SPEC, configs, resume=True)
+        results = resumed_runner.sweep(SPEC, configs)
         assert list(results) == list(configs)
         assert resumed_runner.stats.cache_hits == len(first)
 

@@ -244,33 +244,32 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_resume_requires_the_cache(self):
-        code, _ = run_cli(
-            "sweep", "hotspot", "--rows", "16", "--iterations", "4",
-            "--workers", "1", "--no-cache", "--resume",
-        )
-        assert code == 2
-
     def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
         from repro import faults
 
         args = (
             "sweep", "hotspot", "--rows", "16", "--iterations", "4",
             "--workers", "1", "--cache-dir", str(tmp_path),
-            "--checkpoint-every", "1",
         )
         # First run: 'mul' fails unrecoverably after some configs have
-        # already been computed and checkpointed.
+        # already been computed and cached.
         with faults.injection("transient:match=mul,times=99"):
             code, _ = run_cli(*args, "--retries", "0")
         assert code == 1
-        assert list(tmp_path.glob("manifests/*.json"))
+        finished = {p.stem for p in tmp_path.glob("??/*.json")}
+        assert finished
 
-        # Resume: the completed configs come from the cache, the sweep
-        # finishes, and the reliability tail reports the skips.
-        code, text = run_cli(*args, "--resume")
+        # Rerun of the same command: the finished configs come from the
+        # cache, the rest run, and the sweep completes.
+        code, text = run_cli(*args)
         assert code == 0
-        assert "resumed past" in text
+        sources = {
+            line.split()[0]: line.split()[-1]
+            for line in text.splitlines()
+            if line.endswith((" cache", " run"))
+        }
+        assert sources["mul"] == "run"
+        assert list(sources.values()).count("cache") == len(finished)
 
     def test_stats_omits_telemetry_section_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "off")

@@ -18,7 +18,6 @@ fail loudly instead of stalling the run (CI adds ``pytest-timeout`` on
 top; the watchdog keeps local runs safe without it).
 """
 
-import json
 import signal
 
 import pytest
@@ -430,52 +429,48 @@ class TestCorruptCacheRecovery:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint / resume
+# Interrupted sweeps: rerun
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
     def test_interrupted_sweep_resumes_with_zero_recompute(self, tmp_path):
         configs = make_configs(8)
         # First run dies at cfg05 with no retry budget; cfg00..cfg04 are
-        # checkpointed (cache + manifest) before the failure.
+        # in the cache before the failure.
         with faults.injection("transient:match=cfg05,times=99"):
             runner = ExperimentRunner(
                 max_workers=1, cache=ResultCache(tmp_path),
-                policy=fast_policy(max_retries=0), checkpoint_every=1,
+                policy=fast_policy(max_retries=0),
             )
             with pytest.raises(TaskFailedError):
                 runner.sweep(SPEC, configs)
 
-        manifest_path = next(tmp_path.glob("manifests/*.json"))
-        doc = json.loads(manifest_path.read_text())
-        assert doc["status"] == "running"
-        assert doc["completed"] == [f"cfg{i:02d}" for i in range(5)]
-
-        resumed = ExperimentRunner(
-            max_workers=1, cache=ResultCache(tmp_path), checkpoint_every=1,
-        )
-        results = resumed.sweep(SPEC, configs, resume=True)
+        resumed = ExperimentRunner(max_workers=1, cache=ResultCache(tmp_path))
+        results = resumed.sweep(SPEC, configs)
         assert len(results) == len(configs)
-        assert resumed.stats.resumed_skipped == 5
         assert resumed.stats.cache_hits == 5  # zero recomputation of those
         assert resumed.stats.cache_misses == 3
-        doc = json.loads(manifest_path.read_text())
-        assert doc["status"] == "complete"
 
-    def test_complete_sweep_manifest_marked_complete(self, tmp_path):
-        runner = ExperimentRunner(
-            max_workers=1, cache=ResultCache(tmp_path), checkpoint_every=2,
+    def test_interrupted_pooled_sweep_reruns_with_zero_recompute(
+            self, tmp_path):
+        configs = make_configs(8)
+        clean = ExperimentRunner(max_workers=1, cache=None).sweep(
+            SPEC, configs
         )
-        runner.sweep(SPEC, make_configs(4))
-        doc = json.loads(next(tmp_path.glob("manifests/*.json")).read_text())
-        assert doc["status"] == "complete"
-        assert len(doc["completed"]) == 4
+        with faults.injection("transient:match=cfg05,times=99"):
+            runner = ExperimentRunner(
+                max_workers=2, cache=ResultCache(tmp_path), chunk_size=1,
+                policy=fast_policy(max_retries=0),
+            )
+            with pytest.raises(TaskFailedError):
+                runner.sweep(SPEC, configs)
+        finished = ResultCache(tmp_path).entry_count()
+        assert 0 < finished < len(configs)
 
-    def test_different_sweeps_get_different_manifests(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(max_workers=1, cache=cache)
-        runner.sweep(SPEC, make_configs(2))
-        runner.sweep(SPEC, make_configs(3))
-        assert len(list(tmp_path.glob("manifests/*.json"))) == 2
+        rerun = ExperimentRunner(max_workers=2, cache=ResultCache(tmp_path))
+        results = rerun.sweep(SPEC, configs)
+        assert rerun.stats.cache_hits == finished
+        assert rerun.stats.cache_misses == len(configs) - finished
+        assert_results_identical(clean, results)
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +497,6 @@ class TestChaosAcceptance:
             runner = ExperimentRunner(
                 max_workers=2, cache=ResultCache(tmp_path), chunk_size=1,
                 policy=fast_policy(task_timeout=3.0),
-                checkpoint_every=4,
             )
             disturbed = runner.sweep(SPEC, configs)
 
@@ -524,10 +518,9 @@ class TestChaosAcceptance:
         assert warm.cache.stats.quarantined == 1
         assert_results_identical(clean, again)
 
-        # 4. A resume pass recomputes zero configurations.
+        # 4. A rerun recomputes zero configurations.
         resumed = ExperimentRunner(
             max_workers=1, cache=ResultCache(tmp_path)
         )
-        resumed.sweep(SPEC, configs, resume=True)
+        resumed.sweep(SPEC, configs)
         assert resumed.stats.cache_misses == 0
-        assert resumed.stats.resumed_skipped == len(configs)

@@ -192,6 +192,24 @@ class TestResultCache:
         for name in SWEEP:
             assert_evaluations_identical(first[name], second[name])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_sweep_writes_nothing(self, tmp_path, workers):
+        def snapshot():
+            return {
+                (str(path.relative_to(tmp_path)), stat.st_size, stat.st_mtime_ns)
+                for path in tmp_path.rglob("*")
+                for stat in [path.stat()]
+            }
+
+        ExperimentRunner(max_workers=workers,
+                         cache=ResultCache(tmp_path)).sweep(HOTSPOT, SWEEP)
+        cold = snapshot()
+        warm = ExperimentRunner(max_workers=workers,
+                                cache=ResultCache(tmp_path))
+        warm.sweep(HOTSPOT, SWEEP)
+        assert warm.stats.cache_hits == len(SWEEP)
+        assert snapshot() == cold
+
     def test_distinct_specs_do_not_collide(self, tmp_path):
         cache = ResultCache(tmp_path)
         other = ExperimentSpec.create(
@@ -239,12 +257,6 @@ class TestResultCache:
         fresh = ResultCache(tmp_path)
         assert fresh.get(HOTSPOT, IHWConfig.units("add")) is None
         assert fresh.stats.invalid == 1
-
-    def test_eviction_bound(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        ExperimentRunner(max_workers=1, cache=cache).sweep(HOTSPOT, SWEEP)
-        assert cache.entry_count() == 2
-        assert cache.stats.evictions == len(SWEEP) - 2
 
     def test_env_off_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")

@@ -14,6 +14,7 @@ import io
 import json
 import socket
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -764,6 +765,52 @@ class TestCrashRecovery:
             }
             assert canonical_json(follow_up["results"]) == \
                 canonical_json(ground_truth(tmp_path))
+        finally:
+            restarted.stop()
+
+    def test_stop_releases_a_stranded_request(self, tmp_path):
+        """stop() fails the waiters of queued work at once instead of
+        leaving their request threads blocked for ``request_timeout``;
+        the work stays journaled, so a restart requeues it once."""
+        cache_dir = tmp_path / "svc_cache"
+        handle = start_node(cache_dir)
+        handle.service.queue.pause()
+        before = set(threading.enumerate())
+        outcome = {}
+
+        def call():
+            client = ServiceClient(handle.base_url, timeout=60, retries=0)
+            outcome["reply"] = tiny_sweep(client, {"add": CONFIGS["add"]})
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        deadline = time.monotonic() + 10.0
+        while (handle.service.journal.live < 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert handle.service.journal.live == 1
+        request_threads = [t for t in threading.enumerate()
+                           if t not in before and t is not caller]
+        assert request_threads
+
+        stopped = time.monotonic()
+        handle.stop()
+        for thread in [caller, *request_threads]:
+            thread.join(max(0.0, stopped + 2.0 - time.monotonic()))
+            assert not thread.is_alive(), thread.name
+        assert outcome["reply"]["served"] == {
+            "hits": 0, "misses": 1, "errors": 1,
+        }
+        assert outcome["reply"]["results"]["add"] == {
+            "error": "node shutting down",
+        }
+
+        restarted = start_node(cache_dir)
+        try:
+            assert restarted.service.recovered == {
+                "complete": 0, "requeued": 1, "invalid": 0,
+            }
+            assert restarted.service.queue.drain(timeout=60.0)
         finally:
             restarted.stop()
 
