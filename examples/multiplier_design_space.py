@@ -11,7 +11,7 @@ Run:  python examples/multiplier_design_space.py
 import numpy as np
 
 from repro.core import MultiplierConfig
-from repro.erroranalysis import characterize_multiplier_config
+from repro.erroranalysis import characterize_multiplier_configs
 from repro.hardware import bt_fp_multiplier, dw_fp_multiplier, mitchell_fp_multiplier
 
 N = 1 << 15
@@ -23,21 +23,23 @@ def sweep(bits: int):
     mantissa = 23 if bits == 32 else 52
     truncations = [0, mantissa // 4, mantissa // 2, int(mantissa * 0.82)]
 
+    configs = [MultiplierConfig(path, tr) for path in ("full", "log") for tr in truncations]
+    baselines = [f"bt_{tr}" for tr in truncations[1:]]
+    pmfs = characterize_multiplier_configs(configs + baselines, N, dtype=dtype)
+
     print(f"\n=== {bits}-bit design space (DW baseline: {dw:.2f} mW) ===")
     print(f"{'config':10s} {'power mW':>9s} {'reduction':>10s} {'eps_max':>9s} "
           f"{'eps_mean':>9s}")
-    for path in ("full", "log"):
-        for tr in truncations:
-            cfg = MultiplierConfig(path, tr)
-            power = mitchell_fp_multiplier(bits, cfg).metrics().power_mw
-            pmf = characterize_multiplier_config(cfg, N, dtype=dtype)
-            print(f"{cfg.name:10s} {power:9.3f} {dw / power:9.1f}x "
-                  f"{pmf.stats.eps_max:9.2%} {pmf.stats.eps_mean:9.2%}")
-    for tr in truncations[1:]:
+    for cfg in configs:
+        power = mitchell_fp_multiplier(bits, cfg).metrics().power_mw
+        stats = pmfs[cfg.name].stats
+        print(f"{cfg.name:10s} {power:9.3f} {dw / power:9.1f}x "
+              f"{stats.eps_max:9.2%} {stats.eps_mean:9.2%}")
+    for tr, label in zip(truncations[1:], baselines):
         power = bt_fp_multiplier(bits, tr).metrics().power_mw
-        pmf = characterize_multiplier_config(f"bt_{tr}", N, dtype=dtype)
-        print(f"{'bt_' + str(tr):10s} {power:9.3f} {dw / power:9.1f}x "
-              f"{pmf.stats.eps_max:9.2%} {pmf.stats.eps_mean:9.2%}")
+        stats = pmfs[label].stats
+        print(f"{label:10s} {power:9.3f} {dw / power:9.1f}x "
+              f"{stats.eps_max:9.2%} {stats.eps_mean:9.2%}")
 
 
 def main():

@@ -148,7 +148,7 @@ def cmd_evaluate(args, out) -> int:
 
 def cmd_sweep_multiplier(args, out) -> int:
     from repro.core import MultiplierConfig
-    from repro.erroranalysis import characterize_multiplier_config
+    from repro.erroranalysis import characterize_multiplier_configs
     from repro.hardware import bt_fp_multiplier, dw_fp_multiplier, mitchell_fp_multiplier
 
     bits = args.bits
@@ -156,21 +156,21 @@ def cmd_sweep_multiplier(args, out) -> int:
     mantissa = 23 if bits == 32 else 52
     dw = dw_fp_multiplier(bits).metrics().power_mw
     truncations = sorted({0, mantissa // 4, mantissa // 2, int(mantissa * 0.82)})
+    configs = [MultiplierConfig(path, tr) for path in ("full", "log") for tr in truncations]
+    baselines = [f"bt_{tr}" for tr in truncations[1:]]
+    pmfs = characterize_multiplier_configs(configs + baselines, args.samples,
+                                           dtype=dtype)
 
     print(f"{'config':10s} {'power mW':>9s} {'reduction':>10s} {'eps_max':>9s}",
           file=out)
-    for path in ("full", "log"):
-        for tr in truncations:
-            cfg = MultiplierConfig(path, tr)
-            power = mitchell_fp_multiplier(bits, cfg).metrics().power_mw
-            pmf = characterize_multiplier_config(cfg, args.samples, dtype=dtype)
-            print(f"{cfg.name:10s} {power:9.3f} {dw / power:9.1f}x "
-                  f"{pmf.stats.eps_max:9.2%}", file=out)
-    for tr in truncations[1:]:
+    for cfg in configs:
+        power = mitchell_fp_multiplier(bits, cfg).metrics().power_mw
+        print(f"{cfg.name:10s} {power:9.3f} {dw / power:9.1f}x "
+              f"{pmfs[cfg.name].stats.eps_max:9.2%}", file=out)
+    for tr, label in zip(truncations[1:], baselines):
         power = bt_fp_multiplier(bits, tr).metrics().power_mw
-        pmf = characterize_multiplier_config(f"bt_{tr}", args.samples, dtype=dtype)
-        print(f"{'bt_' + str(tr):10s} {power:9.3f} {dw / power:9.1f}x "
-              f"{pmf.stats.eps_max:9.2%}", file=out)
+        print(f"{label:10s} {power:9.3f} {dw / power:9.1f}x "
+              f"{pmfs[label].stats.eps_max:9.2%}", file=out)
     return 0
 
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
-__all__ = ["sobol_unit", "uniform_inputs", "mantissa_inputs"]
+__all__ = [
+    "mantissa_inputs",
+    "mantissa_operands",
+    "sobol_chunks",
+    "sobol_unit",
+    "uniform_inputs",
+]
 
 
 def sobol_unit(n_samples: int, dimensions: int, seed: int = 0) -> np.ndarray:
@@ -26,14 +32,32 @@ def sobol_unit(n_samples: int, dimensions: int, seed: int = 0) -> np.ndarray:
     ``n_samples`` is rounded up to the next power of two (Sobol sequences
     are balanced at powers of two) and the excess is trimmed.
     """
+    return next(sobol_chunks(n_samples, dimensions, seed, n_samples))
+
+
+def _ceil_pow2(n: int) -> int:
+    return 1 << max(n - 1, 1).bit_length()
+
+
+def sobol_chunks(n_samples: int, dimensions: int, seed: int, chunk: int):
+    """The points of :func:`sobol_unit` in successive blocks of ``chunk`` rows.
+
+    One sampler continues its sequence across blocks, so concatenating the
+    blocks gives ``sobol_unit(n_samples, dimensions, seed)`` bit for bit.
+    The final partial block is drawn at the next power of two and trimmed,
+    like a one-shot draw, so ``chunk`` must be a power of two unless it
+    covers all of ``n_samples``.
+    """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if dimensions <= 0:
         raise ValueError(f"dimensions must be positive, got {dimensions}")
     sampler = qmc.Sobol(d=dimensions, scramble=True, seed=seed)
-    pow2 = int(np.ceil(np.log2(max(n_samples, 2))))
-    points = sampler.random_base2(m=pow2)
-    return points[:n_samples]
+    left = n_samples
+    while left > 0:
+        take = min(chunk, left)
+        yield sampler.random(_ceil_pow2(take))[:take]
+        left -= take
 
 
 def uniform_inputs(
@@ -69,12 +93,22 @@ def mantissa_inputs(
     alignment-dependent units (the adder) see realistic exponent
     differences.
     """
+    points = sobol_unit(n_samples, 2 * dimensions, seed)
+    return mantissa_operands(points, exponent_range, dtype)
+
+
+def mantissa_operands(points: np.ndarray, exponent_range: tuple, dtype) -> tuple:
+    """The :func:`mantissa_inputs` operands built from ``(n, 2d)`` points.
+
+    Column ``2i`` sets operand ``i``'s mantissa and column ``2i + 1`` its
+    exponent, so a block of :func:`sobol_chunks` rows gives the matching
+    rows of the one-shot operands.
+    """
     lo, hi = exponent_range
     if hi < lo:
         raise ValueError(f"invalid exponent_range: {exponent_range}")
-    points = sobol_unit(n_samples, 2 * dimensions, seed)
     out = []
-    for i in range(dimensions):
+    for i in range(points.shape[1] // 2):
         mant = 1.0 + points[:, 2 * i]
         exp = np.floor(points[:, 2 * i + 1] * (hi - lo + 1)) + lo
         out.append((mant * np.exp2(exp)).astype(dtype))

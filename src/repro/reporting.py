@@ -14,7 +14,7 @@ __all__ = ["format_runner_stats", "generate_report", "report_sections"]
 
 
 def _section_units(scale: int) -> list:
-    from repro.erroranalysis import characterize_multiplier_config, characterize_unit
+    from repro.erroranalysis import characterize_multiplier_configs, characterize_units
     from repro.hardware import TABLE1_MAX_ERRORS
 
     paper = {
@@ -27,12 +27,11 @@ def _section_units(scale: int) -> list:
         "| unit | paper eps_max | measured |",
         "|---|---|---|",
     ]
-    for name, ref in paper.items():
-        pmf = characterize_unit(name, scale)
-        lines.append(f"| {name} | {ref} | {pmf.stats.eps_max:.2%} |")
-    for cfg, ref in (("fp_tr0", "2.04%"), ("lp_tr0", "11.11%"), ("lp_tr19", "~18%")):
-        pmf = characterize_multiplier_config(cfg, scale)
-        lines.append(f"| {cfg} | {ref} | {pmf.stats.eps_max:.2%} |")
+    multipliers = {"fp_tr0": "2.04%", "lp_tr0": "11.11%", "lp_tr19": "~18%"}
+    pmfs = characterize_units(paper, scale)
+    pmfs.update(characterize_multiplier_configs(multipliers, scale))
+    for name, ref in {**paper, **multipliers}.items():
+        lines.append(f"| {name} | {ref} | {pmfs[name].stats.eps_max:.2%} |")
     assert TABLE1_MAX_ERRORS  # keep the reference data imported/linked
     return lines
 

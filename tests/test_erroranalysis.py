@@ -1,6 +1,8 @@
 """Tests for error metrics, bounds, and quasi-MC characterization."""
 
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,14 @@ from repro.erroranalysis import (
     sobol_unit,
     uniform_inputs,
 )
+from repro.erroranalysis.quasirandom import sobol_chunks
+
+#: The module, not the same-named function the package re-exports.
+char_mod = importlib.import_module("repro.erroranalysis.characterize")
+
+#: The Figure-9 configurations of the end-to-end benchmark.
+FIG9_CONFIGS = [f"{path}_tr{tr}" for path in ("fp", "lp")
+                for tr in (0, 4, 8, 12, 16, 19)] + ["bt_8", "bt_16", "bt_21"]
 
 
 class TestQuasiRandom:
@@ -67,6 +77,14 @@ class TestQuasiRandom:
     def test_mantissa_inputs_rejects_bad_range(self):
         with pytest.raises(ValueError):
             mantissa_inputs(10, 1, exponent_range=(3, 1))
+
+    @pytest.mark.parametrize("n", [4096, 3000, 512, 1])
+    def test_sobol_chunks_continue_one_sequence(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(sobol_chunks(n, 3, seed=5, chunk=512))
+        assert [len(b) for b in blocks[:-1]] == [512] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == sobol_unit(n, 3, seed=5).tobytes()
 
 
 class TestMetrics:
@@ -293,3 +311,184 @@ class TestBounds:
         # PMF includes case-d so only check that mass above 8% is negligible
         # (the paper's Figure-8 observation).
         assert pmf.probability_above(8.0) < 0.01
+
+
+def assert_same_pmfs(got: dict, want: dict, mean_rtol: float = 0.0):
+    """Same keys in the same order, same bins and probabilities bit for bit,
+    and the same stats (``eps_mean``/``med`` within ``mean_rtol``)."""
+    assert list(got) == list(want)
+    for label, pmf in got.items():
+        ref = want[label]
+        assert pmf.label == ref.label == label
+        assert pmf.bins.dtype == ref.bins.dtype == np.int64
+        assert pmf.bins.tobytes() == ref.bins.tobytes(), label
+        assert pmf.probabilities.tobytes() == ref.probabilities.tobytes(), label
+        if mean_rtol == 0.0:
+            assert pmf.stats == ref.stats, label
+            continue
+        for field in ("eps_max", "wed", "error_rate", "samples"):
+            assert getattr(pmf.stats, field) == getattr(ref.stats, field), (label, field)
+        for field in ("eps_mean", "med"):
+            assert getattr(pmf.stats, field) == pytest.approx(
+                getattr(ref.stats, field), rel=mean_rtol, abs=0.0), (label, field)
+
+
+class TestSharedOperands:
+    """One call draws each input set once and gives the per-unit results."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_units_match_one_at_a_time(self, dtype):
+        names = sorted(UNIT_CHARACTERIZATIONS)
+        together = characterize_units(n_samples=4096, seed=2, dtype=dtype)
+        alone = {n: characterize_unit(n, 4096, seed=2, dtype=dtype) for n in names}
+        assert_same_pmfs(together, alone)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_multiplier_configs_match_one_at_a_time(self, dtype):
+        together = characterize_multiplier_configs(FIG9_CONFIGS, 4096, seed=2,
+                                                   dtype=dtype)
+        alone = {c: characterize_multiplier_config(c, 4096, seed=2, dtype=dtype)
+                 for c in FIG9_CONFIGS}
+        assert_same_pmfs(together, alone)
+
+    def test_units_match_one_shot_inputs(self):
+        # Each driver on a one-shot mantissa_inputs draw, as before sharing.
+        n, seed, dtype = 3000, 4, np.float32
+        want = {}
+        for name, panel in UNIT_CHARACTERIZATIONS.items():
+            block = char_mod._Block(mantissa_inputs(
+                n, panel.dims, panel.exponent_range, seed=seed, dtype=dtype))
+            want[name] = characterize(*panel.run(block, dtype), label=name)
+        assert_same_pmfs(characterize_units(list(want), n, seed, dtype), want)
+
+    def test_multiplier_configs_match_one_shot_inputs(self):
+        a, b = mantissa_inputs(3000, 2, seed=4)
+        exact = a.astype(np.float64) * b.astype(np.float64)
+        from repro.core import MultiplierConfig
+
+        want = {"lp_tr8": characterize(char_mod.configurable_multiply(
+                    a, b, MultiplierConfig.from_name("lp_tr8")), exact, "lp_tr8"),
+                "bt_16": characterize(char_mod.truncated_multiply(a, b, 16),
+                                      exact, "bt_16")}
+        assert_same_pmfs(characterize_multiplier_configs(list(want), 3000, 4), want)
+
+    def test_order_follows_the_request_and_duplicates_collapse(self):
+        names = ["isqrt", "ifpadd", "ircp", "isqrt"]
+        assert list(characterize_units(names, 1024)) == ["isqrt", "ifpadd", "ircp"]
+        configs = ["lp_tr4", "bt_8", "fp_tr0", "lp_tr4"]
+        assert list(characterize_multiplier_configs(configs, 1024)) == [
+            "lp_tr4", "bt_8", "fp_tr0"]
+
+    def test_one_draw_per_input_set(self, monkeypatch):
+        draws = []
+
+        def counting(n, dimensions, seed, chunk):
+            draws.append(dimensions)
+            return sobol_chunks(n, dimensions, seed, chunk)
+
+        monkeypatch.setattr(char_mod, "sobol_chunks", counting)
+        characterize_units(n_samples=1024)
+        # ifpadd, ifpmul+ifpdiv, ircp+irsqrt+isqrt, ilog2, ifma.
+        assert sorted(draws) == [2, 2, 4, 4, 6]
+        draws.clear()
+        characterize_multiplier_configs(FIG9_CONFIGS, 1024)
+        assert draws == [4]
+
+    def test_units_called_through_module_globals(self, monkeypatch):
+        # Wrappers installed by name (as the benchmark's tracer does) see
+        # one call per configuration and block.
+        calls = []
+
+        def counted(name, unit):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return unit(*args, **kwargs)
+            return wrapper
+
+        for name in ("configurable_multiply", "truncated_multiply", "imprecise_rsqrt"):
+            monkeypatch.setattr(char_mod, name, counted(name, getattr(char_mod, name)))
+        monkeypatch.setattr(char_mod, "CHUNK_SAMPLES", 512)
+        characterize_multiplier_configs(["lp_tr19", "bt_16"], n_samples=1024)
+        characterize_units(["irsqrt"], n_samples=1024)
+        assert calls == ["configurable_multiply", "truncated_multiply"] * 2 + [
+            "imprecise_rsqrt"] * 2
+
+
+class TestCharacterizeEdgeCases:
+    """``characterize`` keeps the valid-pair semantics of ``error_stats``."""
+
+    CASES = {
+        "nonfinite_approx": ([1.0, np.nan, np.inf, -np.inf, 2.5, 3.0],
+                             [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]),
+        "zero_and_inf_exact": ([1.0, 2.0, 0.0, 5.0, 7.0, 1.5],
+                               [0.0, np.inf, 0.0, -np.inf, 6.0, np.nan]),
+        "all_exact": ([1.0, -2.0, 3.5, 0.0], [1.0, -2.0, 3.5, 0.0]),
+        "overflowing_error": ([1e308, 1.0, 2.0], [-1e308, 1.25, 2.0]),
+        "subnormal_exact": ([1e-310, 3e-310, 1.0], [2e-310, 3e-310, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_error_stats_over_valid_pairs(self, case):
+        approx, exact = (np.array(x) for x in self.CASES[case])
+        valid = np.isfinite(approx) & np.isfinite(exact) & (exact != 0)
+        pmf = characterize(approx, exact, label=case)
+        with np.errstate(over="ignore"):
+            assert pmf.stats == error_stats(approx[valid], exact[valid])
+            rel = np.abs(approx[valid] - exact[valid]) / np.abs(exact[valid])
+        bins, counts = bin_errors(rel)
+        assert pmf.bins.tobytes() == bins.tobytes()
+        assert pmf.probabilities.tobytes() == (counts / valid.sum()).tobytes()
+
+    def test_all_exact_has_empty_bins(self):
+        pmf = characterize(*self.CASES["all_exact"])
+        assert pmf.bins.size == 0 and pmf.probabilities.size == 0
+        assert pmf.error_rate == 0.0 and pmf.stats.error_rate == 0.0
+
+    @pytest.mark.parametrize("approx, exact", [
+        ([np.nan, 1.0, np.inf], [1.0, 0.0, 2.0]),
+        ([], []),
+    ])
+    def test_no_valid_pair_raises(self, approx, exact):
+        with pytest.raises(ValueError):
+            characterize(approx, exact)
+
+    def test_bincount_labels_match_unique(self):
+        rng = np.random.default_rng(7)
+        rel = np.exp2(rng.uniform(-40, 3, 5000))
+        rel[::97] = 0.0
+        rel[::101] = np.inf
+        rel[::103] = np.nan
+        finite = rel[np.isfinite(rel) & (rel > 0)]
+        want = np.unique(np.ceil(np.log2(finite * 100.0)).astype(np.int64),
+                         return_counts=True)
+        got = bin_errors(rel)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestChunkedStreaming:
+    """A sweep streamed in small blocks equals the one-block sweep."""
+
+    #: ``eps_mean``/``med`` merge per-block sums, so they may differ from a
+    #: one-block mean by NumPy's pairwise-summation rounding only.
+    MEAN_RTOL = 1e-13
+
+    def test_chunk_is_the_tile_floor(self):
+        from repro.core.backends.threaded import MIN_TILE_ELEMENTS
+
+        assert char_mod.CHUNK_SAMPLES == MIN_TILE_ELEMENTS
+
+    @staticmethod
+    def _fig8_9(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmfs = characterize_units(n_samples=n, seed=1)
+            pmfs.update(characterize_multiplier_configs(FIG9_CONFIGS, n, seed=1))
+        return pmfs
+
+    @pytest.mark.parametrize("n", [1 << 18, 200_000])
+    def test_small_chunks_match_one_chunk(self, monkeypatch, n):
+        assert n <= char_mod.CHUNK_SAMPLES
+        one_chunk = self._fig8_9(n)
+        monkeypatch.setattr(char_mod, "CHUNK_SAMPLES", 1 << 14)
+        assert_same_pmfs(self._fig8_9(n), one_chunk, mean_rtol=self.MEAN_RTOL)
