@@ -4,27 +4,20 @@ The invariants ``docs/ARCHITECTURE.md`` states in prose — kernel
 arithmetic routes through :class:`ArithmeticContext`, cache keys cover
 every result-affecting field, layers import downward only, specs survive
 the process-pool boundary — are checked mechanically here.  See
-``docs/ANALYSIS.md`` for each checker's rationale and the
-suppression/baseline workflow, and ``repro lint`` for the CLI.
+``docs/ANALYSIS.md`` for each checker's rationale and the inline
+suppression markers, and ``repro lint`` for the CLI.
 
 Typical programmatic use::
 
-    from repro.analysis import run_analysis, load_baseline
+    from repro.analysis import run_analysis
 
-    report = run_analysis(Path("src/repro"),
-                          baseline_fingerprints=load_baseline(path))
+    report = run_analysis(Path("src/repro"))
     if not report.ok:
         print(report.format_text())
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BASELINE_VERSION,
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    write_baseline,
-)
 from .callgraph import Program, build_program
 from .dataflow import Summary, compute_summaries
 from .engine import (
@@ -41,8 +34,6 @@ from .suppressions import HOST_SIDE_CODE, SuppressionIndex
 __all__ = [
     "AnalysisConfig",
     "AnalysisReport",
-    "BASELINE_VERSION",
-    "DEFAULT_BASELINE_NAME",
     "DEFAULT_LAYER_RULES",
     "Finding",
     "HOST_SIDE_CODE",
@@ -54,9 +45,7 @@ __all__ = [
     "build_program",
     "compute_summaries",
     "discover_modules",
-    "load_baseline",
     "make_fingerprint",
     "run_analysis",
     "to_sarif",
-    "write_baseline",
 ]

@@ -153,9 +153,7 @@ def discover_modules(root) -> list:
     return modules
 
 
-def run_analysis(root, config=None, checkers=None,
-                 baseline_fingerprints=frozenset(),
-                 restrict_paths=None) -> AnalysisReport:
+def run_analysis(root, config=None, checkers=None) -> AnalysisReport:
     """Run every checker over the package at ``root``.
 
     Parameters
@@ -167,13 +165,6 @@ def run_analysis(root, config=None, checkers=None,
     checkers:
         ``{checker_id: check_fn}`` override; defaults to
         :data:`repro.analysis.checkers.ALL_CHECKERS`.
-    baseline_fingerprints:
-        Accepted fingerprints (see :mod:`repro.analysis.baseline`).
-    restrict_paths:
-        Optional set of package-relative posix paths; findings are only
-        *emitted* for these modules.  The whole package is still parsed
-        and summarized — the interprocedural checkers need the complete
-        call graph even when reporting on a changed-file subset.
     """
     from .callgraph import build_program
     from .checkers import ALL_CHECKERS
@@ -198,8 +189,6 @@ def run_analysis(root, config=None, checkers=None,
     suppressed = 0
     occurrences: dict = {}  # (code, relpath, normalized line) -> count
     for module in modules:
-        if restrict_paths is not None and module.relpath not in restrict_paths:
-            continue
         raw = []
         for checker_id, check in checkers.items():
             for item in check(module, config):
@@ -233,6 +222,5 @@ def run_analysis(root, config=None, checkers=None,
         root=str(root),
         findings=findings,
         suppressed=suppressed,
-        baseline_fingerprints=frozenset(baseline_fingerprints),
         modules_scanned=len(modules),
     )

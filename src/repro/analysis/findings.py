@@ -4,9 +4,9 @@ A checker reports :class:`RawFinding` objects — location, code, message —
 and the engine (:mod:`repro.analysis.engine`) turns the survivors of
 suppression filtering into :class:`Finding` records carrying a *stable
 fingerprint*: a content hash of the checker code, the module path, and the
-normalized source line, independent of the absolute line number.  The
-fingerprint is what the committed baseline stores, so findings stay
-recognized when unrelated edits shift code up or down a file.
+normalized source line, independent of the absolute line number.  SARIF
+output carries it as ``partialFingerprints``, so code scanning keeps
+recognizing a finding when unrelated edits shift code up or down a file.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class RawFinding:
 
 @dataclass(frozen=True)
 class Finding:
-    """One accepted finding, addressable by its stable fingerprint."""
+    """One unsuppressed finding, addressable by its stable fingerprint."""
 
     checker: str  # owning checker id, e.g. "hygiene"
     code: str  # specific code, e.g. "hygiene-float-eq"
@@ -54,18 +54,6 @@ class Finding:
             f"{location}: {self.severity} {self.code}: {self.message} "
             f"[{self.fingerprint}]"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "checker": self.checker,
-            "code": self.code,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
 
 def make_fingerprint(code: str, path: str, normalized_line: str,
@@ -88,78 +76,24 @@ class AnalysisReport:
     root: str  # scan root, for display prefixes
     findings: list = field(default_factory=list)  # unsuppressed, file order
     suppressed: int = 0  # inline-suppressed count
-    baseline_fingerprints: frozenset = frozenset()
     modules_scanned: int = 0
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    @property
-    def new_findings(self) -> list:
-        return [
-            f for f in self.findings
-            if f.fingerprint not in self.baseline_fingerprints
-        ]
-
-    @property
-    def baselined_findings(self) -> list:
-        return [
-            f for f in self.findings
-            if f.fingerprint in self.baseline_fingerprints
-        ]
-
-    @property
-    def stale_fingerprints(self) -> list:
-        """Baseline entries whose finding no longer exists (fix & prune)."""
-        present = {f.fingerprint for f in self.findings}
-        return sorted(self.baseline_fingerprints - present)
 
     @property
     def ok(self) -> bool:
-        """Gate verdict: clean unless *new* (un-baselined) findings exist."""
-        return not self.new_findings
+        """Gate verdict: clean unless an unsuppressed finding exists."""
+        return not self.findings
 
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
     def summary(self) -> str:
-        parts = [
-            f"{len(self.findings)} finding{'s' if len(self.findings) != 1 else ''}",
-            f"{len(self.new_findings)} new",
-        ]
-        if self.baseline_fingerprints:
-            parts.append(f"{len(self.baselined_findings)} baselined")
+        count = len(self.findings)
+        text = f"{count} finding{'s' if count != 1 else ''}"
         if self.suppressed:
-            parts.append(f"{self.suppressed} suppressed inline")
-        if self.stale_fingerprints:
-            parts.append(f"{len(self.stale_fingerprints)} stale baseline entries")
-        return (
-            f"{', '.join(parts)} across {self.modules_scanned} modules"
-        )
+            text += f", {self.suppressed} suppressed inline"
+        return f"{text} across {self.modules_scanned} modules"
 
     def format_text(self, path_prefix: str = "") -> str:
-        lines = [f.format(prefix=path_prefix) for f in self.new_findings]
-        baselined = self.baselined_findings
-        if baselined:
-            lines.append(f"-- {len(baselined)} baselined finding"
-                         f"{'s' if len(baselined) != 1 else ''} (accepted) --")
-            lines.extend(f.format(prefix=path_prefix) for f in baselined)
+        lines = [f.format(prefix=path_prefix) for f in self.findings]
         lines.append(self.summary())
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "root": self.root,
-            "findings": [f.to_dict() for f in self.findings],
-            "new": [f.fingerprint for f in self.new_findings],
-            "stale_baseline": self.stale_fingerprints,
-            "summary": {
-                "total": len(self.findings),
-                "new": len(self.new_findings),
-                "baselined": len(self.baselined_findings),
-                "suppressed": self.suppressed,
-                "modules_scanned": self.modules_scanned,
-                "ok": self.ok,
-            },
-        }

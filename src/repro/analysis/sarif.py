@@ -5,11 +5,9 @@ Results Interchange Format that GitHub code scanning ingests
 (``github/codeql-action/upload-sarif``), so new findings show up as
 inline PR annotations instead of a log line in a failed job.
 
-Only *new* (un-baselined) findings are emitted — baselined ones are
-accepted debt, and annotating them on every PR would train reviewers to
-ignore the annotations.  Each result carries the analyzer's stable
-fingerprint as a ``partialFingerprints`` entry, so code scanning tracks
-a finding across line shifts exactly like the committed baseline does.
+Every unsuppressed finding is emitted.  Each result carries the
+analyzer's stable fingerprint as a ``partialFingerprints`` entry, so code
+scanning tracks a finding across line shifts.
 """
 
 from __future__ import annotations
@@ -33,10 +31,9 @@ def to_sarif(report, path_prefix: str = "") -> dict:
     artifact URIs resolve from the repository root (e.g. ``src/repro/``),
     which is what the code-scanning annotation step needs.
     """
-    findings = report.new_findings
     rules: dict = {}
     results = []
-    for finding in findings:
+    for finding in report.findings:
         if finding.code not in rules:
             rules[finding.code] = {
                 "id": finding.code,
@@ -76,7 +73,6 @@ def to_sarif(report, path_prefix: str = "") -> dict:
             "properties": {
                 "modulesScanned": report.modules_scanned,
                 "suppressed": report.suppressed,
-                "baselined": len(report.baselined_findings),
             },
         }],
     }

@@ -31,12 +31,6 @@ __all__ = ["main", "build_parser"]
 _CONFIG_ALIASES = ("all", "precise")
 
 
-def _parse_config(spec: str, threshold: int, multiplier: str | None, sfu_mode: str):
-    from repro.core import parse_config_spec
-
-    return parse_config_spec(spec, threshold, multiplier, sfu_mode)
-
-
 def _app_registry():
     """App name -> (runner factory, default quality metric, metric name)."""
     from repro.apps import cp, hotspot, raytrace, srad
@@ -118,6 +112,7 @@ def cmd_characterize(args, out) -> int:
 
 
 def cmd_evaluate(args, out) -> int:
+    from repro.core import parse_config_spec
     from repro.framework import PowerQualityFramework
 
     registry = _app_registry()
@@ -127,8 +122,8 @@ def cmd_evaluate(args, out) -> int:
         return 2
     runner_factory, metric, metric_name = registry[args.app]
     try:
-        config = _parse_config(args.config, args.threshold, args.multiplier,
-                               args.sfu_mode)
+        config = parse_config_spec(args.config, args.threshold,
+                                   args.multiplier, args.sfu_mode)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -267,17 +262,12 @@ _SWEEP_APPS = {
 }
 
 
-def _sweep_family(family: str, threshold: int):
-    from repro.core import config_family
-
-    return config_family(family, threshold)
-
-
 def cmd_sweep(args, out) -> int:
     """Parallel, cached sweep of one application over many configurations."""
     import json as _json
 
     from repro import telemetry
+    from repro.core import config_family, parse_config_spec
     from repro.runtime import (ExperimentRunner, ExperimentSpec, ResultCache,
                                RetryPolicy, TaskFailedError)
 
@@ -291,12 +281,11 @@ def cmd_sweep(args, out) -> int:
     try:
         if args.configs:
             configs = {
-                part.strip(): _parse_config(part.strip(), args.threshold,
-                                            None, "linear")
+                part.strip(): parse_config_spec(part.strip(), args.threshold)
                 for part in args.configs.split("|") if part.strip()
             }
         else:
-            configs = _sweep_family(args.family, args.threshold)
+            configs = config_family(args.family, args.threshold)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -441,18 +430,10 @@ def cmd_call(args, out) -> int:
         }
     else:
         kwargs["family"] = args.family
-    if args.quality_target is not None:
-        kwargs["quality_target"] = args.quality_target
 
     client = ServiceClient(args.url, timeout=args.timeout,
                            retries=args.retries)
     try:
-        if args.stream:
-            for line in client.sweep_stream(args.app,
-                                            timeout=args.timeout,
-                                            **kwargs):
-                print(_json.dumps(line, sort_keys=True), file=out)
-            return 0
         latencies = []
         response = None
         for _ in range(max(1, args.repeats)):
@@ -480,10 +461,6 @@ def cmd_call(args, out) -> int:
     print(f"\nserved: {served['hits']} hit / {served['misses']} miss"
           + (f" / {served['errors']} error" if served["errors"] else ""),
           file=out)
-    if "target_met" in response:
-        met = [n for n, ok in response["target_met"].items() if ok]
-        print(f"quality target met by: {', '.join(met) if met else '(none)'}",
-              file=out)
     if len(latencies) > 1:
         ordered = sorted(latencies)
         p50 = _percentile(ordered, 0.50)
@@ -560,89 +537,20 @@ def cmd_trace(args, out) -> int:
     return 0
 
 
-def _changed_lint_paths(root: Path):
-    """Package-relative paths changed vs ``merge-base HEAD origin/main``.
-
-    Returns ``None`` (meaning: full scan) when ``root`` is not inside a
-    git work tree or git itself is unavailable — ``--changed-only`` is a
-    fast-path convenience, never a correctness gate.
-    """
-    import subprocess
-
-    root = root.resolve()
-
-    def git(*argv):
-        try:
-            return subprocess.run(
-                ["git", *argv], cwd=root, capture_output=True, text=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-
-    top = git("rev-parse", "--show-toplevel")
-    if top is None or top.returncode != 0:
-        return None
-    repo = Path(top.stdout.strip())
-    base = git("merge-base", "HEAD", "origin/main")
-    base_ref = base.stdout.strip() if base and base.returncode == 0 \
-        else "HEAD"
-    diff = git("diff", "--name-only", base_ref)
-    if diff is None or diff.returncode != 0:
-        return None
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    lines = diff.stdout.splitlines()
-    if untracked is not None and untracked.returncode == 0:
-        lines += untracked.stdout.splitlines()
-    changed = set()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rel = (repo / line).resolve().relative_to(root)
-        except ValueError:
-            continue  # changed file outside the scanned package
-        changed.add(rel.as_posix())
-    return changed
-
-
 def cmd_lint(args, out) -> int:
     """Contract-enforcing static analysis (see docs/ANALYSIS.md)."""
     import json as _json
 
     import repro
-    from repro.analysis import (
-        load_baseline,
-        run_analysis,
-        to_sarif,
-        write_baseline,
-    )
+    from repro.analysis import run_analysis, to_sarif
 
     root = Path(args.path) if args.path else Path(repro.__file__).parent
     if not root.is_dir():
         print(f"repro lint: package path {root} is not a directory\n"
               "usage: repro lint [--path PACKAGE_DIR]", file=sys.stderr)
         return 2
-    if args.changed_only and (args.write_baseline or args.update_baseline):
-        print("repro lint: --changed-only scans a subset and cannot "
-              "rewrite the baseline (drop --write-baseline/"
-              "--update-baseline)", file=sys.stderr)
-        return 2
-    baseline_path = Path(args.baseline)
     try:
-        baseline = load_baseline(baseline_path)
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    restrict = None
-    if args.changed_only:
-        restrict = _changed_lint_paths(root)
-        if restrict is not None:
-            restrict = {p for p in restrict if p.endswith(".py")}
-    try:
-        report = run_analysis(root, baseline_fingerprints=baseline,
-                              restrict_paths=restrict)
+        report = run_analysis(root)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -651,28 +559,8 @@ def cmd_lint(args, out) -> int:
               "usage: repro lint [--path PACKAGE_DIR]", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"baseline of {len(report.findings)} findings written to "
-              f"{baseline_path}", file=out)
-        return 0
-    if args.update_baseline:
-        # Keep only baselined findings that still exist: stale entries
-        # are pruned, new findings are NOT silently accepted.
-        kept = report.baselined_findings
-        write_baseline(baseline_path, kept)
-        print(f"baseline rewritten: {len(kept)} kept, "
-              f"{len(report.stale_fingerprints)} stale pruned "
-              f"({baseline_path})", file=out)
-        if not report.ok:
-            print(f"{len(report.new_findings)} new findings remain "
-                  "(fix them or use --write-baseline to accept)", file=out)
-        return 0 if report.ok else 1
-
     prefix = "" if root.name == str(root) else f"{root}/"
-    if args.format == "json":
-        rendered = _json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    elif args.format == "sarif":
+    if args.format == "sarif":
         rendered = _json.dumps(to_sarif(report, path_prefix=prefix),
                                indent=2, sort_keys=True)
     else:
@@ -847,10 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=48, help="grid rows (hotspot/srad)")
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--size", type=int, default=48, help="image/grid size (ray/cp)")
-    p.add_argument("--quality-target", type=float, default=None,
-                   help="report which configurations meet this quality")
-    p.add_argument("--stream", action="store_true",
-                   help="print NDJSON progress lines as results complete")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="per-request socket timeout (seconds)")
     p.add_argument("--retries", type=int, default=3,
@@ -885,21 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="package directory to scan (default: the installed "
                         "repro package)")
     p.add_argument("--format", default="text",
-                   choices=("text", "json", "sarif"))
+                   choices=("text", "sarif"))
     p.add_argument("--output", default=None,
                    help="write the rendered report to a file instead of "
                         "stdout (stdout gets the one-line summary)")
-    p.add_argument("--baseline", default=".repro-lint-baseline.json",
-                   help="accepted-findings baseline file (need not exist)")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="accept the current findings into the baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline pruning stale entries "
-                        "(does not accept new findings)")
-    p.add_argument("--changed-only", action="store_true",
-                   help="report findings only for files changed since "
-                        "merge-base with origin/main (full scan outside "
-                        "a git repo); the whole package is still parsed")
 
     p = sub.add_parser("report", help="generate the full markdown report")
     p.add_argument("--fast", action="store_true", help="smoke-test scale")

@@ -32,9 +32,8 @@ random and adversarial vectors by :mod:`repro.core.backends.parity` and
 The adder's normalization replaces the reference's float64 ``np.frexp``
 MSB extraction (and its overshoot-correction fixup) with one exact float64
 conversion of the integer total for binary32/16.  binary64 adds and the
-Mitchell decode use an integer-only smear + popcount when
-``numpy.bitwise_count`` is available (NumPy >= 2.0); older NumPy falls back
-to the reference method on the scratch buffers.
+Mitchell decode use an integer-only smear + ``numpy.bitwise_count``
+popcount.
 
 Instances hold mutable scratch state: one backend belongs to one
 :class:`~repro.core.context.ArithmeticContext` and is not thread-safe.
@@ -53,8 +52,6 @@ from ..special import LOG2_COEFFS, RECIPROCAL_COEFFS, RSQRT_COEFFS, _SQRT1_2
 from .base import ComputeBackend
 
 __all__ = ["FusedBackend", "ScratchPool"]
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 class ScratchPool:
@@ -152,22 +149,14 @@ class FusedBackend(ComputeBackend):
         smear = self._i("smear", shape)
         np.copyto(smear, total)
         shreg = self._i("shreg", shape)
-        if _HAS_BITWISE_COUNT:
-            for s in (1, 2, 4, 8, 16, 32):
-                np.right_shift(smear, s, out=shreg)
-                np.bitwise_or(smear, shreg, out=smear)
-            counts = self._scratch.get("popcount", np.uint8, shape)
-            np.bitwise_count(smear, out=counts)
-            msb = shreg
-            np.copyto(msb, counts)
-            np.subtract(msb, 1, out=msb)
-            return msb
-        # NumPy < 2.0: the reference float64 method, on scratch buffers.
+        for s in (1, 2, 4, 8, 16, 32):
+            np.right_shift(smear, s, out=shreg)
+            np.bitwise_or(smear, shreg, out=smear)
+        counts = self._scratch.get("popcount", np.uint8, shape)
+        np.bitwise_count(smear, out=counts)
         msb = shreg
-        np.copyto(msb, np.frexp(smear.astype(np.float64))[1])
+        np.copyto(msb, counts)
         np.subtract(msb, 1, out=msb)
-        np.right_shift(smear, msb, out=smear)
-        np.subtract(msb, smear == 0, out=msb)
         return msb
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ class PowerQualityFramework:
         Optional :class:`~repro.runtime.ExperimentSpec` this framework was
         built from.  Required for parallel/cached ``evaluate_many``: the
         spec is what crosses process boundaries and addresses the cache.
-        Prefer :meth:`from_spec` over passing it by hand.
+        Prefer ``spec.framework()`` over passing it by hand.
     """
 
     def __init__(
@@ -84,16 +84,6 @@ class PowerQualityFramework:
         self._reference = None
         self._reference_breakdown = None
         self.spec = spec
-
-    @classmethod
-    def from_spec(cls, spec, **kwargs) -> "PowerQualityFramework":
-        """Build from an :class:`~repro.runtime.ExperimentSpec`.
-
-        Frameworks built this way can hand ``evaluate_many`` an
-        :class:`~repro.runtime.ExperimentRunner` for parallel, cached
-        sweeps.
-        """
-        return spec.framework(**kwargs)
 
     @property
     def reference(self):
@@ -152,20 +142,17 @@ class PowerQualityFramework:
         sequentially.  Passing an :class:`~repro.runtime.ExperimentRunner`
         routes the sweep through the shared parallel + cached execution
         path, which requires the framework to have been built from a
-        spec (:meth:`from_spec`), since closures cannot cross processes.
+        spec (``ExperimentSpec.framework()``), since closures cannot cross
+        processes.
         """
         if runner is None:
             return {name: self.evaluate(cfg) for name, cfg in configs.items()}
         if self.spec is None:
             raise ValueError(
                 "parallel evaluation needs a spec-built framework; "
-                "construct it with PowerQualityFramework.from_spec(...)"
+                "construct it with ExperimentSpec.framework()"
             )
         return runner.sweep(self.spec, configs)
-
-    def sweep(self, configs: dict, runner=None) -> dict:
-        """Alias of :meth:`evaluate_many` (the historical name)."""
-        return self.evaluate_many(configs, runner=runner)
 
     def quality_evaluator(self) -> Callable:
         """An ``evaluate(config) -> quality`` closure for the tuning loop."""

@@ -6,8 +6,7 @@ once.  A service instance (``repro serve``) exposes:
 
 - ``POST /v1/sweep`` — "what does app X lose under configuration C?" —
   answered from the content-addressed result cache when warm, computed
-  through a coalescing, bounded work queue when cold, optionally
-  streamed as NDJSON progress;
+  through a coalescing, bounded work queue when cold;
 - ``/healthz`` / ``/readyz`` / ``/drainz`` — liveness, readiness
   (queue depth, draining), and graceful drain;
 - ``/queuez`` / ``/metricsz`` — queue depths and counters, and
@@ -36,11 +35,9 @@ from .client import ServiceClient, ServiceError
 from .journal import JOURNAL_FILENAME, QueueJournal
 from .protocol import (
     DEFAULT_METRICS,
-    HIGHER_IS_BETTER,
     ProtocolError,
     SweepRequest,
     canonical_json,
-    meets_target,
     sanitize_document,
 )
 from .queue import DrainingError, QueueFullError, SweepQueue
@@ -55,7 +52,6 @@ from .server import (
 __all__ = [
     "DEFAULT_METRICS",
     "DrainingError",
-    "HIGHER_IS_BETTER",
     "JOURNAL_FILENAME",
     "ProtocolError",
     "QueueFullError",
@@ -68,7 +64,6 @@ __all__ = [
     "SweepRequest",
     "SweepService",
     "canonical_json",
-    "meets_target",
     "run_server",
     "sanitize_document",
     "serve_in_thread",

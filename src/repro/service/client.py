@@ -193,15 +193,14 @@ class ServiceClient:
 
     def sweep(self, app: str, *, configs=None, config_specs=None,
               family=None, params=None, metric=None, seed=0,
-              threshold=None, quality_target=None,
-              timeout: float | None = None) -> dict:
+              threshold=None, timeout: float | None = None) -> dict:
         """One ``POST /v1/sweep`` query -> the parsed response document.
 
         ``configs`` is ``{name: IHWConfig}`` (serialized canonically);
         ``config_specs``/``family`` pass the shorthand forms through.
         """
         doc = self._request_doc(app, configs, config_specs, family, params,
-                                metric, seed, threshold, quality_target)
+                                metric, seed, threshold)
         status, _headers, payload = self.request(
             "POST", "/v1/sweep", canonical_json(doc).encode("utf-8"),
             timeout=timeout,
@@ -213,34 +212,9 @@ class ServiceClient:
             )
         return json.loads(payload)
 
-    def sweep_stream(self, app: str, **kwargs):
-        """Streaming variant: yields one parsed NDJSON document per line."""
-        timeout = kwargs.pop("timeout", None)
-        doc = self._request_doc(
-            app, kwargs.pop("configs", None), kwargs.pop("config_specs", None),
-            kwargs.pop("family", None), kwargs.pop("params", None),
-            kwargs.pop("metric", None), kwargs.pop("seed", 0),
-            kwargs.pop("threshold", None), kwargs.pop("quality_target", None),
-        )
-        if kwargs:
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        doc["stream"] = True
-        status, _headers, payload = self.request(
-            "POST", "/v1/sweep", canonical_json(doc).encode("utf-8"),
-            timeout=timeout,
-        )
-        if status != 200:
-            raise ServiceError(
-                f"sweep returned {status}: {_error_text(payload)}",
-                status=status,
-            )
-        for line in payload.decode("utf-8").splitlines():
-            if line.strip():
-                yield json.loads(line)
-
     @staticmethod
     def _request_doc(app, configs, config_specs, family, params, metric,
-                     seed, threshold, quality_target) -> dict:
+                     seed, threshold) -> dict:
         doc: dict = {"app": app, "seed": int(seed)}
         if params:
             doc["params"] = dict(params)
@@ -256,8 +230,6 @@ class ServiceClient:
             doc["family"] = family
         if threshold is not None:
             doc["threshold"] = int(threshold)
-        if quality_target is not None:
-            doc["quality_target"] = float(quality_target)
         return doc
 
 

@@ -30,21 +30,15 @@ from repro.runtime import ExperimentSpec
 
 __all__ = [
     "DEFAULT_METRICS",
-    "HIGHER_IS_BETTER",
     "ProtocolError",
     "SweepRequest",
     "canonical_json",
-    "meets_target",
     "sanitize_document",
 ]
 
 #: Per-application default quality metric (everything else defaults to
 #: ``mae``), matching ``repro sweep``.
 DEFAULT_METRICS = {"raytracing": "ssim"}
-
-#: Metrics where larger values mean better quality (the rest are error
-#: metrics where smaller is better).
-HIGHER_IS_BETTER = frozenset({"ssim", "psnr"})
 
 
 class ProtocolError(ValueError):
@@ -53,13 +47,6 @@ class ProtocolError(ValueError):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
-
-
-def meets_target(metric: str, quality: float, target: float) -> bool:
-    """Whether ``quality`` satisfies the request's quality target."""
-    if metric in HIGHER_IS_BETTER:
-        return quality >= target
-    return quality <= target
 
 
 def sanitize_document(doc: dict) -> dict:
@@ -82,8 +69,6 @@ class SweepRequest:
 
     spec: ExperimentSpec
     configs: dict = field(default_factory=dict)  # name -> IHWConfig
-    quality_target: float | None = None
-    stream: bool = False
 
     @classmethod
     def from_document(cls, doc, max_configs: int = 0) -> "SweepRequest":
@@ -96,8 +81,7 @@ class SweepRequest:
             raise ProtocolError("request body must be a JSON object")
         known = {
             "app", "metric", "params", "dtype", "seed", "configs",
-            "config_specs", "family", "threshold", "quality_target",
-            "stream",
+            "config_specs", "family", "threshold",
         }
         unknown = set(doc) - known
         if unknown:
@@ -133,19 +117,7 @@ class SweepRequest:
                 f"instance accepts at most {max_configs} per request",
                 status=413,
             )
-
-        target = doc.get("quality_target")
-        if target is not None:
-            try:
-                target = float(target)
-            except (TypeError, ValueError):
-                raise ProtocolError("'quality_target' must be a number") from None
-        return cls(
-            spec=spec,
-            configs=configs,
-            quality_target=target,
-            stream=bool(doc.get("stream", False)),
-        )
+        return cls(spec=spec, configs=configs)
 
     @staticmethod
     def _parse_configs(doc, threshold) -> dict:

@@ -14,7 +14,6 @@ Endpoints (schema in ``docs/SERVICE.md``):
 
 - ``POST /v1/sweep`` — the tradeoff query; warm configurations answer
   from the result cache, misses go through the coalescing work queue.
-  ``"stream": true`` switches the response to NDJSON progress lines.
 - ``GET /healthz`` — pure liveness: the process is up and answering.
 - ``GET /readyz`` — readiness: 200 only when the node should receive
   *new* work (not draining, queue below capacity); 503 otherwise, with
@@ -64,7 +63,6 @@ from .protocol import (
     ProtocolError,
     SweepRequest,
     canonical_json,
-    meets_target,
     sanitize_document,
 )
 from .queue import DrainingError, QueueFullError, SweepQueue
@@ -294,12 +292,10 @@ class SweepService:
                                   outcome="hit", amount=float(len(warm)))
             telemetry.counter_inc("repro_service_cache_outcomes_total",
                                   outcome="miss", amount=float(len(replies)))
-            if sweep.stream:
-                self._respond_stream(request, sweep, warm, replies)
-            else:
-                self._respond_unary(request, sweep, warm, replies)
+            self._answer(request, sweep, warm, replies)
 
-    def _respond_unary(self, request, sweep, warm, replies) -> None:
+    def _answer(self, request, sweep, warm, replies) -> None:
+        """Wait for every miss, then answer with one JSON document."""
         results = {}
         errors = 0
         for name in sweep.configs:
@@ -322,33 +318,7 @@ class SweepService:
                 "errors": errors,
             },
         }
-        if sweep.quality_target is not None:
-            payload["target_met"] = {
-                name: meets_target(sweep.spec.metric,
-                                   doc["quality"], sweep.quality_target)
-                for name, doc in results.items() if "quality" in doc
-            }
         request.respond(200, payload)
-
-    def _respond_stream(self, request, sweep, warm, replies) -> None:
-        """NDJSON progress: one line per configuration, then a summary."""
-        stream = request.respond(200, None,
-                                 content_type="application/x-ndjson",
-                                 stream=True)
-        errors = 0
-        for name in sweep.configs:
-            if name in warm:
-                stream({"name": name, "status": "hit", "result": warm[name]})
-        for name, reply in replies.items():
-            doc, error = reply.wait(self.config.request_timeout)
-            if error is None:
-                stream({"name": name, "status": "computed", "result": doc})
-            else:
-                errors += 1
-                stream({"name": name, "status": "error", "error": error})
-        stream({"done": True, "served": {
-            "hits": len(warm), "misses": len(replies), "errors": errors,
-        }})
 
 
 def _discard_waiter(doc, error) -> None:
@@ -454,9 +424,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
     do_GET = do_POST = do_DELETE = _dispatch
 
-    def respond(self, status, payload, content_type=None, headers=None,
-                stream=False):
-        """Write one response; with ``stream`` return a line writer."""
+    def respond(self, status, payload, content_type=None, headers=None):
+        """Write one response."""
         self.responded = True
         injector = self.injector
         if injector is not None:
@@ -477,23 +446,16 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             body = (canonical_json(payload) + "\n").encode("utf-8")
             content_type = content_type or _JSON
         else:
-            body = payload if payload is not None else b""
+            body = payload
             content_type = content_type or _BINARY
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Connection", "close")
-        if not stream:
-            self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        if stream:
-            return self._send_line
         self.wfile.write(body)
-        return None
-
-    def _send_line(self, doc) -> None:
-        self.wfile.write((canonical_json(doc) + "\n").encode("utf-8"))
 
     def log_message(self, format, *args) -> None:
         """Silent: nothing is logged per request."""

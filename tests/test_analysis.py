@@ -1,4 +1,4 @@
-"""Contract-enforcing static analysis: checkers, suppressions, baseline, CLI."""
+"""Contract-enforcing static analysis: checkers, suppressions, fingerprints, CLI."""
 
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from repro.analysis import (
     SuppressionIndex,
     build_program,
     discover_modules,
-    load_baseline,
     make_fingerprint,
     run_analysis,
-    write_baseline,
 )
 from repro.cli import main
 
@@ -396,9 +394,9 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Fingerprints and baseline
+# Fingerprints
 # ----------------------------------------------------------------------
-class TestBaseline:
+class TestFingerprints:
     def test_fingerprint_survives_line_shift(self, tmp_path, config):
         before = make_package(tmp_path / "a", {"apps/k.py": BAD_KERNEL})
         shifted = make_package(
@@ -415,101 +413,25 @@ class TestBaseline:
         assert make_fingerprint("c", "p.py", "x = a + b", 0) != \
             make_fingerprint("c", "p.py", "x = a + b", 1)
 
-    def test_round_trip_gates_only_new_findings(self, tmp_path, config):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        report = run_analysis(root, config)
-        assert not report.ok
-
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-        accepted = load_baseline(baseline_path)
-        report2 = run_analysis(root, config, baseline_fingerprints=accepted)
-        assert report2.ok
-        assert len(report2.baselined_findings) == len(report.findings)
-
-        # A new bug on top of the baseline still gates.
-        (root / "apps" / "k.py").write_text(
-            BAD_KERNEL + "\n\ndef extra(ctx, x):\n    return ctx.array(x) * 3\n"
-        )
-        report3 = run_analysis(root, config, baseline_fingerprints=accepted)
-        assert not report3.ok
-        assert len(report3.new_findings) == 1
-
-    def test_stale_entries_reported(self, tmp_path, config):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        report = run_analysis(root, config)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-        (root / "apps" / "k.py").write_text(GOOD_KERNEL)
-        report2 = run_analysis(
-            root, config, baseline_fingerprints=load_baseline(baseline_path)
-        )
-        assert report2.ok
-        assert len(report2.stale_fingerprints) == len(report.findings)
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == frozenset()
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
 
 # ----------------------------------------------------------------------
 # CLI + the live tree
 # ----------------------------------------------------------------------
 class TestLintCli:
-    def test_repository_is_clean(self, tmp_path, capsys):
-        # The shipping contract: the real package lints clean with no
-        # baseline file at all.
-        code = main(["lint", "--baseline", str(tmp_path / "absent.json")])
+    def test_repository_is_clean(self, capsys):
+        # The shipping contract: every finding in the real package is
+        # fixed or suppressed inline.
+        code = main(["lint"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "0 new" in out
+        assert "0 findings" in out
 
     def test_nonzero_exit_on_fixture_bug(self, tmp_path, capsys):
         root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        code = main([
-            "lint", "--path", str(root),
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
+        code = main(["lint", "--path", str(root)])
         out = capsys.readouterr().out
         assert code == 1
         assert "op-coverage" in out
-
-    def test_json_format(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": GOOD_KERNEL})
-        code = main([
-            "lint", "--path", str(root), "--format", "json",
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert doc["summary"]["ok"] is True
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", "--path", str(root), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "lint", "--path", str(root), "--baseline", str(baseline),
-        ]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys):
-        baseline = tmp_path / "bad.json"
-        baseline.write_text("{not json")
-        assert main(["lint", "--baseline", str(baseline)]) == 2
-        assert "baseline" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -702,8 +624,7 @@ class TestInterprocFingerprints:
 
 
 # ----------------------------------------------------------------------
-# CLI satellites: sarif, --output, --changed-only, --update-baseline,
-# path validation
+# CLI satellites: sarif, --output, path validation
 # ----------------------------------------------------------------------
 class TestLintCliSatellites:
     def test_nonexistent_path_is_usage_error(self, tmp_path, capsys):
@@ -722,10 +643,7 @@ class TestLintCliSatellites:
 
     def test_sarif_format(self, tmp_path, capsys):
         root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        code = main([
-            "lint", "--path", str(root), "--format", "sarif",
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
+        code = main(["lint", "--path", str(root), "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert doc["version"] == "2.1.0"
@@ -736,87 +654,35 @@ class TestLintCliSatellites:
         rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
         assert "op-coverage" in rule_ids
 
+        # One inline-suppressed finding and one unsuppressed: the gate
+        # still fails, and only the unsuppressed finding is reported.
+        mixed = make_package(tmp_path / "mixed", {"apps/k.py": (
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def run(ctx, image):\n"
+            "    device = ctx.array(image)\n"
+            "    host = np.asarray(device) + 128.0  # precise: host-side\n"
+            "    leaked = device * 2.0\n"
+            "    return host, leaked\n"
+        )})
+        code = main(["lint", "--path", str(mixed), "--format", "sarif"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        run = doc["runs"][0]
+        assert run["properties"]["suppressed"] == 1
+        assert [(r["ruleId"],
+                 r["locations"][0]["physicalLocation"]["region"]["startLine"])
+                for r in run["results"]] == [("op-coverage", 7)]
+
     def test_output_file(self, tmp_path, capsys):
         root = make_package(tmp_path / "pkg", {"apps/k.py": GOOD_KERNEL})
         out_path = tmp_path / "report.sarif"
         code = main([
             "lint", "--path", str(root), "--format", "sarif",
             "--output", str(out_path),
-            "--baseline", str(tmp_path / "absent.json"),
         ])
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["runs"][0]["results"] == []
         assert "written to" in capsys.readouterr().out
-
-    def test_update_baseline_prunes_stale(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", "--path", str(root), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        # Fix the findings; the baseline entries go stale.
-        (root / "apps" / "k.py").write_text(GOOD_KERNEL)
-        capsys.readouterr()
-        assert main([
-            "lint", "--path", str(root), "--baseline", str(baseline),
-            "--update-baseline",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "stale pruned" in out
-        assert load_baseline(baseline) == frozenset()
-
-    def test_update_baseline_does_not_accept_new(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        baseline = tmp_path / "baseline.json"
-        code = main([
-            "lint", "--path", str(root), "--baseline", str(baseline),
-            "--update-baseline",
-        ])
-        assert code == 1
-        assert "new findings remain" in capsys.readouterr().out
-        assert load_baseline(baseline) == frozenset()
-
-    def test_changed_only_incompatible_with_baseline_writes(self, capsys):
-        assert main(["lint", "--changed-only", "--write-baseline"]) == 2
-        assert "changed-only" in capsys.readouterr().err
-
-    def test_changed_only_outside_git_falls_back_to_full_scan(
-            self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
-        code = main([
-            "lint", "--path", str(root), "--changed-only",
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "op-coverage" in out
-
-    def test_changed_only_restricts_to_diff(self, tmp_path, capsys):
-        import subprocess
-
-        root = make_package(tmp_path / "pkg", {
-            "apps/bad.py": BAD_KERNEL,
-            "apps/good.py": GOOD_KERNEL,
-        })
-
-        def git(*argv):
-            return subprocess.run(
-                ["git", "-c", "user.email=t@example.com",
-                 "-c", "user.name=t", *argv],
-                cwd=root, capture_output=True, text=True, check=True,
-            )
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-        # Touch only the clean file: the buggy one is out of scope.
-        (root / "apps" / "good.py").write_text(GOOD_KERNEL + "\n# edited\n")
-        code = main([
-            "lint", "--path", str(root), "--changed-only",
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 new" in out

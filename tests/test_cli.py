@@ -318,9 +318,7 @@ class TestLint:
         # `repro lint` must not flush telemetry even when telemetry is on.
         monkeypatch.setenv("REPRO_TELEMETRY", "metrics")
         monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "tel"))
-        code, text = run_cli(
-            "lint", "--baseline", str(tmp_path / "absent.json")
-        )
+        code, text = run_cli("lint")
         assert code == 0
         assert "telemetry" not in text
         assert not (tmp_path / "tel").exists()

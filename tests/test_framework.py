@@ -44,7 +44,7 @@ class TestPowerQualityFramework:
 
     def test_sweep(self):
         fw = hotspot_framework()
-        results = fw.sweep(
+        results = fw.evaluate_many(
             {"all": IHWConfig.all_imprecise(), "add": IHWConfig.units("add")}
         )
         assert set(results) == {"all", "add"}

@@ -329,7 +329,7 @@ class TestFrameworkIntegration:
 
     def test_sweep_alias_still_sequential(self):
         fw = HOTSPOT.framework()
-        results = fw.sweep({"add": IHWConfig.units("add")})
+        results = fw.evaluate_many({"add": IHWConfig.units("add")})
         assert set(results) == {"add"}
 
     def test_runner_without_spec_rejected(self):
@@ -339,7 +339,7 @@ class TestFrameworkIntegration:
         fw = PowerQualityFramework(
             run_app=lambda cfg: hotspot.run(cfg, 16, 16, 4), quality_metric=mae
         )
-        with pytest.raises(ValueError, match="from_spec"):
+        with pytest.raises(ValueError, match=r"ExperimentSpec\.framework"):
             fw.evaluate_many(SWEEP, runner=ExperimentRunner(max_workers=1))
 
 
