@@ -34,7 +34,6 @@ Selection, in priority order:
 from __future__ import annotations
 
 import os
-import weakref
 
 __all__ = [
     "ENV_VAR",
@@ -43,8 +42,6 @@ __all__ = [
     "backend_accepts_threads",
     "default_backend_name",
     "get_backend",
-    "scratch_nbytes",
-    "release_all_scratch",
 ]
 
 #: Environment variable selecting the process-wide default backend.
@@ -53,26 +50,6 @@ ENV_VAR = "REPRO_BACKEND"
 #: Backend used when neither the caller, the config nor ``REPRO_BACKEND``
 #: selects one.
 DEFAULT_BACKEND = "threaded"
-
-
-#: Live backends holding scratch state, tracked weakly so instances die
-#: with their contexts.  Lets long-lived hosts (the experiment runner)
-#: reclaim peak-sized scratch buffers between tasks.
-_SCRATCH_HOLDERS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def _register_scratch_holder(backend) -> None:
-    _SCRATCH_HOLDERS.add(backend)
-
-
-def scratch_nbytes() -> int:
-    """Total bytes pinned in scratch pools across live backends."""
-    return sum(b.scratch_nbytes() for b in _SCRATCH_HOLDERS)
-
-
-def release_all_scratch() -> int:
-    """Free every live backend's scratch pool; returns the bytes released."""
-    return sum(b.release_scratch() for b in _SCRATCH_HOLDERS)
 
 
 def _make_reference():
@@ -126,9 +103,10 @@ def get_backend(name=None, threads=None):
     ``name`` may be a backend name, an existing backend instance (returned
     as-is), or ``None`` for the environment/default resolution.  Each call
     returns a fresh instance because backends may hold per-context scratch
-    state.  ``threads`` is forwarded to the ``threaded`` factory;
-    requesting threads from a backend without a thread pool is an error
-    (``None`` is always accepted and means "resolve the default").
+    buffers, which die with the instance.  ``threads`` is forwarded to the
+    ``threaded`` factory; requesting threads from a backend without a
+    thread pool is an error (``None`` is always accepted and means
+    "resolve the default").
     """
     from .base import ComputeBackend
 

@@ -155,17 +155,6 @@ class ComputeBackend:
     def imprecise_divide(self, a, b, dtype=np.float32) -> np.ndarray:
         return imprecise_divide(a, b, dtype=dtype)
 
-    # ------------------------------------------------------------------
-    # Scratch management (no-ops for stateless backends)
-    # ------------------------------------------------------------------
-    def scratch_nbytes(self) -> int:
-        """Bytes pinned in scratch buffers (0 for stateless backends)."""
-        return 0
-
-    def release_scratch(self) -> int:
-        """Free scratch buffers; returns the bytes released."""
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 

@@ -37,6 +37,8 @@ popcount.
 
 Instances hold mutable scratch state: one backend belongs to one
 :class:`~repro.core.context.ArithmeticContext` and is not thread-safe.
+The pool lives as long as its backend and is freed with it, so the
+buffers a large call grew do not outlive that call's context.
 """
 
 from __future__ import annotations
@@ -76,21 +78,6 @@ class ScratchPool:
             self._buffers[key] = buf
         return buf[:n].reshape(shape)
 
-    def nbytes(self) -> int:
-        """Total bytes currently held (telemetry / debugging)."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def release(self) -> int:
-        """Drop every buffer; returns the bytes freed.
-
-        A pool sized by one large call would otherwise pin its peak
-        footprint for the life of the backend — the runner calls this (via
-        :func:`repro.core.backends.release_all_scratch`) between tasks.
-        """
-        freed = self.nbytes()
-        self._buffers.clear()
-        return freed
-
 
 class FusedBackend(ComputeBackend):
     """Scratch-buffered, lazily-special-cased unit kernels."""
@@ -99,15 +86,6 @@ class FusedBackend(ComputeBackend):
 
     def __init__(self):
         self._scratch = ScratchPool()
-        from . import _register_scratch_holder
-
-        _register_scratch_holder(self)
-
-    def scratch_nbytes(self) -> int:
-        return self._scratch.nbytes()
-
-    def release_scratch(self) -> int:
-        return self._scratch.release()
 
     # Scratch accessors: int64 working arrays, bool masks, float64 datapath.
     def _i(self, name, shape):

@@ -10,9 +10,7 @@ Design points:
 
 - **one fused shard per tile** — ``FusedBackend`` holds mutable scratch and
   is not thread-safe, so each tile index owns a private instance whose
-  scratch pool stays warm across calls (the shards register themselves
-  with the global scratch accounting; this wrapper deliberately does not,
-  to avoid double counting);
+  scratch pool stays warm across calls and is freed with this backend;
 - **tiling threshold** — an op tiles only when every tile gets at least
   :data:`MIN_TILE_ELEMENTS` (2^18) elements, so on two threads ops below
   2^19 elements run untiled: the caller's operands go straight to fused
@@ -88,15 +86,6 @@ class ThreadedFusedBackend(ComputeBackend):
         self.threads = resolve_thread_count(threads)
         self._min_tile = MIN_TILE_ELEMENTS
         self._shards = [FusedBackend()]
-
-    # ------------------------------------------------------------------
-    # Scratch accounting (aggregated over shards)
-    # ------------------------------------------------------------------
-    def scratch_nbytes(self) -> int:
-        return sum(shard.scratch_nbytes() for shard in self._shards)
-
-    def release_scratch(self) -> int:
-        return sum(shard.release_scratch() for shard in self._shards)
 
     # ------------------------------------------------------------------
     # Tiling machinery

@@ -12,15 +12,16 @@ Entries live in a directory tree under one root::
 
     <key[:2]>/<key>.json   entry document
     <key[:2]>/<key>.npz    output array payload (when present)
-    <key[:2]>/<key>.lock   advisory in-flight write marker (transient)
     quarantine/            damaged entries moved aside, never served
 
-Writes are crash-safe: every file lands via a sibling temp path and
-``os.replace``, npz before json, so a crash mid-write never leaves a
-half-entry that parses.  Entries carry a schema version and an output
-checksum; anything that fails to load, verify, or parse is treated as a
-miss, **quarantined** (moved aside for post-mortem, never deleted
-silently), and recomputed — never served.  Environment knobs:
+Writes are crash-safe: every file lands through :func:`atomic_write`, a
+temp file private to the writer and ``os.replace``, npz before json, so a
+crash mid-write never leaves a half-entry that parses, and concurrent
+writers of one entry never share a temp file.  Entries carry a schema
+version and an output checksum; anything that fails to load, verify, or
+parse is treated as a miss, **quarantined** (moved aside for
+post-mortem, never deleted silently), and recomputed — never served.
+Environment knobs:
 
 - ``REPRO_CACHE=off`` (also ``0``/``no``/``false``): disable caching.
 - ``REPRO_CACHE_DIR=<path>``: relocate the cache root.
@@ -32,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -43,20 +45,52 @@ from repro import telemetry
 __all__ = [
     "CacheStats",
     "ResultCache",
+    "atomic_write",
     "cache_from_env",
     "cache_disabled",
     "entry_key",
     "QUARANTINE_DIRNAME",
-    "STALE_LOCK_SECONDS",
+    "STALE_TEMP_SECONDS",
 ]
 
 SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
 QUARANTINE_DIRNAME = "quarantine"
 
-#: Age after which an advisory write lock (or orphaned temp file) left by
-#: a crashed writer is considered stale and removed.
-STALE_LOCK_SECONDS = 300.0
+#: Age after which a temp file left by a crashed writer is considered
+#: stale and removed.
+STALE_TEMP_SECONDS = 300.0
+
+_EXCL_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Land ``data`` at ``path`` whole, through a temp file and ``os.replace``.
+
+    The temp file is private to the writer: its name carries the pid and
+    thread id and it is created ``O_EXCL`` (mode 0o666 less the umask,
+    like ``open``), so concurrent writers of one path never share it and
+    readers see the old file or the new one, never a mix.  It is removed
+    if the write fails; a writer killed before the rename leaves it for
+    :meth:`ResultCache.cleanup_stale`.
+    """
+    path = Path(path)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        fd = os.open(tmp, _EXCL_FLAGS, 0o666)
+    except FileExistsError:
+        # Only a dead writer that had this pid and thread id left it.
+        tmp.unlink()
+        fd = os.open(tmp, _EXCL_FLAGS, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def entry_key(spec, config) -> str:
@@ -99,8 +133,6 @@ class CacheStats:
     invalid: int = 0  # corrupted / stale entries detected and dropped
     uncacheable: int = 0  # outputs the cache declined to serialize
     quarantined: int = 0  # invalid entries moved aside for post-mortem
-    lock_skips: int = 0  # writes skipped because another writer held the lock
-    stale_cleaned: int = 0  # stale locks / orphaned temp files removed
 
     @property
     def hit_rate(self) -> float:
@@ -257,20 +289,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Store
     # ------------------------------------------------------------------
-    def build_document(self, spec, config, evaluation,
-                       compute_seconds: float = 0.0) -> dict | None:
-        """The entry document :meth:`put` would persist (None: uncacheable).
-
-        Shared by the write path and the sweep service, which answers
-        requests with exactly the document a later warm read would serve.
-        """
-        out_meta, _array = self._serialize_output(evaluation.output)
-        if out_meta is None:
-            return None
-        key = self.key(spec, config)
-        return self._document(key, spec, config, evaluation, out_meta,
-                              compute_seconds)
-
     def _serialize_output(self, output):
         if isinstance(output, np.ndarray):
             array = np.ascontiguousarray(output)
@@ -319,68 +337,23 @@ class ResultCache:
         key = self.key(spec, config)
         doc = self._document(key, spec, config, evaluation, out_meta,
                              compute_seconds)
-        if not self._acquire_lock(key):
-            # A concurrent writer owns this entry; its bytes will be
-            # identical (content-addressed), so losing the race is free.
-            self.stats.lock_skips += 1
-            return False
-        try:
-            json_path, npz_path = self._paths(key)
-            # Atomic landing: npz first, json last — the json's presence
-            # is what makes the entry visible to readers.
-            if array is not None:
-                buffer = io.BytesIO()
-                np.savez_compressed(buffer, output=array)
-                tmp_npz = npz_path.with_name(f"{key}.tmp.npz")
-                tmp_npz.write_bytes(buffer.getvalue())
-                os.replace(tmp_npz, npz_path)
-            tmp_json = json_path.with_name(f"{key}.json.tmp")
-            tmp_json.write_text(json.dumps(doc, sort_keys=True, indent=1))
-            os.replace(tmp_json, json_path)
-        finally:
-            self._lock_path(key).unlink(missing_ok=True)
+        json_path, npz_path = self._paths(key)
+        json_path.parent.mkdir(parents=True, exist_ok=True)
+        # npz first, json last: the json's presence is what makes the
+        # entry visible to readers.
+        if array is not None:
+            buffer = io.BytesIO()
+            np.savez_compressed(buffer, output=array)
+            atomic_write(npz_path, buffer.getvalue())
+        atomic_write(json_path,
+                     json.dumps(doc, sort_keys=True, indent=1).encode())
         self.stats.writes += 1
         telemetry.counter_inc("repro_cache_writes_total", outcome="stored")
         return True
 
-    def _lock_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.lock"
-
-    def _acquire_lock(self, key: str) -> bool:
-        """Create the per-key advisory lock; False when held by another.
-
-        The lock only signals an in-flight write to concurrent writers
-        (correctness comes from the atomic renames); a lock older than
-        :data:`STALE_LOCK_SECONDS` belongs to a crashed writer and is
-        reclaimed.
-        """
-        lock_path = self._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        for _ in range(2):  # second pass after reclaiming a stale lock
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - lock_path.stat().st_mtime
-                except OSError:
-                    continue  # lock vanished between open and stat: retry
-                if age <= STALE_LOCK_SECONDS:
-                    return False
-                lock_path.unlink(missing_ok=True)
-                self.stats.stale_cleaned += 1
-                continue
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-            os.close(fd)
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _remove(self, key: str) -> None:
-        for path in self._paths(key):
-            path.unlink(missing_ok=True)
-
     def _quarantine(self, key: str) -> None:
         """Move a damaged entry's files aside instead of deleting them."""
         quarantine_dir = self.root / QUARANTINE_DIRNAME
@@ -401,33 +374,24 @@ class ResultCache:
     def quarantine_count(self) -> int:
         return sum(1 for _ in (self.root / QUARANTINE_DIRNAME).glob("*.json"))
 
-    def cleanup_stale(self, max_age_seconds: float = STALE_LOCK_SECONDS) -> int:
-        """Remove stale locks and orphaned temp files; returns the count.
+    def cleanup_stale(self, max_age_seconds: float = STALE_TEMP_SECONDS) -> int:
+        """Remove temp files older than ``max_age_seconds``; returns the count.
 
-        Both are the remains of a writer that died mid-write; neither is
-        ever read, so removal is always safe.  Called by the runner at
-        sweep start.
+        They are the remains of writers that died before their rename and
+        are never read, so removal is always safe; the age bound spares
+        the temp files of live writers.  The runner calls this once, when
+        it is constructed.
         """
         removed = 0
         now = time.time()
-        for pattern in ("??/*.lock", "??/*.tmp", "??/*.tmp.npz"):
-            for path in self.root.glob(pattern):
-                try:
-                    if now - path.stat().st_mtime > max_age_seconds:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue  # concurrent cleanup or vanished file
-        self.stats.stale_cleaned += removed
+        for path in self.root.glob("??/*.tmp"):
+            try:
+                if now - path.stat().st_mtime > max_age_seconds:
+                    path.unlink()
+                    removed += 1
+            except OSError:
+                continue  # concurrent cleanup or vanished file
         return removed
 
     def entry_count(self) -> int:
         return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for json_path in list(self.root.glob("??/*.json")):
-            self._remove(json_path.stem)
-            removed += 1
-        return removed

@@ -153,25 +153,6 @@ def _worker_init() -> None:
     pin_worker_threads()
 
 
-def _reclaim_scratch() -> int:
-    """Record and release backend scratch pools between tasks.
-
-    A backend call grows its :class:`ScratchPool` to the call's peak
-    working set; invoked by the runner between chunks (and by the sweep
-    epilogue), this publishes the high-water mark as the
-    ``repro_backend_scratch_bytes`` gauge and returns the pinned buffers
-    to the allocator so one large call cannot pin peak memory for the
-    rest of a sweep.  Cheap no-op when nothing is held.
-    """
-    from repro.core import backends
-
-    held = backends.scratch_nbytes()
-    if held:
-        telemetry.gauge_set("repro_backend_scratch_bytes", held, agg="max")
-        backends.release_all_scratch()
-    return held
-
-
 def _evaluate_chunk(spec, tasks):
     """Worker task: evaluate a chunk with per-task fault isolation.
 
@@ -194,7 +175,6 @@ def _evaluate_chunk(spec, tasks):
             )
         except Exception as exc:
             rows.append(("err", name, _error_summary(exc)))
-    _reclaim_scratch()
     return rows, telemetry.drain_worker()
 
 
@@ -214,6 +194,8 @@ class ExperimentRunner:
     cache:
         ``"auto"`` (default): honor ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``;
         ``None``/``False``: caching off; or a :class:`ResultCache`.
+        Construction removes the cache's stale temp files
+        (:meth:`~repro.runtime.cache.ResultCache.cleanup_stale`).
     chunk_size:
         Configurations per dispatched task; default balances ~2 chunks
         per worker so stragglers overlap.  Retries always dispatch solo.
@@ -238,6 +220,8 @@ class ExperimentRunner:
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
+        if self.cache is not None:
+            self.cache.cleanup_stale()
         self.chunk_size = chunk_size
         self.policy = policy or RetryPolicy()
         self.stats = RunnerStats(max_workers=self.max_workers)
@@ -289,8 +273,6 @@ class ExperimentRunner:
         configs = dict(configs)
         stats = RunnerStats(max_workers=self.max_workers,
                             chunk_size=self._chunk_size_for(len(configs)))
-        if self.cache is not None:
-            self.cache.cleanup_stale()
 
         def deliver(task, value, seconds):
             results[task.name] = value
@@ -321,7 +303,6 @@ class ExperimentRunner:
                     parent_span_id=sweep_span["id"] if sweep_span else None,
                 )
         finally:
-            _reclaim_scratch()
             stats.wall_seconds = time.perf_counter() - wall_start
             stats.tasks = [timings[name] for name in configs if name in timings]
             fell_back = sorted(t.name for t in stats.tasks if t.fallback)

@@ -24,8 +24,9 @@ zero completed configs.
 Crash-safety model: appends are single ``write`` calls of one ``\\n``-
 terminated line, so the only possible damage is a torn *final* line,
 which replay tolerates (unparsable lines are skipped).  Compaction —
-dropping the matched admit/done pairs — rewrites the file through
-:func:`atomic_write_text` (tempfile + ``os.replace``).
+dropping the matched admit/done pairs — rewrites the file through the
+result cache's :func:`~repro.runtime.cache.atomic_write` (a temp file
+private to the writer, then ``os.replace``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import os
 import threading
 from pathlib import Path
 
+from repro.runtime.cache import atomic_write
+
 __all__ = ["QueueJournal", "JOURNAL_FILENAME", "JOURNAL_VERSION",
            "MANIFEST_DIRNAME"]
 
@@ -43,15 +46,6 @@ JOURNAL_FILENAME = "queue.journal"
 #: Directory under the cache root that holds the journal; the name is
 #: kept so journals written by earlier releases still replay.
 MANIFEST_DIRNAME = "manifests"
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tempfile + ``os.replace``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class QueueJournal:
@@ -121,7 +115,7 @@ class QueueJournal:
             self._live.clear()
             self._dones = 0
             if self.path.exists():
-                atomic_write_text(self.path, "")
+                atomic_write(self.path, b"")
 
     # ------------------------------------------------------------------
     # Appends (queue guard sites)
@@ -180,7 +174,8 @@ class QueueJournal:
             json.dumps(record, sort_keys=True, separators=(",", ":"))
             for record in self._live.values()
         ]
-        atomic_write_text(self.path, "".join(line + "\n" for line in lines))
+        atomic_write(self.path,
+                     "".join(line + "\n" for line in lines).encode())
         self._dones = 0
 
     def _close_handle(self) -> None:

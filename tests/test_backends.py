@@ -136,11 +136,15 @@ class TestParity:
         backend = FusedBackend()
         a = np.linspace(0.5, 4.0, 1024, dtype=np.float32)
         first = backend.imprecise_add(a, a, 8)
-        before = backend._scratch.nbytes()
+        before = dict(backend._scratch._buffers)
         second = backend.imprecise_add(a, a, 8)
-        assert backend._scratch.nbytes() == before  # no regrowth
+        after = backend._scratch._buffers
+        assert after.keys() == before.keys()
+        for key, buf in before.items():
+            assert np.shares_memory(after[key], buf), key  # no regrowth
         assert np.array_equal(first, second)
         # Results must be freshly owned, never views of scratch.
+        assert not any(np.shares_memory(second, buf) for buf in after.values())
         first[0] = 99.0
         assert second[0] != 99.0
 
@@ -150,9 +154,12 @@ class TestParity:
         assert small.shape == (16,)
         big = pool.get("x", np.int64, (64,))
         assert big.shape == (64,)
+        assert not np.shares_memory(big, small)  # grown into a new buffer
         again = pool.get("x", np.int64, (8, 4))
         assert again.shape == (8, 4)
-        assert pool.nbytes() == 64 * 8
+        assert np.shares_memory(again, big)  # reshaped, not reallocated
+        other = pool.get("x", np.float64, (8,))
+        assert not np.shares_memory(other, big)  # keyed by dtype too
 
 
 # ----------------------------------------------------------------------

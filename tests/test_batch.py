@@ -7,20 +7,19 @@ Covers:
 - config: cache-key independence from the backend choice;
 - runtime: sweeps mixing adder thresholds and multiplier modes produce
   identical results, cache entries, and rerun behavior pooled and
-  sequential, and scratch pools are reclaimed between tasks with the
-  high-water gauge published.
+  sequential, and no backend (nor its scratch) outlives its context or
+  the sweep that built it.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core import IHWConfig
-from repro.core.backends import (
-    get_backend,
-    release_all_scratch,
-    scratch_nbytes,
-)
-from repro.core.backends.base import ComputeBackend
+from repro.core import ArithmeticContext, IHWConfig
+from repro.core.backends import get_backend
+from repro.core.backends.fused import FusedBackend
 from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
 
 SPEC = ExperimentSpec.create(
@@ -94,6 +93,30 @@ def _mixed_configs():
     }
 
 
+#: FusedBackends built while a test tracks them (see ``_track_fused``);
+#: each process, pool workers included, keeps its own copy.
+_FUSED_BUILT: list = []
+_FUSED_ALIVE: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _track_fused(monkeypatch):
+    init = FusedBackend.__init__
+
+    def tracked(self):
+        init(self)
+        _FUSED_BUILT.append(None)
+        _FUSED_ALIVE.add(self)
+
+    _FUSED_BUILT.clear()
+    monkeypatch.setattr(FusedBackend, "__init__", tracked)
+
+
+def _fused_census(_=None):
+    """(built, alive) tracked FusedBackends of the calling process."""
+    gc.collect()
+    return len(_FUSED_BUILT), len(_FUSED_ALIVE)
+
+
 def _evaluation_equal(a, b):
     return (
         a.quality == b.quality
@@ -156,6 +179,28 @@ class TestBatchedSweep:
         assert list(results) == list(configs)
         assert resumed_runner.stats.cache_hits == len(first)
 
+    def test_no_backend_outlives_its_context_or_sweep(self, monkeypatch):
+        """Scratch needs no reclaiming: backends die with their contexts."""
+        _track_fused(monkeypatch)
+        context = ArithmeticContext(IHWConfig.all_imprecise(),
+                                    backend="threaded")
+        backend = weakref.ref(context.backend)
+        del context
+        assert backend() is None
+
+        configs = {name: config.with_backend("threaded")
+                   for name, config in _mixed_configs().items()}
+        ExperimentRunner(max_workers=1, cache=None).sweep(SPEC, configs)
+        built, alive = _fused_census()
+        assert built > 0 and alive == 0
+
+        runner = ExperimentRunner(max_workers=2, cache=None)
+        runner.sweep(SPEC, configs)
+        assert _fused_census()[1] == 0
+        census = list(runner._pool.map(_fused_census, range(4)))
+        assert any(built for built, _ in census)
+        assert all(alive == 0 for _, alive in census)
+
     def test_evaluate_many_runner_passthrough(self):
         framework = SPEC.framework()
         runner = ExperimentRunner(max_workers=2, cache=None)
@@ -166,38 +211,3 @@ class TestBatchedSweep:
                   for name, cfg in configs.items()}
         for name in configs:
             assert _evaluation_equal(pooled[name], direct[name]), name
-
-
-class TestScratchReclamation:
-    def test_runner_reclaims_and_publishes_high_water(self):
-        from repro import telemetry
-        from repro.runtime.runner import _reclaim_scratch
-
-        release_all_scratch()
-        backend = get_backend("threaded")
-        a = np.linspace(0.5, 2.0, 4096, dtype=np.float32)
-        backend.imprecise_add(a, a, 8)
-        held = scratch_nbytes()
-        assert held > 0
-        with telemetry.override("metrics"):
-            telemetry.reset()
-            assert _reclaim_scratch() == held
-            snapshot = telemetry.get_registry().drain()
-            gauges = {s["name"]: s for s in snapshot}
-            assert gauges["repro_backend_scratch_bytes"]["value"] == held
-            telemetry.reset()
-        assert backend.scratch_nbytes() == 0
-        assert _reclaim_scratch() == 0  # idempotent no-op when empty
-
-    def test_sweep_leaves_no_scratch_behind(self):
-        release_all_scratch()
-        runner = ExperimentRunner(max_workers=1, cache=None)
-        runner.sweep(SPEC, {
-            "th8": IHWConfig.all_imprecise().with_backend("threaded"),
-        })
-        assert scratch_nbytes() == 0
-
-    def test_base_backend_scratch_contract(self):
-        backend = ComputeBackend()
-        assert backend.scratch_nbytes() == 0
-        assert backend.release_scratch() == 0

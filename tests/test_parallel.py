@@ -220,17 +220,6 @@ class TestThreadedBackend:
         assert out.shape == a.shape
         _assert_identical(out, inline.imprecise_add(a, b, 8))
 
-    def test_scratch_accounting_aggregates_shards(self):
-        backend = ThreadedFusedBackend(threads=2)
-        backend._min_tile = 64
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=512).astype(np.float32)
-        backend.imprecise_add(a, a, 8)
-        assert len(backend._shards) == 2
-        assert backend.scratch_nbytes() > 0
-        assert backend.release_scratch() > 0
-        assert backend.scratch_nbytes() == 0
-
 
 def test_numba_backends_raise_without_numba():
     names = r"\('reference', 'threaded'\)"

@@ -10,6 +10,9 @@ import gc
 import json
 import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -209,6 +212,21 @@ class TestResultCache:
         warm.sweep(HOTSPOT, SWEEP)
         assert warm.stats.cache_hits == len(SWEEP)
         assert snapshot() == cold
+
+    def test_warm_sweep_lists_no_directory(self, tmp_path, monkeypatch):
+        runner = ExperimentRunner(max_workers=1, cache=ResultCache(tmp_path))
+        runner.sweep(HOTSPOT, SWEEP)
+        listed = []
+        scandir = os.scandir
+
+        def counting_scandir(*args):
+            listed.append(args)
+            return scandir(*args)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        runner.sweep(HOTSPOT, SWEEP)
+        assert runner.stats.cache_hits == len(SWEEP)
+        assert listed == []
 
     def test_distinct_specs_do_not_collide(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -426,49 +444,91 @@ class TestCacheHardening:
         ]
         assert leftovers == []
 
-    def test_held_lock_skips_the_write(self, tmp_path):
+    def test_writer_killed_inside_put_blocks_no_rerun(self, tmp_path):
+        """Resume is a rerun: a dead writer's leftovers never stop a put."""
         cache = ResultCache(tmp_path)
         config = IHWConfig.units("add")
         evaluation = HOTSPOT.framework().evaluate(config)
-        key = cache.key(HOTSPOT, config)
-        lock = tmp_path / key[:2] / f"{key}.lock"
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        lock.write_text("held\n")
-        assert cache.put(HOTSPOT, config, evaluation) is False
-        assert cache.stats.lock_skips == 1
-        assert cache.get(HOTSPOT, config) is None  # nothing was written
-        lock.unlink()
-        assert cache.put(HOTSPOT, config, evaluation) is True
 
-    def test_stale_lock_reclaimed_on_put(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        def killed_at_first_rename():
+            os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+            cache.put(HOTSPOT, config, evaluation)
+
+        writer = multiprocessing.get_context("fork").Process(
+            target=killed_at_first_rename
+        )
+        writer.start()
+        writer.join(60)
+        assert writer.exitcode == -signal.SIGKILL
+        json_path, _ = cache.entry_paths(HOTSPOT, config)
+        assert not json_path.exists()
+        assert list(json_path.parent.iterdir())  # the dead writer's leftovers
+        assert cache.put(HOTSPOT, config, evaluation) is True
+        restored = cache.get(HOTSPOT, config)
+        assert restored is not None
+        assert_evaluations_identical(evaluation, restored)
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path):
+        """Two processes of four threads each put one entry under a reader."""
         config = IHWConfig.units("add")
         evaluation = HOTSPOT.framework().evaluate(config)
-        key = cache.key(HOTSPOT, config)
-        lock = tmp_path / key[:2] / f"{key}.lock"
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        lock.write_text("crashed writer\n")
-        old = time.time() - 1000.0
-        os.utime(lock, (old, old))
-        assert cache.put(HOTSPOT, config, evaluation) is True
-        assert cache.stats.stale_cleaned == 1
-        assert cache.get(HOTSPOT, config) is not None
+
+        def put_from_four_threads():
+            sys.setswitchinterval(1e-6)  # interleave the threads' writes
+            writer = ResultCache(tmp_path)
+            landed = []
+
+            def put_ten():
+                for _ in range(10):
+                    landed.append(
+                        writer.put(HOTSPOT, config, evaluation, 1.0)
+                    )
+
+            threads = [threading.Thread(target=put_ten) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert landed == [True] * 40  # exit code 1 otherwise
+
+        context = multiprocessing.get_context("fork")
+        writers = [context.Process(target=put_from_four_threads)
+                   for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        reader = ResultCache(tmp_path)
+        deadline = time.monotonic() + 60
+        while (any(writer.is_alive() for writer in writers)
+               and time.monotonic() < deadline):
+            reader.get(HOTSPOT, config)
+        for writer in writers:
+            writer.join(1)
+            if writer.is_alive():
+                writer.kill()
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        restored = reader.get(HOTSPOT, config)
+        assert restored is not None
+        assert_evaluations_identical(evaluation, restored)
+        assert reader.stats.invalid == 0
+        assert reader.stats.quarantined == 0
+        assert not (tmp_path / "quarantine").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_cleanup_stale_removes_old_artifacts_only(self, tmp_path):
         cache = ResultCache(tmp_path)
         shard = tmp_path / "ab"
         shard.mkdir(parents=True)
-        old_lock = shard / "deadbeef.lock"
-        old_tmp = shard / "deadbeef.json.tmp"
-        fresh_lock = shard / "cafe.lock"
-        for path in (old_lock, old_tmp, fresh_lock):
+        old_npz_tmp = shard / "deadbeef.npz.4242.140001.tmp"
+        old_json_tmp = shard / "deadbeef.json.4242.140001.tmp"
+        fresh_tmp = shard / "cafe.json.4343.140001.tmp"
+        for path in (old_npz_tmp, old_json_tmp, fresh_tmp):
             path.write_text("x")
         stale = time.time() - 1000.0
-        os.utime(old_lock, (stale, stale))
-        os.utime(old_tmp, (stale, stale))
+        os.utime(old_npz_tmp, (stale, stale))
+        os.utime(old_json_tmp, (stale, stale))
         assert cache.cleanup_stale() == 2
-        assert not old_lock.exists() and not old_tmp.exists()
-        assert fresh_lock.exists()
+        assert not old_npz_tmp.exists() and not old_json_tmp.exists()
+        assert fresh_tmp.exists()
 
 
 # ----------------------------------------------------------------------

@@ -184,9 +184,6 @@ class TestCacheBackends:
         json_path, _ = cache.entry_paths(TINY, config)
         assert doc == json.loads(json_path.read_text())
         assert doc["compute_seconds"] == 1.5
-        built = cache.build_document(TINY, config, evaluation,
-                                     compute_seconds=1.5)
-        assert built == doc
 
 
 # ----------------------------------------------------------------------
