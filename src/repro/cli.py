@@ -401,7 +401,6 @@ def cmd_serve(args, out) -> int:
         max_pending=args.max_pending,
         max_configs=args.max_configs,
         retry_after=args.retry_after,
-        journal=not args.no_journal,
     )
     return run_server(config, out=out)
 
@@ -715,9 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request configuration bound (413 above)")
     p.add_argument("--retry-after", type=float, default=2.0,
                    help="Retry-After hint (seconds) on 429 responses")
-    p.add_argument("--no-journal", action="store_true",
-                   help="disable the durable queue journal (crash "
-                        "recovery of admitted work)")
 
     p = sub.add_parser(
         "call", help="query a running sweep service (client of 'serve')"

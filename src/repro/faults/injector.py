@@ -53,9 +53,9 @@ Fault kinds and the recovery path each one proves:
     were at capacity → the client backs off and retries.
 ``node-crash``
     a sweep-service *process* dies mid-request (``os._exit``, exactly as
-    a power cut would) → on restart on the same cache directory, the
-    queue journal re-enqueues only orphaned work, so no configuration
-    completed before the kill is recomputed.
+    a power cut would) → restarted on the same cache directory, the node
+    answers the resent request's finished configurations from the cache
+    and computes only the rest.
 
 The three service kinds guard the HTTP boundary (``repro.service``), not
 worker processes; their ``key`` is the request path, and the attempt axis

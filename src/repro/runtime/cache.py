@@ -96,8 +96,8 @@ def atomic_write(path, data: bytes) -> None:
 def entry_key(spec, config) -> str:
     """The content address of one (experiment, configuration) result.
 
-    Module-level so callers without a store (tests that forge journal
-    records, tooling) compute addresses identical to the cache's.
+    Module-level so callers without a store (tests, tooling) compute
+    addresses identical to the cache's.
     """
     doc = {
         "schema": SCHEMA_VERSION,

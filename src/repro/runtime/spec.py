@@ -96,28 +96,6 @@ class ExperimentSpec:
             seed=seed,
         )
 
-    @classmethod
-    def from_canonical(cls, doc: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`canonical` — validated like :meth:`create`.
-
-        Used wherever a spec must round-trip through JSON (the queue
-        journal, wire protocols) and come back as the *same* cache
-        identity.
-        """
-        params = {}
-        for pair in doc.get("params", []):
-            key, value = pair
-            if not isinstance(key, str):
-                raise TypeError(f"param name {key!r} is not a string")
-            params[key] = value
-        return cls.create(
-            doc["app"],
-            metric=doc["metric"],
-            dtype=doc.get("dtype", "float32"),
-            seed=doc.get("seed", 0),
-            **params,
-        )
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

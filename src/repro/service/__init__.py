@@ -7,20 +7,20 @@ once.  A service instance (``repro serve``) exposes:
 - ``POST /v1/sweep`` — "what does app X lose under configuration C?" —
   answered from the content-addressed result cache when warm, computed
   through a coalescing, bounded work queue when cold;
-- ``/healthz`` / ``/readyz`` / ``/drainz`` — liveness, readiness
-  (queue depth, draining), and graceful drain;
+- ``/healthz`` / ``/readyz`` — liveness, and readiness (queue depth);
 - ``/queuez`` / ``/metricsz`` — queue depths and counters, and
   Prometheus metrics.
 
-The durable queue journal (:mod:`repro.service.journal`) guarantees that
-a killed instance, restarted on the same cache directory, requeues the
-work it had admitted and recomputes zero completed configurations.
+The result cache is the only record of finished work: an instance that
+is stopped or killed and restarted on the same cache directory answers
+a resent request's finished configurations as hits and computes only
+the rest.
 
 Guarantees, in one line each:
 
 - **Bit-identical answers**: every response document is the sanitized
   cache entry (volatile timing dropped) serialized canonically — warm,
-  cold, coalesced and replayed paths all produce identical bytes.
+  cold and coalesced paths all produce identical bytes.
 - **Exactly-once compute**: identical in-flight work (by cache key)
   coalesces to one execution with all waiters notified
   (``repro_service_coalesced_total``).
@@ -28,11 +28,10 @@ Guarantees, in one line each:
   (429 + ``Retry-After`` beyond) and at most ``max_configs``
   configurations per request (413).
 
-See ``docs/SERVICE.md`` for the schema and an operations runbook.
+See ``docs/SERVICE.md`` for the schema and how to restart a node.
 """
 
 from .client import ServiceClient, ServiceError
-from .journal import JOURNAL_FILENAME, QueueJournal
 from .protocol import (
     DEFAULT_METRICS,
     ProtocolError,
@@ -40,7 +39,7 @@ from .protocol import (
     canonical_json,
     sanitize_document,
 )
-from .queue import DrainingError, QueueFullError, SweepQueue
+from .queue import QueueFullError, SweepQueue
 from .server import (
     ServerHandle,
     ServiceConfig,
@@ -51,11 +50,8 @@ from .server import (
 
 __all__ = [
     "DEFAULT_METRICS",
-    "DrainingError",
-    "JOURNAL_FILENAME",
     "ProtocolError",
     "QueueFullError",
-    "QueueJournal",
     "ServerHandle",
     "ServiceClient",
     "ServiceConfig",

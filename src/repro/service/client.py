@@ -149,28 +149,6 @@ class ServiceClient:
             )
         return json.loads(payload)
 
-    def drain(self, timeout: float | None = None) -> dict:
-        """``POST /drainz``: ask the node to stop admitting new work."""
-        status, _headers, payload = self.request("POST", "/drainz",
-                                                 timeout=timeout)
-        if status != 200:
-            raise ServiceError(
-                f"POST /drainz returned {status}: {_error_text(payload)}",
-                status=status,
-            )
-        return json.loads(payload)
-
-    def undrain(self, timeout: float | None = None) -> dict:
-        """``DELETE /drainz``: resume admissions."""
-        status, _headers, payload = self.request("DELETE", "/drainz",
-                                                 timeout=timeout)
-        if status != 200:
-            raise ServiceError(
-                f"DELETE /drainz returned {status}: {_error_text(payload)}",
-                status=status,
-            )
-        return json.loads(payload)
-
     def queuez(self, timeout: float | None = None) -> dict:
         return self._get_json("/queuez", timeout=timeout)
 

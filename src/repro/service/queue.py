@@ -23,17 +23,11 @@ the result is delivered or its timeout passes.  Backpressure is a hard bound on 
 in-flight items — :class:`QueueFullError` carries the ``Retry-After``
 hint the server turns into a 429.
 
-Two operational extensions ride on the same admission path:
-
-- **Durability** — when a :class:`~repro.service.journal.QueueJournal`
-  is attached, every admission appends an ``admit`` record before
-  :meth:`submit` returns and every delivery appends ``done``, so a node
-  killed mid-sweep can replay its orphans on restart (see the journal's
-  module docstring for the recovery contract).
-- **Draining** — :meth:`start_draining` stops admitting *new* work
-  (:class:`DrainingError` → 503) while coalescing onto in-flight items
-  and warm cache reads continue; readiness (``/readyz``) flips so a
-  load balancer routes around the node while it finishes what it owns.
+The queue lives in memory only.  Everything it delivers is first written
+to the result cache, so a node that stops or dies with work still queued
+loses nothing but time: restarted on the same cache directory, it
+answers the resent request's finished configurations as hits and
+computes the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from repro import telemetry
 
 from .protocol import sanitize_document
 
-__all__ = ["DrainingError", "QueueFullError", "SweepQueue"]
+__all__ = ["QueueFullError", "SweepQueue"]
 
 #: Most same-experiment items one runner call gathers.
 BATCH_LIMIT = 16
@@ -60,13 +54,6 @@ class QueueFullError(RuntimeError):
             f"work queue is full; retry after {retry_after:.0f}s"
         )
         self.retry_after = retry_after
-
-
-class DrainingError(RuntimeError):
-    """The queue is draining and admits no new work (route elsewhere)."""
-
-    def __init__(self):
-        super().__init__("queue is draining; no new work admitted")
 
 
 class _Item:
@@ -102,20 +89,16 @@ class SweepQueue:
         is always admitted — it adds no work).
     retry_after:
         The backoff hint (seconds) carried by :class:`QueueFullError`.
-    journal:
-        Optional :class:`~repro.service.journal.QueueJournal` making
-        admissions durable across a node crash.
     """
 
     def __init__(self, cache, runner_factory, max_pending: int = 64,
-                 retry_after: float = 2.0, journal=None):
+                 retry_after: float = 2.0):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.cache = cache
         self.runner_factory = runner_factory
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.journal = journal
 
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -124,7 +107,6 @@ class SweepQueue:
         self._paused = threading.Event()
         self._paused.set()  # set = running; cleared = paused
         self._stopping = False
-        self._draining = False
 
         self.executions = 0  # runner.sweep calls
         self.completed = 0  # items delivered successfully
@@ -154,10 +136,6 @@ class SweepQueue:
                 return "coalesced"
             if self._stopping:
                 raise RuntimeError("queue is shut down")
-            if self._draining:
-                telemetry.counter_inc("repro_service_rejected_total",
-                                      reason="draining")
-                raise DrainingError()
             if len(self._inflight) >= self.max_pending:
                 telemetry.counter_inc("repro_service_rejected_total",
                                       reason="queue-full")
@@ -166,10 +144,6 @@ class SweepQueue:
             item.waiters.append(waiter)
             self._inflight[key] = item
             self._pending.append(item)
-            if self.journal is not None:
-                # Durable before submit returns: a crash after this point
-                # can re-create the item from the journal alone.
-                self.journal.admit(key, spec.canonical(), config.canonical())
             telemetry.counter_inc("repro_service_enqueued_total")
             telemetry.gauge_set("repro_service_queue_depth",
                                 len(self._pending))
@@ -193,24 +167,7 @@ class SweepQueue:
                 "failed": self.failed,
                 "coalesced": self.coalesced,
                 "paused": not self._paused.is_set(),
-                "draining": self._draining,
-                "journal": self.journal is not None,
             }
-
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
-    def start_draining(self) -> None:
-        """Stop admitting new work; in-flight items run to completion."""
-        with self._lock:
-            self._draining = True
-
-    def stop_draining(self) -> None:
-        """Resume admissions (operator changed their mind / tests)."""
-        with self._lock:
-            self._draining = False
 
     def pause(self) -> None:
         """Hold the worker before its next pop (deterministic coalescing
@@ -235,8 +192,8 @@ class SweepQueue:
         """Refuse new work, unblock the idle worker (a daemon thread), and
         fail the waiters of every item not yet running.
 
-        Those items stay admitted in the journal, so a restart on the
-        same cache requeues them once.
+        Nothing of those items is kept: a client that resends its request
+        to a node restarted on the same cache computes them then.
         """
         with self._not_empty:
             self._stopping = True
@@ -336,11 +293,6 @@ class SweepQueue:
                 self.failed += 1
             waiters = list(item.waiters)
             item.waiters.clear()
-        if self.journal is not None:
-            # Both outcomes retire the item: a completed result lives in
-            # the cache, and a failed one was *delivered* (the client saw
-            # the error) — neither is an orphan to replay.
-            self.journal.done(item.key)
         telemetry.counter_inc(
             "repro_service_items_total",
             outcome="completed" if error is None else "failed",

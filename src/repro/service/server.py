@@ -6,29 +6,25 @@ rest of the project (no third-party HTTP stack — a
 ``Connection: close`` semantics, which sidesteps keep-alive and
 chunked-encoding state machines entirely).  Each connection gets its own
 thread: it reads the cache and admits misses to the work queue inline,
-then blocks on the queue's delivery for up to ``request_timeout``, so a
-slow request never holds up another and every request's trace spans
-nest on its own thread.
+then blocks on the queue's delivery for up to :data:`REQUEST_TIMEOUT_S`,
+so a slow request never holds up another and every request's trace
+spans nest on its own thread.
 
 Endpoints (schema in ``docs/SERVICE.md``):
 
 - ``POST /v1/sweep`` — the tradeoff query; warm configurations answer
   from the result cache, misses go through the coalescing work queue.
 - ``GET /healthz`` — pure liveness: the process is up and answering.
-- ``GET /readyz`` — readiness: 200 only when the node should receive
-  *new* work (not draining, queue below capacity); 503 otherwise, with
-  the reasons in the body.  Load balancers and start-up scripts route
-  on this, never on liveness.
-- ``POST /drainz`` — graceful drain: stop admitting cache-miss work,
-  finish everything in flight, flip readiness.  ``DELETE /drainz``
-  resumes admissions.
+- ``GET /readyz`` — readiness: 200 while the queue is below capacity,
+  503 with ``"queue-full"`` in ``reasons`` once it is not.  Start-up
+  scripts wait on this, never on liveness.
 - ``GET /queuez`` / ``GET /metricsz`` — queue introspection and
   Prometheus metrics.
 
-Admitted cache-miss work is journaled (``<cache dir>/manifests/
-queue.journal``) and replayed at startup: orphans already present in the
-cache are recovered without recomputation, the rest are re-enqueued —
-see :mod:`repro.service.journal`.
+A node has one lifecycle: start, serve, stop.  :meth:`ServerHandle.stop`
+answers every queued request with ``node shutting down``; the client
+resends, and a node restarted on the same cache directory answers the
+configurations that finished as hits and computes only the rest.
 
 Deterministic service faults (``REPRO_FAULTS`` kinds ``slow-response``,
 ``dropped-connection``, ``queue-full``) are injected at the request
@@ -50,22 +46,19 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import faults, telemetry
-from repro.core import IHWConfig
 from repro.core.backends.threads import resolve_thread_count
 from repro.faults.injector import CRASH_EXIT_CODE
-from repro.runtime import ExperimentRunner, ExperimentSpec, ResultCache
+from repro.runtime import ExperimentRunner, ResultCache
 
-from .journal import JOURNAL_FILENAME, MANIFEST_DIRNAME, QueueJournal
 from .protocol import (
     ProtocolError,
     SweepRequest,
     canonical_json,
     sanitize_document,
 )
-from .queue import DrainingError, QueueFullError, SweepQueue
+from .queue import QueueFullError, SweepQueue
 
 __all__ = ["ServiceConfig", "SweepService", "ServerHandle",
            "serve_in_thread", "run_server"]
@@ -75,6 +68,8 @@ __all__ = ["ServiceConfig", "SweepService", "ServerHandle",
 #: (64) is about 16 KB.
 MAX_BODY_BYTES = 1024 * 1024
 MAX_HEADER_BYTES = 32 * 1024
+#: How long a request thread waits for the queue to deliver one miss.
+REQUEST_TIMEOUT_S = 300.0
 
 _JSON = "application/json"
 _BINARY = "application/octet-stream"
@@ -90,8 +85,6 @@ class ServiceConfig:
     max_pending: int = 64
     max_configs: int = 64  # per-request configuration bound (413 above)
     retry_after: float = 2.0
-    request_timeout: float = 300.0
-    journal: bool = True  # durable queue journal under cache_dir
 
 
 class SweepService:
@@ -108,57 +101,18 @@ class SweepService:
         #: Set by the transport once the socket is bound ("host:port");
         #: the ``node-crash`` fault kind keys on it.
         self.node_id = ""
-        self.journal = None
-        orphans: list = []
-        if config.journal:
-            self.journal = QueueJournal(
-                Path(config.cache_dir) / MANIFEST_DIRNAME / JOURNAL_FILENAME
-            )
-            orphans = self.journal.replay()
-            self.journal.reset()
         self.queue = SweepQueue(
             cache=self.cache,
             runner_factory=self._make_runner,
             max_pending=config.max_pending,
             retry_after=config.retry_after,
-            journal=self.journal,
         )
-        #: Replay accounting, surfaced by /readyz and ``repro serve``.
-        self.recovered = {"complete": 0, "requeued": 0, "invalid": 0}
-        if orphans:
-            self._recover(orphans)
         self.started = time.time()
         # What a parallel backend would resolve to in this process: lets
         # /metricsz distinguish a service running wide from one whose
         # sweeps execute single-threaded.
         telemetry.gauge_set("repro_backend_threads",
                             resolve_thread_count())
-
-    def _recover(self, orphans: list) -> None:
-        """Resolve journal orphans: cache-present keys are already done
-        (the crash hit between the cache write and the journal's done
-        record); the rest re-enter the queue through normal admission.
-        The invariant this enforces is the acceptance criterion of the
-        journal: a killed node recomputes **zero** completed configs.
-        """
-        for record in orphans:
-            try:
-                spec = ExperimentSpec.from_canonical(record["spec"])
-                config = IHWConfig.from_canonical(record["config"])
-            except (KeyError, TypeError, ValueError):
-                self.recovered["invalid"] += 1
-                telemetry.counter_inc("repro_service_journal_replayed_total",
-                                      outcome="invalid")
-                continue
-            if self.cache.entry_paths(spec, config)[0].exists():
-                self.recovered["complete"] += 1
-                telemetry.counter_inc("repro_service_journal_replayed_total",
-                                      outcome="complete")
-                continue
-            self.queue.submit(spec, config, waiter=_discard_waiter)
-            self.recovered["requeued"] += 1
-            telemetry.counter_inc("repro_service_journal_replayed_total",
-                                  outcome="requeued")
 
     def _make_runner(self) -> ExperimentRunner:
         # The queue thread's runner: inline (max_workers=1) keeps execution
@@ -167,8 +121,6 @@ class SweepService:
 
     def close(self) -> None:
         self.queue.shutdown()
-        if self.journal is not None:
-            self.journal.close()
 
     # ------------------------------------------------------------------
     # Routing
@@ -182,19 +134,6 @@ class SweepService:
         elif path == "/readyz" and method == "GET":
             doc = self._readyz()
             request.respond(200 if doc["ready"] else 503, doc)
-        elif path == "/drainz" and method == "POST":
-            self.queue.start_draining()
-            telemetry.counter_inc("repro_service_requests_total",
-                                  endpoint="drainz")
-            snapshot = self.queue.snapshot()
-            request.respond(200, {
-                "draining": True,
-                "pending": snapshot["pending"],
-                "inflight": snapshot["inflight"],
-            })
-        elif path == "/drainz" and method == "DELETE":
-            self.queue.stop_draining()
-            request.respond(200, {"draining": False})
         elif path == "/queuez" and method == "GET":
             request.respond(200, self.queue.snapshot())
         elif path == "/metricsz" and method == "GET":
@@ -207,9 +146,9 @@ class SweepService:
             request.respond(404, {"error": f"no route for {method} {path}"})
 
     def _healthz(self) -> dict:
-        # Liveness only: "the process is up".  Everything that should
-        # steer new work — draining, capacity — lives in /readyz, so a
-        # drained node still answers health probes.
+        # Liveness only: "the process is up".  Whether the node has room
+        # for new work is /readyz's question, so a full queue still
+        # answers health probes.
         snapshot = self.queue.snapshot()
         return {
             "status": "ok",
@@ -223,18 +162,14 @@ class SweepService:
     def _readyz(self) -> dict:
         snapshot = self.queue.snapshot()
         reasons = []
-        if snapshot["draining"]:
-            reasons.append("draining")
         if snapshot["inflight"] >= snapshot["max_pending"]:
             reasons.append("queue-full")
         return {
             "ready": not reasons,
             "reasons": reasons,
-            "draining": snapshot["draining"],
             "pending": snapshot["pending"],
             "inflight": snapshot["inflight"],
             "max_pending": snapshot["max_pending"],
-            "recovered": dict(self.recovered),
         }
 
     # ------------------------------------------------------------------
@@ -280,12 +215,6 @@ class SweepService:
                     headers={"Retry-After": f"{exc.retry_after:.0f}"},
                 )
                 return
-            except DrainingError as exc:
-                # The request needed new computation and this node is
-                # winding down: refuse the whole sweep with a retryable
-                # status instead of admitting work it may not finish.
-                request.respond(503, {"error": str(exc), "draining": True})
-                return
             telemetry.counter_inc("repro_service_requests_total",
                                   endpoint="sweep")
             telemetry.counter_inc("repro_service_cache_outcomes_total",
@@ -302,7 +231,7 @@ class SweepService:
             if name in warm:
                 results[name] = warm[name]
                 continue
-            doc, error = replies[name].wait(self.config.request_timeout)
+            doc, error = replies[name].wait(REQUEST_TIMEOUT_S)
             if error is None:
                 results[name] = doc
             else:
@@ -319,11 +248,6 @@ class SweepService:
             },
         }
         request.respond(200, payload)
-
-
-def _discard_waiter(doc, error) -> None:
-    """Waiter for journal-replayed work: nobody is on the socket for it —
-    the result lands in the cache, which is the whole point."""
 
 
 class _Reply:
@@ -399,7 +323,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             if self.injector is not None and self.injector.node_crash(
                     f"{service.node_id}{self.path}", self.attempt):
                 # Die exactly as a power cut would: no cleanup, no
-                # journal compaction, no goodbye on the socket.
+                # goodbye on the socket.
                 os._exit(CRASH_EXIT_CODE)
             if self.injector is not None and self.injector.queue_full(
                     self.path, self.attempt):
@@ -422,7 +346,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 except ConnectionError:
                     pass
 
-    do_GET = do_POST = do_DELETE = _dispatch
+    do_GET = do_POST = _dispatch
 
     def respond(self, status, payload, content_type=None, headers=None):
         """Write one response."""
@@ -501,11 +425,6 @@ def run_server(config: ServiceConfig, out=None) -> int:
     handle = serve_in_thread(config)
     print(f"sweep service listening on {handle.base_url} "
           f"(cache: {handle.service.cache.root})", file=out)
-    recovered = handle.service.recovered
-    if any(recovered.values()):
-        print(f"journal replay: {recovered['complete']} complete, "
-              f"{recovered['requeued']} requeued, "
-              f"{recovered['invalid']} invalid", file=out)
     try:
         while handle._thread.is_alive():
             handle._thread.join(timeout=0.5)

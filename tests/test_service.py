@@ -2,11 +2,11 @@
 
 The contract under test mirrors docs/SERVICE.md: every answer is the
 sanitized content-addressed cache entry serialized canonically, so the
-warm, cold, coalesced, replayed, and fault-disturbed paths all produce
+warm, cold, coalesced, and fault-disturbed paths all produce
 bit-identical bytes; identical in-flight work coalesces to one
 computation; the queue's backpressure bounds are enforced with retryable
-statuses; and a killed node's journal replay recomputes no completed
-configuration.
+statuses; and a stopped node, restarted on its cache and sent the same
+sweep again, computes only the configurations that have no cache entry.
 """
 
 import concurrent.futures
@@ -26,7 +26,6 @@ from repro.core import IHWConfig
 from repro.runtime import ExperimentSpec, ResultCache, entry_key
 from repro.service import (
     ProtocolError,
-    QueueJournal,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -449,145 +448,7 @@ class TestServiceFaults:
 
 
 # ----------------------------------------------------------------------
-# Queue journal (unit)
-# ----------------------------------------------------------------------
-class TestQueueJournal:
-    def journal(self, tmp_path, **kwargs):
-        return QueueJournal(tmp_path / "queue.journal", **kwargs)
-
-    def test_replay_of_missing_file_is_empty(self, tmp_path):
-        assert self.journal(tmp_path).replay() == []
-
-    def test_done_retires_admits(self, tmp_path):
-        journal = self.journal(tmp_path)
-        journal.admit("k1", {"app": "a"}, {"c": 1})
-        journal.admit("k2", {"app": "a"}, {"c": 2})
-        journal.done("k1")
-        journal.close()
-        orphans = self.journal(tmp_path).replay()
-        assert [record["key"] for record in orphans] == ["k2"]
-        assert orphans[0]["spec"] == {"app": "a"}
-        assert orphans[0]["config"] == {"c": 2}
-
-    def test_replay_survives_torn_tail(self, tmp_path):
-        journal = self.journal(tmp_path)
-        journal.admit("k1", {}, {})
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"v":1,"op":"admit","key":"torn')  # no newline
-        orphans = self.journal(tmp_path).replay()
-        assert [record["key"] for record in orphans] == ["k1"]
-
-    def test_reset_truncates(self, tmp_path):
-        journal = self.journal(tmp_path)
-        journal.admit("k1", {}, {})
-        journal.reset()
-        assert journal.path.read_text() == ""
-        assert self.journal(tmp_path).replay() == []
-
-    def test_compaction_keeps_only_live_records(self, tmp_path):
-        journal = self.journal(tmp_path, compact_every=2)
-        for key in ("k1", "k2", "k3"):
-            journal.admit(key, {}, {})
-        journal.done("k1")
-        journal.done("k2")  # triggers compaction
-        journal.close()
-        lines = [line for line in journal.path.read_text().splitlines()
-                 if line.strip()]
-        assert len(lines) == 1
-        orphans = self.journal(tmp_path).replay()
-        assert [record["key"] for record in orphans] == ["k3"]
-
-    def test_live_counts_undelivered(self, tmp_path):
-        journal = self.journal(tmp_path)
-        assert journal.live == 0
-        journal.admit("k1", {}, {})
-        journal.admit("k2", {}, {})
-        assert journal.live == 2
-        journal.done("k1")
-        assert journal.live == 1
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="compact_every"):
-            self.journal(tmp_path, compact_every=0)
-
-
-# ----------------------------------------------------------------------
-# Journal wired into a service instance
-# ----------------------------------------------------------------------
-class TestServiceJournal:
-    def test_miss_is_journaled_then_retired(self, tmp_path):
-        cache_dir = tmp_path / "svc_cache"
-        handle = start_node(cache_dir)
-        try:
-            tiny_sweep(ServiceClient(handle.base_url),
-                       configs={"precise": CONFIGS["precise"]})
-            journal = handle.service.journal
-            assert journal is not None
-            assert journal.live == 0  # admitted, computed, retired
-            key = entry_key(TINY, CONFIGS["precise"])
-            text = journal.path.read_text()
-            assert f'"key":"{key}"' in text
-            assert '"op":"admit"' in text and '"op":"done"' in text
-            assert ServiceClient(handle.base_url).queuez()["journal"]
-        finally:
-            handle.stop()
-
-    def test_no_journal_flag(self, tmp_path):
-        cache_dir = tmp_path / "svc_cache"
-        handle = start_node(cache_dir, journal=False)
-        try:
-            client = ServiceClient(handle.base_url)
-            tiny_sweep(client, configs={"precise": CONFIGS["precise"]})
-            assert not client.queuez()["journal"]
-            assert not (cache_dir / "manifests" / "queue.journal").exists()
-        finally:
-            handle.stop()
-
-    def test_replay_recovers_orphans(self, tmp_path):
-        cache_dir = tmp_path / "svc_cache"
-        handle = start_node(cache_dir)
-        tiny_sweep(ServiceClient(handle.base_url),
-                   configs={"precise": CONFIGS["precise"]})
-        handle.stop()
-
-        # Forge the journal a crashed node would leave behind: one orphan
-        # already computed (the crash hit between cache write and the
-        # done append), one never computed, one unparsable record, and a
-        # torn final line.
-        journal = QueueJournal(cache_dir / "manifests" / "queue.journal")
-        journal.admit(entry_key(TINY, CONFIGS["precise"]),
-                      TINY.canonical(), CONFIGS["precise"].canonical())
-        journal.admit(entry_key(TINY, CONFIGS["add"]),
-                      TINY.canonical(), CONFIGS["add"].canonical())
-        journal.admit("feedface", {"app": "no-such-app", "metric": "mae"},
-                      CONFIGS["add"].canonical())
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as fh:
-            fh.write('{"v":1,"op":"admit","key":"torn')
-
-        restarted = start_node(cache_dir)
-        try:
-            assert restarted.service.recovered == {
-                "complete": 1, "requeued": 1, "invalid": 1,
-            }
-            assert restarted.service.queue.drain(timeout=30.0)
-            # The orphan landed in the cache through normal execution...
-            local = ResultCache(cache_dir)
-            assert local.document(TINY, CONFIGS["add"]) is not None
-            # ...and the already-complete one was NOT recomputed.
-            assert restarted.service.queue.executions == 1
-            assert restarted.service.journal.live == 0
-            doc = ServiceClient(restarted.base_url).readyz()
-            assert doc["recovered"] == {
-                "complete": 1, "requeued": 1, "invalid": 1,
-            }
-        finally:
-            restarted.stop()
-
-
-# ----------------------------------------------------------------------
-# Readiness and draining
+# Readiness
 # ----------------------------------------------------------------------
 class TestReadyAndDrain:
     def test_readyz_initially_ready(self, tmp_path):
@@ -596,78 +457,12 @@ class TestReadyAndDrain:
             doc = ServiceClient(handle.base_url).readyz()
             assert doc["ready"] is True
             assert doc["reasons"] == []
-            assert doc["draining"] is False
-            assert doc["recovered"] == {"complete": 0, "requeued": 0,
-                                        "invalid": 0}
         finally:
-            handle.stop()
-
-    def test_drain_rejects_cold_work_but_serves_warm(self, tmp_path):
-        handle = start_node(tmp_path / "svc")
-        client = ServiceClient(handle.base_url, retries=0)
-        try:
-            warm = tiny_sweep(client,
-                              configs={"precise": CONFIGS["precise"]})
-            assert client.drain()["draining"] is True
-            ready = client.readyz()
-            assert ready["ready"] is False
-            assert "draining" in ready["reasons"]
-            # Cold admissions are refused with a routable 503...
-            with pytest.raises(ServiceError) as excinfo:
-                tiny_sweep(client, configs={"add": CONFIGS["add"]})
-            assert excinfo.value.status == 503
-            # ...while warm reads keep flowing.
-            again = tiny_sweep(client,
-                               configs={"precise": CONFIGS["precise"]})
-            assert canonical_json(again["results"]) == \
-                canonical_json(warm["results"])
-            # Undrain restores admissions.
-            assert client.undrain()["draining"] is False
-            assert client.readyz()["ready"] is True
-            cold = tiny_sweep(client, configs={"add": CONFIGS["add"]})
-            assert "error" not in cold["results"]["add"]
-        finally:
-            handle.stop()
-
-    def test_drain_still_coalesces_onto_inflight_work(self, tmp_path):
-        import concurrent.futures
-
-        handle = start_node(tmp_path / "svc")
-        queue = handle.service.queue
-        client = ServiceClient(handle.base_url)
-        try:
-            queue.pause()
-            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-                first = pool.submit(tiny_sweep, client,
-                                    {"all": CONFIGS["all"]})
-                deadline = time.monotonic() + 10.0
-                while (queue.snapshot()["pending"] < 1
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
-                assert queue.snapshot()["pending"] == 1
-                queue.start_draining()
-                # The identical request attaches to the in-flight item
-                # instead of being refused: coalescing adds no work.
-                second = pool.submit(tiny_sweep, client,
-                                     {"all": CONFIGS["all"]})
-                deadline = time.monotonic() + 10.0
-                while (queue.snapshot()["coalesced"] < 1
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
-                assert queue.snapshot()["coalesced"] == 1
-                queue.resume()
-                first_doc = first.result(timeout=30.0)
-                second_doc = second.result(timeout=30.0)
-            assert canonical_json(first_doc["results"]) == \
-                canonical_json(second_doc["results"])
-            assert queue.executions == 1
-        finally:
-            queue.resume()
             handle.stop()
 
     def test_readyz_reports_queue_full(self, tmp_path):
         service = SweepService(ServiceConfig(
-            cache_dir=str(tmp_path / "svc"), max_pending=1, journal=False,
+            cache_dir=str(tmp_path / "svc"), max_pending=1,
         ))
         try:
             service.queue.pause()
@@ -685,65 +480,62 @@ class TestReadyAndDrain:
 
 
 # ----------------------------------------------------------------------
-# Crash recovery: a killed node restarts on its cache directory
+# Crash recovery: a stopped node restarts on its cache directory and the
+# client resends
 # ----------------------------------------------------------------------
+def wait_pending(queue, count):
+    deadline = time.monotonic() + 10.0
+    while (queue.snapshot()["pending"] < count
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert queue.snapshot()["pending"] == count
+
+
 class TestCrashRecovery:
-    def test_killed_node_requeues_orphans_once_then_serves_warm(
-            self, tmp_path):
-        """A node dies holding a whole admitted sweep; restarted on the
-        same cache directory it requeues every orphan exactly once,
-        computes each configuration once, and then answers the sweep
-        warm and bit-identical to a clean run."""
+    def test_restart_computes_only_uncached_configs(self, tmp_path):
+        """A node stops with one config finished and the rest queued.
+        Restarted on the same cache directory and sent the sweep again,
+        it answers the finished config as a hit, computes each of the
+        others once, and its bytes equal a clean run's."""
         cache_dir = tmp_path / "svc_cache"
         handle = start_node(cache_dir)
+        outcome = {}
 
-        # 1. Admit a full sweep the node will never deliver: its queue is
-        #    held, so the admits are journaled, and then the node stops.
-        handle.service.queue.pause()
-        impatient = ServiceClient(handle.base_url, timeout=0.5, retries=0)
-        with pytest.raises(ServiceError):
-            tiny_sweep(impatient)
-        deadline = time.monotonic() + 10.0
-        while (handle.service.journal.live < len(CONFIGS)
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert handle.service.journal.live == len(CONFIGS)
-        handle.stop()
+        def call():
+            client = ServiceClient(handle.base_url, timeout=60, retries=0)
+            outcome["reply"] = tiny_sweep(client)
 
-        # 2. Restart on the same cache directory: nothing was computed
-        #    before the stop, so every orphan is requeued, exactly once.
+        try:
+            tiny_sweep(ServiceClient(handle.base_url),
+                       configs={"precise": CONFIGS["precise"]})
+            handle.service.queue.pause()
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            wait_pending(handle.service.queue, len(CONFIGS) - 1)
+        finally:
+            handle.stop()
+        caller.join(10.0)
+        assert outcome["reply"]["served"] == {
+            "hits": 1, "misses": len(CONFIGS) - 1,
+            "errors": len(CONFIGS) - 1,
+        }
+
         restarted = start_node(cache_dir)
         try:
-            assert restarted.service.recovered == {
-                "complete": 0, "requeued": len(CONFIGS), "invalid": 0,
+            resent = tiny_sweep(ServiceClient(restarted.base_url))
+            assert resent["served"] == {
+                "hits": 1, "misses": len(CONFIGS) - 1, "errors": 0,
             }
-            queue = restarted.service.queue
-            assert queue.drain(timeout=60.0)
-            # One computation and one cache write per configuration.
-            # Executions count runner batches, which the queue forms
-            # opportunistically from whatever is pending.
-            assert queue.completed == len(CONFIGS)
-            assert restarted.service.cache.stats.writes == len(CONFIGS)
-            assert 1 <= queue.executions <= len(CONFIGS)
-            assert restarted.service.journal.live == 0
-
-            # 3. The follow-up sweep is all hits, bit-identical to a
-            #    clean run on a fresh cache.
-            follow_up = tiny_sweep(ServiceClient(restarted.base_url))
-            assert follow_up["served"] == {
-                "hits": len(CONFIGS), "misses": 0, "errors": 0,
-            }
-            assert canonical_json(follow_up["results"]) == \
+            assert restarted.service.cache.stats.writes == len(CONFIGS) - 1
+            assert canonical_json(resent["results"]) == \
                 canonical_json(ground_truth(tmp_path))
         finally:
             restarted.stop()
 
     def test_stop_releases_a_stranded_request(self, tmp_path):
         """stop() fails the waiters of queued work at once instead of
-        leaving their request threads blocked for ``request_timeout``;
-        the work stays journaled, so a restart requeues it once."""
-        cache_dir = tmp_path / "svc_cache"
-        handle = start_node(cache_dir)
+        leaving their request threads blocked for ``REQUEST_TIMEOUT_S``."""
+        handle = start_node(tmp_path / "svc_cache")
         handle.service.queue.pause()
         before = set(threading.enumerate())
         outcome = {}
@@ -754,11 +546,7 @@ class TestCrashRecovery:
 
         caller = threading.Thread(target=call, daemon=True)
         caller.start()
-        deadline = time.monotonic() + 10.0
-        while (handle.service.journal.live < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert handle.service.journal.live == 1
+        wait_pending(handle.service.queue, 1)
         request_threads = [t for t in threading.enumerate()
                            if t not in before and t is not caller]
         assert request_threads
@@ -774,15 +562,6 @@ class TestCrashRecovery:
         assert outcome["reply"]["results"]["add"] == {
             "error": "node shutting down",
         }
-
-        restarted = start_node(cache_dir)
-        try:
-            assert restarted.service.recovered == {
-                "complete": 0, "requeued": 1, "invalid": 0,
-            }
-            assert restarted.service.queue.drain(timeout=60.0)
-        finally:
-            restarted.stop()
 
 
 # ----------------------------------------------------------------------
