@@ -16,7 +16,7 @@ alternating:
 
 Each gate asserts bit-identical outputs before it looks at time.  Results
 land under the ``parallel`` key of ``BENCH_runtime.json`` with
-``cpu_count``.
+``cpu_count``, once the gate has passed.
 """
 
 import json
@@ -106,12 +106,12 @@ def test_engine_vs_oracle(monkeypatch):
         rows.append(format_row(label, f"{best['reference']:.3f}",
                                f"{best[DEFAULT_BACKEND]:.3f}",
                                f"{speedup:.2f}x", widths=widths))
-    path = _record("engine_vs_oracle", entry)
-    rows.append(f"written: {path}")
     emit(f"Engine vs oracle: fw.evaluate, best of {REPEATS}, "
          f"{threads_mod.cpu_count()} CPU(s)", rows)
+    # Gate first: a failing run must not rewrite the committed numbers.
     for label, speedup in speedups.items():
         assert speedup >= ORACLE_GATE, (label, entry[label])
+    _record("engine_vs_oracle", entry)
 
 
 def test_thread_scaling(monkeypatch):
@@ -128,16 +128,15 @@ def test_thread_scaling(monkeypatch):
     speedup = one / many
     cores = threads_mod.cpu_count()
     label = f"{app} {params['rows']}^2 x {params['iterations']}"
-    path = _record("thread_scaling", {
-        "app": label, "threads": threads,
-        "one_thread_s": round(one, 4), "default_threads_s": round(many, 4),
-        "speedup": round(speedup, 2),
-    })
     emit(f"Thread scaling: {label}, best of {REPEATS}, {cores} CPU(s)", [
         format_row("1 thread", f"{one:.3f} s"),
         format_row(f"{threads} threads", f"{many:.3f} s"),
         format_row("speedup", f"{speedup:.2f}x"),
-        f"written: {path}",
     ])
     if cores >= 2:
         assert speedup >= SCALING_GATE, (label, speedup)
+    _record("thread_scaling", {
+        "app": label, "threads": threads,
+        "one_thread_s": round(one, 4), "default_threads_s": round(many, 4),
+        "speedup": round(speedup, 2),
+    })

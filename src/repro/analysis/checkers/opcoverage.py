@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import ast
 
+from ..callgraph import dotted_name
 from ..findings import RawFinding
 
 __all__ = ["check"]
@@ -86,21 +87,9 @@ def _is_context_constructor(name: str) -> bool:
     )
 
 
-def _dotted(node) -> str:
-    """Dotted name of an expression, '' if not a plain name/attribute chain."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def _np_arith_name(func) -> str:
     """Return the numpy ufunc name if ``func`` is a numpy arithmetic call."""
-    dotted = _dotted(func)
+    dotted = dotted_name(func)
     if not dotted:
         return ""
     parts = dotted.split(".")
@@ -180,7 +169,7 @@ class _KernelTaint:
 
     def _call_taints(self, node: ast.Call) -> bool:
         func = node.func
-        name = _dotted(func)
+        name = dotted_name(func)
         if name in _UNTAINT_CALLS:
             return False  # float(np.mean(x)) — host scalar extraction
         # ctx.anything(...) returns a device value.
@@ -291,7 +280,7 @@ class _KernelTaint:
     def _seeds_context(self, value) -> bool:
         if not isinstance(value, ast.Call):
             return False
-        name = _dotted(value.func)
+        name = dotted_name(value.func)
         return _is_context_constructor(name)
 
     # -- finding emission ----------------------------------------------

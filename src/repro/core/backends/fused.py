@@ -6,34 +6,26 @@ shard 0 alone).
 
 The reference units are written for clarity: each materializes 20-40
 full-array temporaries (``np.where`` chains, repeated ``decompose``,
-unconditional special-case handling).  At the 1M-element scale every one of
-those temporaries is a fresh 8 MB allocation that round-trips through the
-allocator's mmap threshold, which dominates the runtime.  This class
-reimplements the hot datapaths with
+unconditional special-case handling).  These kernels instead
 
-- **preallocated scratch buffers** — a grow-only pool of named ``int64`` /
-  ``float64`` / ``bool`` working arrays reused across calls, so a steady
-  -state op performs no large allocations besides its result;
-- **in-place ufuncs** — every field extraction, alignment, and compose step
-  writes into scratch via ``out=`` / ``np.copyto(..., where=...)``;
-- **single-pass decompose reuse** — sign/exponent/fraction are extracted
-  once per operand and reused by every later stage;
-- **lazy special-case handling** — a cheap pre-check (an ``exp.max()``
-  reduction on the already-extracted exponent fields) skips the NaN/inf
-  (and, for the SFUs, zero/negative) branch entirely when no operand needs
-  it, which is the overwhelmingly common case for kernel data.  When the
-  pre-check fires, the op falls back to patching from (or delegating to)
-  the reference unit, so special-value semantics are inherited verbatim.
+- write every pass with ``out=`` into a grow-only pool of named scratch
+  arrays (:class:`ScratchPool`), so a steady-state op allocates nothing
+  but its result;
+- extract each operand's fields once and reuse them in every stage;
+- skip the NaN/inf (and, for the SFUs, zero/negative) branch after one
+  ``max()`` reduction when no lane needs it, and patch from (or delegate
+  to) the reference unit when one does, so special values keep its
+  semantics verbatim.
+
+The binary32/16 threshold adder runs in float64, where its whole datapath
+is exact: a branch-free bit select, power-of-two scalings for the
+threshold cut, one add, and a bit mask for the truncating normalize.
+binary64 adds keep an integer datapath; it and the Mitchell decode find
+MSB indices with an integer smear + ``numpy.bitwise_count`` popcount.
 
 Every method is bit-identical to the reference backend — asserted over
 random and adversarial vectors by :mod:`repro.core.backends.parity` and
 ``tests/test_backends.py``.
-
-The adder's normalization replaces the reference's float64 ``np.frexp``
-MSB extraction (and its overshoot-correction fixup) with one exact float64
-conversion of the integer total for binary32/16.  binary64 adds and the
-Mitchell decode use an integer-only smear + ``numpy.bitwise_count``
-popcount.
 
 Instances hold mutable scratch state: one backend belongs to one
 :class:`~repro.core.context.ArithmeticContext` and is not thread-safe.
@@ -140,21 +132,14 @@ class FusedBackend(ComputeBackend):
     # ------------------------------------------------------------------
     # Threshold adder
     # ------------------------------------------------------------------
-    # The head runs field extraction, magnitude compare, operand select,
-    # alignment and the effective-operation sign; the tail applies the
-    # threshold cut and normalizes.  Two identities keep it lean:
-    #
-    # - ``mant_x +/- (y & keep)`` == ``base -/+ (y & low)`` with the
-    #   full-precision ``base = mant_x +/- y``, so only the *discarded* low
-    #   bits are masked.  Lanes beyond the threshold (d > TH) need no
-    #   separate "far" zeroing: the aligned y is already below the keep cut.
-    # - when ``p + TH + 2 <= 53`` (always true for binary32/16) the int64
-    #   total converts to float64 *exactly*, so the float64 bit pattern IS
-    #   the normalized result: its exponent field is the MSB index and its
-    #   top fraction bits are the truncated mantissa — normalization,
-    #   including the left-shift cancellation case, collapses into one
-    #   conversion plus two shifts.  binary64 totals reach 62 bits, so that
-    #   dtype keeps the exact integer-domain normalize instead.
+    # binary32/16 run in the float64 domain.  The cut keeps the smaller
+    # operand y down to 2^(E_x - TH) only, E_x the larger operand's
+    # exponent: y_t = trunc(y 2^(TH - E_x)) 2^(E_x - TH) scales by powers
+    # of two and is exact.  x + y_t is a multiple of 2^(E_x - max(p, TH))
+    # below 2^(E_x + 2), so with p + TH + 2 <= 53 the sum is exact too, and
+    # clearing its low 52 - p bits is the truncating normalize.  binary64
+    # totals reach 62 bits: its head aligns and pre-sums at TH guard bits,
+    # its tail cuts as ``base -/+ (y & low)`` and normalizes by MSB index.
 
     def imprecise_add(self, a, b, threshold: int = DEFAULT_THRESHOLD,
                       dtype=np.float32) -> np.ndarray:
@@ -168,11 +153,10 @@ class FusedBackend(ComputeBackend):
             )
         a, b = self._operands(a, b, fmt)
         shape = a.shape
-        head = self._add_head(a, b, fmt, shape, threshold)
         if fmt.mantissa_bits + threshold + 2 <= 53:
-            result = self._add_tail_exact(fmt, shape, head)
-        else:
-            result = self._add_tail_int(fmt, shape, threshold, head)
+            return self._add_float(a, b, fmt, shape, threshold)
+        head = self._add_head(a, b, fmt, shape, threshold)
+        result = self._add_tail_int(fmt, shape, threshold, head)
         if head["special"] is not None:
             special_mask, special_vals = head["special"]
             np.copyto(result, special_vals, where=special_mask)
@@ -183,6 +167,78 @@ class FusedBackend(ComputeBackend):
         fmt = format_for_dtype(dtype)
         b = np.asarray(b, dtype=fmt.dtype)
         return self.imprecise_add(a, -b, threshold=threshold, dtype=dtype)
+
+    def _add_float(self, a, b, fmt, shape, threshold: int) -> np.ndarray:
+        """The exact float64-domain adder for ``p + TH + 2 <= 53``."""
+        p = fmt.mantissa_bits
+        sint = np.dtype(f"i{fmt.uint.itemsize}")
+        mag_mask = sint.type((1 << fmt.sign_shift) - 1)
+        bits_a, bits_b = a.view(sint), b.view(sint)
+        mag_a = self._scratch.get("mag_a", sint, shape)
+        np.bitwise_and(bits_a, mag_mask, out=mag_a)
+        mag_b = self._scratch.get("mag_b", sint, shape)
+        np.bitwise_and(bits_b, mag_mask, out=mag_b)
+        lo_a, lo_b = int(mag_a.min()), int(mag_b.min())
+        special = None
+        if max(int(mag_a.max()), int(mag_b.max())) >= fmt.exponent_mask << p:
+            special = _special_add(a, b, fmt)
+        # Branch-free select: x is the larger magnitude (a tie keeps a), y
+        # the other operand.  mag_a - mag_b, arithmetic-shifted by the width
+        # less one, is all ones exactly where b is larger: the swap mask.
+        swap = mag_a
+        np.subtract(mag_a, mag_b, out=swap)
+        np.right_shift(swap, 8 * sint.itemsize - 1, out=swap)
+        flip = mag_b
+        np.bitwise_xor(bits_a, bits_b, out=flip)
+        np.bitwise_and(flip, swap, out=flip)
+        bits_x = swap
+        np.bitwise_xor(bits_a, flip, out=bits_x)
+        bits_y = flip
+        np.bitwise_xor(bits_b, flip, out=bits_y)
+        x, y = self._f("add_x", shape), self._f("add_y", shape)
+        # NaN/inf lanes compute garbage that the special patch overwrites;
+        # the final cast overflows to inf exactly where the hardware does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(x, bits_x.view(fmt.dtype))
+            np.copyto(y, bits_y.view(fmt.dtype))
+            tiny = 2.0 ** (1 - fmt.bias)
+            if min(lo_a, lo_b) < fmt.implicit_one:
+                # Zero and subnormal operands flush to +0, so a flushed x
+                # (and with it y) sums to +0 even from -0 + -0.
+                small = self._b("add_small", shape)
+                for v in (x, y):
+                    np.less(np.abs(v, out=self._f("add_abs", shape)), tiny,
+                            out=small)
+                    np.copyto(v, 0.0, where=small)
+
+            # 2^E_x is x's bare exponent field; 2^-E_x is built from it in
+            # the integer domain, where x = 0 gives a finite 2^1023.
+            pow_x = self._i("add_pow", shape)
+            np.bitwise_and(x.view(np.int64), np.int64(0x7FF << 52), out=pow_x)
+            inv_x = self._i("add_inv", shape)
+            np.subtract(np.int64(2046 << 52), pow_x, out=inv_x)
+            cut = y
+            np.multiply(y, inv_x.view(np.float64), out=cut)
+            np.multiply(cut, 2.0 ** threshold, out=cut)
+            np.trunc(cut, out=cut)
+            np.multiply(cut, 2.0 ** -threshold, out=cut)
+            np.multiply(cut, pow_x.view(np.float64), out=cut)
+            s = x
+            np.add(x, cut, out=s)
+            s_bits = s.view(np.int64)
+            np.bitwise_and(s_bits, np.int64(-1 << (52 - p)), out=s_bits)
+            # A nonzero sum is at least 2^(E_x - max(p, TH)), so only a
+            # small E_x can take it below the smallest normal, where it
+            # flushes to a zero with the sign of x.  Every x is at least
+            # the larger of the two operand minima.
+            if max(lo_a, lo_b) >> p < 1 + max(p, threshold):
+                under = self._b("underflow", shape)
+                np.less(np.abs(s, out=cut), tiny, out=under)
+                np.multiply(s, 0.0, out=s, where=under)
+            result = s.astype(fmt.dtype)
+        if special is not None:
+            np.copyto(result, special[1], where=special[0])
+        return result
 
     def _add_head(self, a, b, fmt, shape, threshold: int) -> dict:
         """Decompose, align and pre-sum at ``TH`` guard bits (see above)."""
@@ -257,70 +313,13 @@ class FusedBackend(ComputeBackend):
         np.multiply(y, s, out=base)
         np.add(base, mant_x, out=base)
 
-        exact53 = p + threshold + 2 <= 53
-        # Offset folding the exponent bias of the float64 view (exact path)
-        # or the MSB reference point (integer path) into one add.
-        offset = (1023 + p + threshold) if exact53 else (p + threshold)
+        # The exponent less the MSB reference point, folded into one add.
         expk = self._i("add_expk", shape)
-        np.subtract(exp_x, np.int64(offset), out=expk)
-        adj = None
-        if exact53:
-            # bits_out = (f64_bits >> (52-p)) + adj composes sign, exponent
-            # and fraction in two passes (no carries: in-range exponents
-            # keep the fraction's 23 low bits clear of the sign bit).
-            adj = self._i("add_adj", shape)
-            np.multiply(expk, np.int64(1) << p, out=adj)
-            np.add(adj, sign_part, out=adj)
-
-        # Overflow needs exp_z > max_exponent and exp_z <= exp_x + 1.
-        can_over = int(exp_x.max()) >= fmt.max_exponent
+        np.subtract(exp_x, np.int64(p + threshold), out=expk)
         return {
             "y": y, "s": s, "base": base, "sign_part": sign_part,
-            "expk": expk, "adj": adj, "special": special,
-            "can_over": can_over,
+            "expk": expk, "special": special,
         }
-
-    def _add_tail_exact(self, fmt, shape, head: dict) -> np.ndarray:
-        """Threshold cut plus the exact float64-conversion normalize."""
-        p = fmt.mantissa_bits
-        # With TH guard bits, the threshold discards exactly the low p bits
-        # of the aligned y.
-        low = self._i("add_low", shape)
-        np.bitwise_and(head["y"], np.int64((1 << p) - 1), out=low)
-        np.multiply(low, head["s"], out=low)
-        total = self._i("add_total", shape)
-        np.subtract(head["base"], low, out=total)
-        zero_total = self._b("zero_total", shape)
-        np.equal(total, 0, out=zero_total)
-
-        # total < 2^52 converts exactly: exponent field = MSB index + 1023,
-        # fraction field = the normalized mantissa, already truncated when
-        # we keep only its top p bits.
-        ft = self._f("add_ft", shape)
-        np.copyto(ft, total)
-        fbits = ft.view(np.int64)
-        bits_out = self._i("add_bits", shape)
-        np.right_shift(fbits, 52 - p, out=bits_out)
-        np.add(bits_out, head["adj"], out=bits_out)
-
-        exp_z = self._i("add_e", shape)
-        np.right_shift(fbits, 52, out=exp_z)
-        np.add(exp_z, head["expk"], out=exp_z)
-
-        underflow = self._b("underflow", shape)
-        np.less(exp_z, 1, out=underflow)
-        if head["can_over"]:
-            overflow = self._b("overflow", shape)
-            np.greater(exp_z, fmt.max_exponent, out=overflow)
-            if bool(overflow.any()):
-                inf_bits = self._i("inf_bits", shape)
-                np.bitwise_or(head["sign_part"],
-                              np.int64(fmt.exponent_mask) << p, out=inf_bits)
-                np.copyto(bits_out, inf_bits, where=overflow)
-        np.copyto(bits_out, head["sign_part"], where=underflow)
-        # Exact cancellation yields +0 as in IEEE round-to-nearest.
-        np.copyto(bits_out, np.int64(0), where=zero_total)
-        return bits_out.astype(fmt.uint).view(fmt.dtype)
 
     def _add_tail_int(self, fmt, shape, threshold: int,
                       head: dict) -> np.ndarray:

@@ -7,9 +7,12 @@ irreproducible across machines.  This module generates random plus
 adversarial operand vectors (subnormals, signed zeros, inf/NaN, exact
 cancellation pairs, extreme magnitudes) and compares every backend
 operation against the reference implementation bit for bit.
+:func:`check_adder_enumeration` walks every binary32 mantissa of the
+adder's smaller operand at each exponent difference around a threshold.
 
 Used by ``tests/test_backends.py`` and ``tests/test_parallel.py`` (the
-contractual gate, also run as CI's parity smoke).
+contractual gate, also run as CI's parity smoke), and at full stride by
+``benchmarks/test_adder_enumeration.py`` (CI's adder-enumeration job).
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import numpy as np
 
 from ..adder import max_threshold
 from ..configurable import MultiplierConfig
-from ..floatops import format_for_dtype
+from ..floatops import BINARY32, format_for_dtype
 from .base import ComputeBackend, ReferenceBackend
 
 __all__ = [
     "adversarial_operands",
     "finite_operands",
     "check_parity",
+    "check_adder_enumeration",
     "PARITY_OPS",
 ]
 
@@ -100,11 +104,6 @@ def check_parity(backend: ComputeBackend, dtype=np.float32,
     fmt = format_for_dtype(dtype)
     reference = ReferenceBackend()
     failures = []
-
-    def compare(op, param, ref, got):
-        if not np.array_equal(ref.view(fmt.uint), got.view(fmt.uint)):
-            failures.append(_mismatch(op, param, dtype, ref, got))
-
     thresholds = sorted({1, 4, 8, max_threshold(dtype)})
     # Two sweeps: adversarial operands hit every special-case branch, while
     # the finite-only set keeps backends on their fast clean path (several
@@ -116,77 +115,84 @@ def check_parity(backend: ComputeBackend, dtype=np.float32,
         ("finite", finite_operands(dtype, n_random=n_random, seed=seed + 1)),
     ):
         c = np.concatenate([b[1:], b[:1]])
-        _sweep(compare, reference, backend, tag, a, b, c, fmt, dtype,
-               thresholds, ops)
+        for op, param, method, args, kwargs in _calls(a, b, c, fmt,
+                                                      thresholds):
+            if op not in ops:
+                continue
+            ref = getattr(reference, method)(*args, dtype=dtype, **kwargs)
+            got = getattr(backend, method)(*args, dtype=dtype, **kwargs)
+            if not np.array_equal(ref.view(fmt.uint), got.view(fmt.uint)):
+                label = f"{tag}:{param}" if param else tag
+                failures.append(_mismatch(op, label, dtype, ref, got))
     return failures
 
 
-def _sweep(compare, reference, backend, tag, a, b, c, fmt, dtype,
-           thresholds, ops):
-    if "add" in ops:
-        for th in thresholds:
-            compare("add", f"{tag}:TH={th}",
-                    reference.imprecise_add(a, b, th, dtype=dtype),
-                    backend.imprecise_add(a, b, th, dtype=dtype))
-    if "sub" in ops:
-        compare("sub", f"{tag}:TH=8",
-                reference.imprecise_subtract(a, b, 8, dtype=dtype),
-                backend.imprecise_subtract(a, b, 8, dtype=dtype))
-    if "mul_table1" in ops:
-        compare("mul_table1", tag,
-                reference.imprecise_multiply(a, b, dtype=dtype),
-                backend.imprecise_multiply(a, b, dtype=dtype))
-    if "mul_mitchell" in ops:
-        for name in ("fp_tr0", "lp_tr0", "fp_tr8", "lp_tr16"):
-            cfg = MultiplierConfig.from_name(name)
-            if cfg.truncation > fmt.mantissa_bits:
-                continue
-            compare("mul_mitchell", f"{tag}:{name}",
-                    reference.configurable_multiply(a, b, cfg, dtype=dtype),
-                    backend.configurable_multiply(a, b, cfg, dtype=dtype))
-    if "mul_truncated" in ops:
-        for truncation, rounding in ((0, True), (8, True), (8, False)):
-            compare("mul_truncated", f"{tag}:bt_{truncation},round={rounding}",
-                    reference.truncated_multiply(a, b, truncation,
-                                                 dtype=dtype,
-                                                 rounding=rounding),
-                    backend.truncated_multiply(a, b, truncation,
-                                               dtype=dtype,
-                                               rounding=rounding))
-    if "fma" in ops:
-        compare("fma", f"{tag}:TH=8",
-                reference.imprecise_fma(a, b, c, 8, dtype=dtype),
-                backend.imprecise_fma(a, b, c, 8, dtype=dtype))
-    if "rcp" in ops:
-        compare("rcp", tag,
-                reference.imprecise_reciprocal(a, dtype=dtype),
-                backend.imprecise_reciprocal(a, dtype=dtype))
+def _calls(a, b, c, fmt, thresholds) -> list:
+    """``(op, param, method, args, kwargs)`` of every checked call."""
+    calls = []
+    for th in thresholds:
+        calls += [("add", f"TH={th}", "imprecise_add", (a, b, th), {}),
+                  ("sub", f"TH={th}", "imprecise_subtract", (a, b, th), {}),
+                  ("fma", f"TH={th}", "imprecise_fma", (a, b, c, th), {})]
+    calls.append(("mul_table1", "", "imprecise_multiply", (a, b), {}))
+    for name in ("fp_tr0", "lp_tr0", "fp_tr8", "lp_tr16"):
+        cfg = MultiplierConfig.from_name(name)
+        if cfg.truncation <= fmt.mantissa_bits:
+            calls.append(("mul_mitchell", name, "configurable_multiply",
+                          (a, b, cfg), {}))
+    for truncation, rounding in ((0, True), (8, True), (8, False)):
+        calls.append(("mul_truncated", f"bt_{truncation},round={rounding}",
+                      "truncated_multiply", (a, b, truncation),
+                      {"rounding": rounding}))
+    calls.append(("rcp", "", "imprecise_reciprocal", (a,), {}))
     # The unsigned SFUs fall back to the reference wholesale when any
     # operand is negative, so sweep both the raw vector (special/negative
     # handling) and its magnitude (the fused clean path).
-    pos = np.abs(a)
-    if "rsqrt" in ops:
-        compare("rsqrt", tag,
-                reference.imprecise_rsqrt(a, dtype=dtype),
-                backend.imprecise_rsqrt(a, dtype=dtype))
-        compare("rsqrt", f"{tag}:abs",
-                reference.imprecise_rsqrt(pos, dtype=dtype),
-                backend.imprecise_rsqrt(pos, dtype=dtype))
-    if "sqrt" in ops:
-        compare("sqrt", tag,
-                reference.imprecise_sqrt(a, dtype=dtype),
-                backend.imprecise_sqrt(a, dtype=dtype))
-        compare("sqrt", f"{tag}:abs",
-                reference.imprecise_sqrt(pos, dtype=dtype),
-                backend.imprecise_sqrt(pos, dtype=dtype))
-    if "log2" in ops:
-        compare("log2", tag,
-                reference.imprecise_log2(a, dtype=dtype),
-                backend.imprecise_log2(a, dtype=dtype))
-        compare("log2", f"{tag}:abs",
-                reference.imprecise_log2(pos, dtype=dtype),
-                backend.imprecise_log2(pos, dtype=dtype))
-    if "div" in ops:
-        compare("div", tag,
-                reference.imprecise_divide(a, b, dtype=dtype),
-                backend.imprecise_divide(a, b, dtype=dtype))
+    for op in ("rsqrt", "sqrt", "log2"):
+        calls += [(op, "", "imprecise_" + op, (a,), {}),
+                  (op, "abs", "imprecise_" + op, (np.abs(a),), {})]
+    calls.append(("div", "", "imprecise_divide", (a, b), {}))
+    return calls
+
+
+def _adder_enumeration(d: int, negate: bool, stride: int = 1,
+                       block: int = 1 << 18):
+    """binary32 adder operand blocks ``(x, y)`` at exponent difference ``d``.
+
+    Every ``stride``-th mantissa of the smaller operand ``y`` (all 2^23 at
+    stride 1) is paired with a larger operand ``x`` whose mantissa is a
+    fixed odd-multiplier permutation of it; ``negate`` makes the addition
+    effective subtraction.  ``x`` lies in [1, 2), so ``y`` stays normal.
+    """
+    fmt = BINARY32
+    p = fmt.mantissa_bits
+    exp_x = fmt.bias
+    ys = np.arange(0, 1 << p, stride, dtype=np.uint64)
+    for lo in range(0, ys.size, block):
+        m_y = ys[lo:lo + block]
+        m_x = (m_y * np.uint64(0x9E3779B1) + np.uint64(0x2545F)) & np.uint64(
+            fmt.mantissa_mask)
+        x = ((exp_x << p) | m_x).astype(np.uint32).view(np.float32)
+        y = (((exp_x - d) << p) | m_y).astype(np.uint32).view(np.float32)
+        yield x, (-y if negate else y)
+
+
+def check_adder_enumeration(backend: ComputeBackend, stride: int = 1,
+                            thresholds=(1, 8, 27)) -> list:
+    """Compare ``backend``'s binary32 adder against the reference on
+    :func:`_adder_enumeration` at every ``d`` in ``0..TH+1``, both
+    effective operations; returns mismatches as :func:`check_parity`."""
+    reference = ReferenceBackend()
+    failures = []
+    for th in thresholds:
+        for d in range(th + 2):
+            for negate in (False, True):
+                for x, y in _adder_enumeration(d, negate, stride):
+                    ref = reference.imprecise_add(x, y, th)
+                    got = backend.imprecise_add(x, y, th)
+                    if not np.array_equal(ref.view(np.uint32),
+                                          got.view(np.uint32)):
+                        failures.append(_mismatch(
+                            "add", f"TH={th},d={d},negate={negate}",
+                            np.float32, ref, got))
+    return failures

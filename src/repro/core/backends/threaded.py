@@ -18,7 +18,8 @@ Design points:
   pool workers, 1-CPU hosts) never tiles.  This one constant is the
   whole policy; it was measured on a 2-CPU host (``cpu_count`` 2),
   fused shard vs 2 tiles, warm scratch, best of 3-30 calls, speed-up
-  of tiling:
+  of tiling.  Every figure here was taken on the integer adder that the
+  float64 binary32/16 adder has since replaced:
 
   ======  =====  =====  =====  =======  =====
   n       add    mul    fma    lp_tr19  rsqrt

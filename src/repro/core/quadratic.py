@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .floatops import decompose, flush_subnormals, format_for_dtype
+from .floatops import flush_subnormals, format_for_dtype
+from .special import _SQRT1_2, _mantissa_and_exponent
 
 __all__ = [
     "quadratic_reciprocal",
@@ -49,16 +50,6 @@ QUADRATIC_LOG2_COEFFS = (-1.64899, 1.99490, -0.33688)
 QUADRATIC_RCP_MAX_ERROR = 0.0185
 QUADRATIC_RSQRT_MAX_ERROR = 0.0060
 QUADRATIC_LOG2_MAX_ABS_ERROR = 0.0095
-
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
-
-
-def _mantissa_and_exponent(x, fmt):
-    _, exp, frac = decompose(x, fmt)
-    mant = 1.0 + frac.astype(np.float64) / float(fmt.implicit_one)
-    e = exp.astype(np.int64) - np.int64(fmt.bias)
-    return mant, e
-
 
 def _poly2(coeffs, x):
     c0, c1, c2 = coeffs

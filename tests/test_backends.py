@@ -17,7 +17,11 @@ from repro.core.backends import (
 )
 from repro.core.backends.base import ReferenceBackend
 from repro.core.backends.fused import FusedBackend, ScratchPool
-from repro.core.backends.parity import adversarial_operands, check_parity
+from repro.core.backends.parity import (
+    adversarial_operands,
+    check_adder_enumeration,
+    check_parity,
+)
 from repro.core.floatops import format_for_dtype
 
 
@@ -160,6 +164,95 @@ class TestParity:
         assert np.shares_memory(again, big)  # reshaped, not reallocated
         other = pool.get("x", np.float64, (8,))
         assert not np.shares_memory(other, big)  # keyed by dtype too
+
+
+def _bits32(exp, mant, negative=False):
+    """binary32 values from biased exponent and fraction fields."""
+    fields = (np.asarray(exp, np.uint32) << np.uint32(23)) | np.asarray(
+        mant, np.uint32)
+    if negative:
+        fields = fields | np.uint32(1 << 31)
+    return fields.view(np.float32)
+
+
+def _binary32_adder_boundaries():
+    """(a, b) binary32 pairs at the adder's range and threshold edges."""
+    rng = np.random.default_rng(11)
+    m = rng.integers(0, 1 << 22, size=64, dtype=np.uint32)
+    k = np.arange(-3, 4, dtype=np.int64)
+    near = np.clip(2 * m[:, None].astype(np.int64) + k, 0, (1 << 23) - 1).ravel()
+    m_x = np.repeat(m, k.size)
+    pairs = [
+        # x - y lands a few ulps above and below 2^-126 (exponents 2
+        # and 1), and below it at equal exponents.
+        (_bits32(2, m_x), _bits32(1, near, negative=True)),
+        (_bits32(1, m), _bits32(1, m[::-1], negative=True)),
+    ]
+    big = np.finfo(np.float32).max
+    d = np.arange(0, 30)
+    # max + 2^(127 - d): truncates back to max, or overflows to inf
+    # once the cut keeps y's top bit (d <= TH, d <= 23).
+    up = _bits32(254 - d, np.zeros_like(d))
+    pairs += [(np.full(d.size, big, np.float32), up),
+              (np.full(d.size, -big, np.float32), -up),
+              (_bits32(254, m), _bits32(254, m[::-1]))]
+    zero = np.float32(0.0)
+    pairs.append((np.array([-zero, zero, -zero, zero], np.float32),
+                  np.array([-zero, -zero, zero, zero], np.float32)))
+    # Subnormal + subnormal and subnormal + normal, both signs.
+    sub = _bits32(0, m | np.uint32(1))
+    pairs += [(sub, -sub[::-1]), (sub, sub[::-1]),
+              (sub, _bits32(1, m)), (-sub, _bits32(1, m)),
+              (_bits32(150, m), sub)]
+    # TH = 27 around its threshold: exponent differences 26, 27 and 28.
+    for gap in (26, 27, 28):
+        x = _bits32(127, m)
+        y = _bits32(127 - gap, rng.integers(0, 1 << 23, size=m.size,
+                                            dtype=np.uint32))
+        pairs += [(x, y), (x, -y), (-x, y)]
+    a = np.concatenate([np.asarray(p[0], np.float32) for p in pairs])
+    b = np.concatenate([np.asarray(p[1], np.float32) for p in pairs])
+    return a, b
+
+
+class TestAdderBoundaries:
+    @pytest.mark.parametrize("name", sorted(_ENGINES))
+    @pytest.mark.parametrize("threshold", [1, 4, 8, 23, 24, 27])
+    def test_binary32_boundaries_bit_identical(self, name, threshold):
+        a, b = _binary32_adder_boundaries()
+        backend, reference = _ENGINES[name](), ReferenceBackend()
+        for op in ("imprecise_add", "imprecise_subtract"):
+            want = getattr(reference, op)(a, b, threshold)
+            got = getattr(backend, op)(a, b, threshold)
+            bad = np.nonzero(want.view(np.uint32) != got.view(np.uint32))[0]
+            assert bad.size == 0, (op, a[bad[:4]], b[bad[:4]])
+
+    def test_boundary_results(self):
+        """The oracle's semantics at the edges the float64 adder special-
+        cases: signed zeros, the 2^-126 flush, finfo.max and overflow."""
+        add = ReferenceBackend().imprecise_add
+        tiny = np.finfo(np.float32).tiny
+        big = np.finfo(np.float32).max
+        zeros = add(np.float32([-0.0, 0.0, -0.0]),
+                    np.float32([-0.0, -0.0, 0.0]), 8)
+        assert not np.signbit(zeros).any()
+        # 2^-125 - (2^-126 + 2^-149) is below 2^-126: a zero signed as x.
+        x = np.float32([2 * tiny, -2 * tiny])
+        y = _bits32([1, 1], [1, 1]) * np.float32([-1, 1])
+        out = add(x, y, 27)
+        assert (out == 0).all() and list(np.signbit(out)) == [False, True]
+        assert add(np.float32(2 * tiny), -np.float32(tiny), 27) == tiny
+        # max + 2^104 (one ulp) overflows once the cut keeps that bit.
+        ulp = np.float32(2.0 ** 104)
+        assert add(big, ulp, 23) == np.inf
+        assert add(-big, -ulp, 27) == -np.inf
+        assert add(big, ulp, 22) == big
+        assert add(big, np.float32(2.0 ** 103), 27) == big
+
+    def test_enumeration_slice_bit_identical(self):
+        """Every 1024th binary32 mantissa of the CI enumeration job."""
+        assert check_adder_enumeration(get_backend("threaded"),
+                                       stride=1024) == []
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ two mantissas, so that grid is their whole input space: its maximum is the
 exact worst case, checked against the Chapter-4 bound (and for closeness
 to it, so a loose bound shows).  The adder also depends on the exponent
 difference ``d`` and the effective operation, so its grid is swept at the
-``d`` on either side of each threshold.  The unary SFUs take one operand,
-so all 65,536 binary16 bit patterns are their whole input space; the
+``d`` on either side of each threshold, and (strided) at every ``d`` up
+to ``TH + 1`` at both ends of the exponent range.  The unary SFUs take one
+operand, so all 65,536 binary16 bit patterns are their whole input space; the
 divider runs over every divisor for a few numerators.  The linear log2's
 absolute-error bound is checked on every positive normal binary16 input
 and on every binary32 power of two, where its maximum falls.  On every grid, the
@@ -135,6 +136,30 @@ def test_adder_parity_grid(threshold, d, backends):
     """Both effective operations, both operands normal."""
     exp_a = min(MAX_EXPONENT, BIAS + d)
     a, b = _grid(exp_a, exp_a - d)
+    for y in (b, -b):
+        _assert_parity(
+            lambda be: be.imprecise_add(a, y, threshold=threshold, dtype=F16),
+            backends,
+        )
+
+
+#: The two ends of the exponent range: the bottom, where cancellation
+#: underflows (and at ``d == exp_x`` the smaller operand is zero or
+#: subnormal), and the top, where additions overflow.
+EDGE_CASES = [(th, exp_x, d) for th in (1, 8) for exp_x in (1, 2, MAX_EXPONENT)
+              for d in range(th + 2) if d <= exp_x]
+#: Every seventh mantissa pair of the 2^20: 7 is odd, so each operand still
+#: takes every mantissa.
+EDGE_STRIDE = 7
+
+
+@pytest.mark.parametrize(
+    "threshold,exp_x,d", EDGE_CASES,
+    ids=[f"TH{th}-e{e}-d{d}" for th, e, d in EDGE_CASES],
+)
+def test_adder_parity_range_edges(threshold, exp_x, d, backends):
+    """Both effective operations at the bottom and top exponents."""
+    a, b = (v[::EDGE_STRIDE] for v in _grid(exp_x, exp_x - d))
     for y in (b, -b):
         _assert_parity(
             lambda be: be.imprecise_add(a, y, threshold=threshold, dtype=F16),
