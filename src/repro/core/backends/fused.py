@@ -12,16 +12,20 @@ unconditional special-case handling).  These kernels instead
   arrays (:class:`ScratchPool`), so a steady-state op allocates nothing
   but its result;
 - extract each operand's fields once and reuse them in every stage;
+- select branch-free (xor masks, ``maximum``, multiplies by a bool)
+  rather than copy under a data-dependent ``where=`` mask;
 - skip the NaN/inf (and, for the SFUs, zero/negative) branch after one
   ``max()`` reduction when no lane needs it, and patch from (or delegate
   to) the reference unit when one does, so special values keep its
   semantics verbatim.
 
-The binary32/16 threshold adder runs in float64, where its whole datapath
-is exact: a branch-free bit select, power-of-two scalings for the
-threshold cut, one add, and a bit mask for the truncating normalize.
-binary64 adds keep an integer datapath; it and the Mitchell decode find
-MSB indices with an integer smear + ``numpy.bitwise_count`` popcount.
+The binary32/16 threshold adder and multipliers run in float64, where
+their whole datapaths are exact: power-of-two scalings built from
+exponent bits, adds, and a bit mask for the truncating normalize, then a
+flush compare and the cast to the format.  binary64 adds keep an integer
+datapath that finds MSB indices with an integer smear +
+``numpy.bitwise_count`` popcount; binary64 products compose their
+exponent and fraction as integers.
 
 Every method is bit-identical to the reference backend — asserted over
 random and adversarial vectors by :mod:`repro.core.backends.parity` and
@@ -40,12 +44,18 @@ import numpy as np
 from ..adder import DEFAULT_THRESHOLD, _special_add, max_threshold
 from ..configurable import MultiplierConfig
 from ..floatops import flush_subnormals, format_for_dtype
-from ..mitchell import POW2_RANGE, pow2_table
 from ..multiplier import _special_results
 from ..special import LOG2_COEFFS, RECIPROCAL_COEFFS, RSQRT_COEFFS, _SQRT1_2
 from .base import ComputeBackend
 
 __all__ = ["FusedBackend", "ScratchPool"]
+
+# float64 bit fields: the exponent field, the fraction field, and 1.0.
+_EXP = np.int64(0x7FF << 52)
+_FRAC = np.int64((1 << 52) - 1)
+_ONE = np.int64(1023 << 52)
+#: rsqrt's factor for an even (0) or odd (1) exponent remainder.
+_RSQRT_ODD = np.array([1.0, _SQRT1_2])
 
 
 class ScratchPool:
@@ -373,325 +383,236 @@ class FusedBackend(ComputeBackend):
         return bits_out.astype(fmt.uint).view(fmt.dtype)
 
     # ------------------------------------------------------------------
-    # Table-1 multiplier
+    # Multipliers: Table-1 and Mitchell
     # ------------------------------------------------------------------
-    def _mul_special(self, a, b, exp_a, frac_a, exp_b, frac_b, sign_z, fmt):
-        """Reference NaN/inf/zero (mask, values) for a multiplication.
+    # Both run in the float64 domain on |a| and |b|: an operand's float64
+    # bits give 2^E (its bare exponent field) and 1 + M (its fraction under
+    # exponent field 1023).  Each unit forms 2^(E_a + E_b) times a mantissa
+    # product in [1, 4) with the float64 values the reference computes, so
+    # clearing the low 52 - p bits is the truncating normalize.  binary32/16
+    # results are exact in float64 and need only a flush compare and the
+    # cast, which overflows to inf exactly where the hardware does.
+    # binary64 results leave float64's range, so they compose carry,
+    # fraction and exponent sum as integers.  The sign is the operands'
+    # xor'd sign bit.
 
-        Computed on the rare special branch only, so plain allocating NumPy
-        is fine; mirrors the reference's subnormal-flush of the operands
-        feeding :func:`_special_results`.
-        """
-        zero = np.array(0.0, fmt.dtype)
-        a_eff = np.where((exp_a == 0) & (frac_a != 0), zero, a)
-        b_eff = np.where((exp_b == 0) & (frac_b != 0), zero, b)
-        return _special_results(a_eff, b_eff, sign_z, fmt)
+    def _mul_head(self, a, b, fmt, shape) -> dict:
+        """float64 |a|, |b| and their 2^E, and the range guards."""
+        head = {"a": a, "b": b, "special": None}
+        tiny = np.int64((1024 - fmt.bias) << 52)  # 2^E of the least normal
+        lo, hi = [], []
+        for tag, v in (("a", a), ("b", b)):
+            x = v  # binary64 reads the bit fields only
+            if fmt.mantissa_bits < 52:
+                x = np.absolute(v, out=self._f("mul_" + tag, shape))
+            pow_e = self._i("mul_pow_" + tag, shape)
+            np.bitwise_and(x.view(np.int64), _EXP, out=pow_e)
+            head["x_" + tag], head["pow_" + tag] = x, pow_e
+            lo.append(int(pow_e.min()))
+            hi.append(int(pow_e.max()))
+        if max(hi) == _EXP:
+            # The reference's NaN/inf/zero results from its subnormal-
+            # flushed operands: allocating NumPy on this rare branch.
+            sign_z = (a.view(fmt.uint) ^ b.view(fmt.uint)) >> fmt.sign_shift
+            head["special"] = _special_results(
+                flush_subnormals(a, fmt), flush_subnormals(b, fmt), sign_z,
+                fmt)
+        # A zero or subnormal operand zeroes its lane.  Widening makes a
+        # binary32/16 subnormal normal, so it is zeroed here.
+        head["small"] = min(lo) < tiny
+        if head["small"] and fmt.mantissa_bits < 52:
+            normal = self._b("mul_normal", shape)
+            for tag in ("a", "b"):
+                np.greater_equal(head["pow_" + tag], tiny, out=normal)
+                np.multiply(head["pow_" + tag], normal,
+                            out=head["pow_" + tag])
+                np.multiply(head["x_" + tag], normal, out=head["x_" + tag])
+        # Every lane's exponent sum is at least the two operand minima's.
+        head["may_underflow"] = ((lo[0] >> 52) + (lo[1] >> 52) - 2046
+                                 < 1 - fmt.bias)
+        return head
 
-    def imprecise_multiply(self, a, b, dtype=np.float32) -> np.ndarray:
-        fmt = format_for_dtype(dtype)
-        a, b = self._operands(a, b, fmt)
-        shape = a.shape
-        p = fmt.mantissa_bits
-        emask = fmt.exponent_mask
-        fmask = fmt.mantissa_mask
-        ss = fmt.sign_shift
+    def _mul_float_tail(self, r, fmt, shape, head) -> np.ndarray:
+        """binary32/16: truncate, flush and cast the exact product r."""
+        r_bits = r.view(np.int64)
+        np.bitwise_and(r_bits, np.int64(-1 << (52 - fmt.mantissa_bits)),
+                       out=r_bits)
+        if head["may_underflow"]:
+            normal = self._b("mul_normal", shape)
+            np.greater_equal(r, 2.0 ** (1 - fmt.bias), out=normal)
+            np.multiply(r, normal, out=r)
+        return self._mul_sign(r.astype(fmt.dtype), fmt, shape, head)
 
-        bits_a, exp_a, frac_a = self._fields("a", a, fmt, shape)
-        bits_b, exp_b, frac_b = self._fields("b", b, fmt, shape)
-        has_special = int(exp_a.max()) == emask or int(exp_b.max()) == emask
-
-        sign_z = self._i("sign_z", shape)
-        np.right_shift(bits_a, ss, out=bits_a)
-        np.right_shift(bits_b, ss, out=bits_b)
-        np.bitwise_xor(bits_a, bits_b, out=sign_z)
-
-        special = None
-        if has_special:
-            # NaN/inf lanes run the integer datapath harmlessly (their
-            # saturated exponents land in the overflow patch) and are then
-            # overwritten with the reference special results.
-            special = self._mul_special(a, b, exp_a, frac_a, exp_b, frac_b,
-                                        sign_z, fmt)
-
-        # Mantissa datapath: 1 + Ma + Mb, halved on carry (LSB truncated).
-        frac_sum = frac_a
-        np.add(frac_a, frac_b, out=frac_sum)
-        carry = frac_b
-        np.right_shift(frac_sum, p, out=carry)
-        halved = self._i("halved", shape)
-        np.bitwise_and(frac_sum, fmask, out=halved)
-        np.right_shift(halved, 1, out=halved)
-        carried = self._b("carried", shape)
-        np.not_equal(carry, 0, out=carried)
-        frac_z = frac_sum
-        np.copyto(frac_z, halved, where=carried)
-        np.bitwise_and(frac_z, fmask, out=frac_z)
-
-        exp_z = self._i("exp_z", shape)
-        np.add(exp_a, exp_b, out=exp_z)
-        np.subtract(exp_z, fmt.bias, out=exp_z)
-        np.add(exp_z, carry, out=exp_z)
-
-        overflow = self._b("overflow", shape)
-        np.greater(exp_z, fmt.max_exponent, out=overflow)
-        underflow = self._b("underflow", shape)
-        np.less(exp_z, 1, out=underflow)
-        # Zero or subnormal operand (exp field 0) makes the product zero.
-        zero_any = self._b("zero_any", shape)
-        np.equal(exp_a, 0, out=zero_any)
-        zero_b = self._b("zero_b", shape)
-        np.equal(exp_b, 0, out=zero_b)
-        np.logical_or(zero_any, zero_b, out=zero_any)
-
-        np.clip(exp_z, 0, emask, out=exp_z)
-        sign_part = self._i("sign_part", shape)
-        np.left_shift(sign_z, ss, out=sign_part)
-        np.left_shift(exp_z, p, out=exp_z)
-        bits_out = exp_z
-        np.bitwise_or(bits_out, sign_part, out=bits_out)
-        np.bitwise_or(bits_out, frac_z, out=bits_out)
-
-        if bool(overflow.any()):
-            inf_bits = self._i("inf_bits", shape)
-            np.bitwise_or(sign_part, np.int64(emask) << p, out=inf_bits)
-            np.copyto(bits_out, inf_bits, where=overflow)
-        np.copyto(bits_out, sign_part, where=underflow)
-        np.copyto(bits_out, sign_part, where=zero_any)
-        result = bits_out.astype(fmt.uint).view(fmt.dtype)
-        if special is not None:
-            special_mask, special_vals = special
-            np.copyto(result, special_vals, where=special_mask)
-        return result
-
-    # ------------------------------------------------------------------
-    # Mitchell (accuracy-configurable) multiplier
-    # ------------------------------------------------------------------
-    def _mitchell_head(self, a, b, fmt, shape) -> dict:
-        """Operand fields, sign and exponent sum for the Mitchell tail."""
-        emask = fmt.exponent_mask
-        ss = fmt.sign_shift
-        bits_a, exp_a, frac_a = self._fields("a", a, fmt, shape)
-        bits_b, exp_b, frac_b = self._fields("b", b, fmt, shape)
-        has_special = int(exp_a.max()) == emask or int(exp_b.max()) == emask
-
-        sign_z = self._i("sign_z", shape)
-        np.right_shift(bits_a, ss, out=bits_a)
-        np.right_shift(bits_b, ss, out=bits_b)
-        np.bitwise_xor(bits_a, bits_b, out=sign_z)
-        special = None
-        if has_special:
-            special = self._mul_special(a, b, exp_a, frac_a, exp_b, frac_b,
-                                        sign_z, fmt)
-        sign_part = self._i("bm_sign", shape)
-        np.left_shift(sign_z, ss, out=sign_part)
-
-        esum = self._i("bm_esum", shape)
-        np.add(exp_a, exp_b, out=esum)
-        np.subtract(esum, np.int64(fmt.bias), out=esum)
-        zero_any = self._b("bm_zero", shape)
-        np.equal(exp_a, 0, out=zero_any)
-        zero_b = self._b("zero_b", shape)
-        np.equal(exp_b, 0, out=zero_b)
-        np.logical_or(zero_any, zero_b, out=zero_any)
-        return {
-            "frac_a": frac_a, "frac_b": frac_b, "esum": esum,
-            "sign_part": sign_part, "zero_any": zero_any, "special": special,
-            # Range prechecks let the tail skip whole overflow/underflow/
-            # zero passes when no lane can need them (the overwhelmingly
-            # common case).
-            "esum_lo": int(esum.min()), "esum_hi": int(esum.max()),
-            "has_zero": bool(zero_any.any()),
-        }
-
-    def _mitchell_log_fields(self, fmt, shape, head: dict) -> None:
-        """Log-domain decode fields of the untruncated operand fractions.
-
-        Operand truncation clears only fraction bits *below* the leading
-        one (or the whole fraction), so each operand's MSB index — and with
-        it the ``2^{-msb}`` normalizer and the ``2^{k1+k2}`` decode scale —
-        does not depend on the truncation; zero-after-truncation reduces to
-        an integer compare against the MSB index.  The powers of
-        two come from the shared :func:`~repro.core.mitchell.pow2_table`.
-        """
-        p = fmt.mantissa_bits
-        table = pow2_table()
-        idx = self._i("bm_p2idx", shape)
+    def _mul_int_tail(self, carry, frac, fmt, shape, head) -> np.ndarray:
+        """binary64: compose ``E_a + E_b + carry`` with the fraction."""
+        exp_z = carry
+        e = self._i("mul_e", shape)
         for tag in ("a", "b"):
-            frac = head["frac_" + tag]
-            safe = self._i("bm_safe", shape)
-            np.maximum(frac, np.int64(1), out=safe)
-            msb = self._i("bm_msb_" + tag, shape)
-            np.copyto(msb, self._msb_index(safe, shape))
-            # A zero fraction marks with msb = -1: below every truncation.
-            zero = self._b("bm_fz", shape)
-            np.equal(frac, 0, out=zero)
-            np.copyto(msb, np.int64(-1), where=zero)
-            inv = self._f("bm_inv_" + tag, shape)
-            np.subtract(np.int64(POW2_RANGE), msb, out=idx)
-            np.take(table, idx, out=inv)
-            head["msb_" + tag] = msb
-            head["inv_" + tag] = inv
-        scale = self._f("bm_scale", shape)
-        np.add(head["msb_a"], head["msb_b"], out=idx)
-        np.subtract(idx, np.int64(2 * p - POW2_RANGE), out=idx)
-        np.take(table, idx, out=scale)
-        scale2 = self._f("bm_scale2", shape)
-        np.multiply(scale, 2.0, out=scale2)
-        min_msb = self._i("bm_minmsb", shape)
-        np.minimum(head["msb_a"], head["msb_b"], out=min_msb)
-        head["min_msb"] = min_msb
-        head["log_scale"] = scale
-        head["log_scale2"] = scale2
+            np.right_shift(head["pow_" + tag], 52, out=e)
+            np.add(exp_z, e, out=exp_z)
+        np.subtract(exp_z, fmt.bias, out=exp_z)
+        np.clip(exp_z, 0, fmt.exponent_mask, out=exp_z)
+        if head["small"]:  # a zero or subnormal operand
+            np.minimum(head["pow_a"], head["pow_b"], out=e)
+            np.multiply(exp_z, e.astype(bool), out=exp_z)
+        normal = exp_z.astype(bool)
+        np.left_shift(exp_z, 52, out=exp_z)
+        np.bitwise_or(exp_z, frac, out=exp_z)
+        np.minimum(exp_z, _EXP, out=exp_z)  # a saturated field is inf
+        np.multiply(exp_z, normal, out=exp_z)
+        return self._mul_sign(exp_z.view(np.float64).copy(), fmt, shape, head)
 
-    def _mitchell_tail(self, fmt, shape, config: MultiplierConfig,
-                       head: dict) -> np.ndarray:
-        """One Mitchell configuration over already-extracted fields."""
-        p = fmt.mantissa_bits
-        emask = fmt.exponent_mask
-        scale = float(fmt.implicit_one)
-        inv_scale = 1.0 / scale  # exact: scale is a power of two
-        sign_part = head["sign_part"]
-
-        # Operand truncation into separate scratch: the head's fraction
-        # fields stay pristine for the log-domain decode fields.
-        if config.truncation:
-            cut = np.int64(~((1 << config.truncation) - 1) & fmt.mantissa_mask)
-            fa = self._i("bm_fa", shape)
-            np.bitwise_and(head["frac_a"], cut, out=fa)
-            fb = self._i("bm_fb", shape)
-            np.bitwise_and(head["frac_b"], cut, out=fb)
-        else:
-            fa, fb = head["frac_a"], head["frac_b"]
-
-        # Exact dyadic mantissa fractions in the float64 datapath.
-        ma = self._f("bm_ma", shape)
-        np.multiply(fa, inv_scale, out=ma)
-        mb = self._f("bm_mb", shape)
-        np.multiply(fb, inv_scale, out=mb)
-
-        if config.path == "log":
-            # MA of (1+Ma)(1+Mb): both operands are in [1, 2), so the log
-            # decomposition is k = 0, x = M exactly and the product reduces
-            # to 1 + Ma + Mb (or 2 (Ma + Mb) past the carry) — the same
-            # dyadic float64 values mitchell_mantissa_product computes.
-            x_sum = ma
-            np.add(ma, mb, out=x_sum)
-            mant_product = self._f("bm_mant", shape)
-            np.add(x_sum, 1.0, out=mant_product)
-            doubled = mb
-            np.multiply(x_sum, 2.0, out=doubled)
-            carried = self._b("bm_carried", shape)
-            np.greater_equal(x_sum, 1.0, out=carried)
-            np.copyto(mant_product, doubled, where=carried)
-        else:
-            # Cross term MA(Ma, Mb) with the decode scales taken from the
-            # untruncated fields: only the x-fraction alignment and the
-            # piecewise decode remain, and every multiply is by an exact
-            # power of two — the same float64 values, in the same order, as
-            # mitchell_mantissa_product.
-            self._mitchell_log_fields(fmt, shape, head)
-            x1 = self._f("bm_x1", shape)
-            np.multiply(fa, head["inv_a"], out=x1)
-            np.subtract(x1, 1.0, out=x1)
-            x2 = self._f("bm_x2", shape)
-            np.multiply(fb, head["inv_b"], out=x2)
-            np.subtract(x2, 1.0, out=x2)
-            x_sum = x1
-            np.add(x1, x2, out=x_sum)
-            cross = self._f("bm_cross", shape)
-            np.add(x_sum, 1.0, out=cross)
-            np.multiply(cross, head["log_scale"], out=cross)
-            doubled = x2
-            np.multiply(x_sum, head["log_scale2"], out=doubled)
-            carried = self._b("bm_carried", shape)
-            np.greater_equal(x_sum, 1.0, out=carried)
-            np.copyto(cross, doubled, where=carried)
-            # Zero cross where either fraction truncates away entirely.
-            zc = self._b("bm_zc", shape)
-            np.less(head["min_msb"], np.int64(config.truncation), out=zc)
-            np.copyto(cross, 0.0, where=zc)
-            mant_product = self._f("bm_mant", shape)
-            np.add(ma, 1.0, out=mant_product)
-            np.add(mant_product, mb, out=mant_product)
-            np.add(mant_product, cross, out=mant_product)
-
-        carry = self._b("bm_carry", shape)
-        np.greater_equal(mant_product, 2.0, out=carry)
-        mant_norm = mant_product
-        halved = self._f("bm_half", shape)
-        np.multiply(mant_product, 0.5, out=halved)
-        np.copyto(mant_norm, halved, where=carry)
-
-        # mant_norm is in [1, 2) exactly, so (mant_norm - 1) * 2^p is an
-        # exact non-negative float64 below 2^p: the int cast truncates like
-        # the reference's floor+clip without either pass.
-        np.subtract(mant_norm, 1.0, out=mant_norm)
-        np.multiply(mant_norm, scale, out=mant_norm)
-        frac_z = self._i("bm_frz", shape)
-        np.copyto(frac_z, mant_norm, casting="unsafe")
-
-        exp_z = self._i("bm_e", shape)
-        np.add(head["esum"], carry, out=exp_z)
-
-        # The head's exponent-range prechecks bound esum + carry, so the
-        # overflow/underflow passes run only when some lane can need them.
-        may_overflow = head["esum_hi"] + 1 > fmt.max_exponent
-        may_underflow = head["esum_lo"] < 1
-        overflow = None
-        if may_overflow:
-            overflow = self._b("overflow", shape)
-            np.greater(exp_z, fmt.max_exponent, out=overflow)
-        underflow = None
-        if may_underflow:
-            underflow = self._b("underflow", shape)
-            np.less(exp_z, 1, out=underflow)
-
-        # Out-of-range exponents compose garbage bits here, but every such
-        # lane is overwritten by the overflow/underflow masks below.
-        np.left_shift(exp_z, p, out=exp_z)
-        bits_out = exp_z
-        np.bitwise_or(bits_out, sign_part, out=bits_out)
-        np.bitwise_or(bits_out, frac_z, out=bits_out)
-
-        if overflow is not None and bool(overflow.any()):
-            inf_bits = self._i("inf_bits", shape)
-            np.bitwise_or(sign_part, np.int64(emask) << p, out=inf_bits)
-            np.copyto(bits_out, inf_bits, where=overflow)
-        if underflow is not None:
-            np.copyto(bits_out, sign_part, where=underflow)
-        if head["has_zero"]:
-            np.copyto(bits_out, sign_part, where=head["zero_any"])
-        result = bits_out.astype(fmt.uint).view(fmt.dtype)
+    def _mul_sign(self, result, fmt, shape, head) -> np.ndarray:
+        """OR in the xor'd operand signs, then patch NaN/inf lanes."""
+        sign = self._scratch.get("mul_sign", fmt.uint, shape)
+        np.bitwise_xor(head["a"].view(fmt.uint), head["b"].view(fmt.uint),
+                       out=sign)
+        np.bitwise_and(sign, fmt.uint.type(1 << fmt.sign_shift), out=sign)
+        bits = result.view(fmt.uint)
+        np.bitwise_or(bits, sign, out=bits)
         if head["special"] is not None:
             special_mask, special_vals = head["special"]
             np.copyto(result, special_vals, where=special_mask)
         return result
 
-    def _check_mitchell(self, config: MultiplierConfig, fmt) -> None:
-        if config.truncation > fmt.mantissa_bits:
-            raise ValueError(
-                f"truncation {config.truncation} exceeds the "
-                f"{fmt.mantissa_bits}-bit mantissa of {fmt.name}"
-            )
+    def imprecise_multiply(self, a, b, dtype=np.float32) -> np.ndarray:
+        fmt = format_for_dtype(dtype)
+        a, b = self._operands(a, b, fmt)
+        shape = a.shape
+        # NaN/inf lanes compute garbage that the special patch overwrites.
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = self._mul_head(a, b, fmt, shape)
+            x, y = head["x_a"], head["x_b"]
+            pow_a = head["pow_a"].view(np.float64)
+            pow_b = head["pow_b"].view(np.float64)
+            if fmt.mantissa_bits < 52:
+                # x 2^E_b + y 2^E_a - 2^(E_a + E_b) is
+                # 2^(E_a + E_b) (1 + Ma + Mb), every step exact.
+                r = x
+                np.multiply(x, pow_b, out=r)
+                np.multiply(y, pow_a, out=y)
+                np.add(r, y, out=r)
+                np.multiply(pow_a, pow_b, out=y)
+                np.subtract(r, y, out=r)
+                return self._mul_float_tail(r, fmt, shape, head)
+            # binary64: Ma + Mb in the integer domain; a carry halves it
+            # and truncates its LSB.
+            frac = self._i("mul_frac", shape)
+            np.bitwise_and(x.view(np.int64), _FRAC, out=frac)
+            carry = self._i("mul_carry", shape)
+            np.bitwise_and(y.view(np.int64), _FRAC, out=carry)
+            np.add(frac, carry, out=frac)
+            np.right_shift(frac, 52, out=carry)
+            np.bitwise_and(frac, _FRAC, out=frac)
+            np.right_shift(frac, carry, out=frac)
+            return self._mul_int_tail(carry, frac, fmt, shape, head)
 
-    #: Element-block width for the Mitchell path.  The ~20 scratch passes
-    #: run over one block before the next block starts, so they hit
+    def _mitchell_mant(self, fmt, shape, config: MultiplierConfig,
+                       head: dict) -> np.ndarray:
+        """The Mitchell mantissa product in [1, 4), in the reference's
+        float64 values and order."""
+        p = fmt.mantissa_bits
+        # 1 + M of the truncated operands, then Ma and Mb (b's in place).
+        cut = _FRAC & np.int64(-1 << (52 - p + config.truncation))
+        m1a = self._f("bm_m1a", shape)
+        ma = self._f("bm_ma", shape)
+        mb = self._f("bm_mb", shape)
+        for tag, m1, m in (("a", m1a, ma), ("b", mb, mb)):
+            bits = m1.view(np.int64)
+            np.bitwise_and(head["x_" + tag].view(np.int64), cut, out=bits)
+            np.bitwise_or(bits, _ONE, out=bits)
+            np.subtract(m1, 1.0, out=m)
+        x_sum = ma
+        if config.path == "log":
+            # MA of (1+Ma)(1+Mb): both operands are in [1, 2), so the log
+            # decomposition is k = 0, x = M exactly.
+            np.add(ma, mb, out=x_sum)
+        else:
+            # Cross term MA(Ma, Mb), x = M 2^(p - msb) - 1 per operand.
+            # Truncation clears only fraction bits below the leading one (or
+            # the whole fraction), so the MSB index msb, the normalizer
+            # 2^(p - msb) and the scale 2^(msb_a + msb_b - 2p) come from the
+            # untruncated fraction, and a fraction truncates away exactly
+            # where msb < truncation.  Ma + 2^-(p+1) is exact, with float64
+            # exponent field e = 1023 + msb - p (msb = -1 for a zero
+            # fraction), so each is built from exponent bits.
+            e_a, e_b = self._i("bm_e_a", shape), self._i("bm_e_b", shape)
+            pow2 = self._i("bm_pow2", shape)
+            x2 = self._f("bm_x2", shape)
+            for tag, m, e, x in (("a", ma, e_a, x_sum), ("b", mb, e_b, x2)):
+                np.bitwise_and(head["x_" + tag].view(np.int64), _FRAC, out=e)
+                np.bitwise_or(e, _ONE, out=e)
+                np.subtract(e.view(np.float64), 1.0 - 2.0 ** -(p + 1),
+                            out=e.view(np.float64))
+                np.bitwise_and(e, _EXP, out=e)
+                np.subtract(np.int64(2046 << 52), e, out=pow2)
+                np.multiply(m, pow2.view(np.float64), out=x)
+                np.subtract(x, 1.0, out=x)
+            np.add(x_sum, x2, out=x_sum)
+            np.add(e_a, e_b, out=pow2)
+            np.subtract(pow2, np.int64(1023 << 52), out=pow2)
+        # The decode, 1 + x below the carry and 2x past it, is the larger
+        # of the two: they are equal at x = 1.
+        mant = self._f("bm_mant", shape)
+        np.add(x_sum, 1.0, out=mant)
+        np.multiply(x_sum, 2.0, out=x_sum)
+        np.maximum(mant, x_sum, out=mant)
+        if config.path == "log":
+            return mant
+        cross = mant
+        np.multiply(cross, pow2.view(np.float64), out=cross)
+        # Zero where either fraction truncates away entirely.
+        kept = self._b("bm_kept", shape)
+        np.minimum(e_a, e_b, out=e_a)
+        np.greater_equal(e_a, np.int64((1023 + config.truncation - p) << 52),
+                         out=kept)
+        np.multiply(cross, kept, out=cross)
+        total = x_sum
+        np.add(m1a, mb, out=total)
+        np.add(total, cross, out=total)
+        return total
+
+    def _mitchell(self, a, b, fmt, shape, config) -> np.ndarray:
+        """One block of :meth:`configurable_multiply`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = self._mul_head(a, b, fmt, shape)
+            mant = self._mitchell_mant(fmt, shape, config, head)
+            if fmt.mantissa_bits < 52:
+                np.multiply(mant, head["pow_a"].view(np.float64), out=mant)
+                np.multiply(mant, head["pow_b"].view(np.float64), out=mant)
+                return self._mul_float_tail(mant, fmt, shape, head)
+            # At p = 52 mant's fraction field is the truncated result
+            # fraction, and its exponent field is 1023 + carry.
+            bits = mant.view(np.int64)
+            carry = self._i("mul_carry", shape)
+            np.right_shift(bits, 52, out=carry)
+            np.subtract(carry, 1023, out=carry)
+            np.bitwise_and(bits, _FRAC, out=bits)
+            return self._mul_int_tail(carry, bits, fmt, shape, head)
+
+    #: Element-block width for the Mitchell path.  Its 15-35 scratch
+    #: passes run over one block before the next block starts, so they hit
     #: cache-resident working arrays instead of streaming full-size buffers
-    #: through memory on every pass.
+    #: through memory on every pass: at 2^18 elements fp_tr8 took 6.4 ms
+    #: blocked against 10.3 ms unblocked (2-vCPU host), and at 2^16 the
+    #: two tie.
     MITCHELL_BLOCK = 1 << 15
 
     def configurable_multiply(self, a, b, config: MultiplierConfig,
                               dtype=np.float32) -> np.ndarray:
         """Head + tail over cache-sized element blocks."""
         fmt = format_for_dtype(dtype)
-        self._check_mitchell(config, fmt)
+        if config.truncation > fmt.mantissa_bits:
+            raise ValueError(
+                f"truncation {config.truncation} exceeds the "
+                f"{fmt.mantissa_bits}-bit mantissa of {fmt.name}"
+            )
         a, b = self._operands(a, b, fmt)
         shape = a.shape
         n = int(a.size)
         block = self.MITCHELL_BLOCK
         if n <= block:
-            head = self._mitchell_head(a, b, fmt, shape)
-            return self._mitchell_tail(fmt, shape, config, head)
+            return self._mitchell(a, b, fmt, shape, config)
         flat_a = np.ascontiguousarray(a.reshape(-1))
         flat_b = np.ascontiguousarray(b.reshape(-1))
         out = np.empty(n, dtype=fmt.dtype)
@@ -699,8 +620,7 @@ class FusedBackend(ComputeBackend):
             hi = min(lo + block, n)
             ta = flat_a[lo:hi]
             tb = flat_b[lo:hi]
-            head = self._mitchell_head(ta, tb, fmt, ta.shape)
-            out[lo:hi] = self._mitchell_tail(fmt, ta.shape, config, head)
+            out[lo:hi] = self._mitchell(ta, tb, fmt, ta.shape, config)
         return out.reshape(shape)
 
     # ------------------------------------------------------------------
@@ -802,11 +722,11 @@ class FusedBackend(ComputeBackend):
     def _sfu_fields(self, x, fmt, signed_ok: bool):
         """Decompose an SFU operand; None signals the reference fallback.
 
-        Returns ``(exp, frac, negative_or_None, patch_or_None)``.  The
-        fast path runs on every lane; ``patch`` marks the lanes the caller
-        must overwrite from the reference unit (zero / inf / NaN /
-        subnormal, plus negatives unless ``signed_ok``).  Those lanes are
-        neutralized to 1.0 here so the fast path stays warning-free.
+        Returns ``(exp, frac, patch_or_None)``.  The fast path runs on
+        every lane; ``patch`` marks the lanes the caller must overwrite
+        from the reference unit (zero / inf / NaN / subnormal, plus
+        negatives unless ``signed_ok``).  Those lanes are neutralized to
+        1.0 here so the fast path stays warning-free.
         ``None`` signals the wholesale reference fallback (0-d input, or
         every lane needs patching anyway).
         """
@@ -818,8 +738,6 @@ class FusedBackend(ComputeBackend):
         exp = self._i("exp_a", shape)
         np.right_shift(bits, fmt.mantissa_bits, out=exp)
         np.bitwise_and(exp, fmt.exponent_mask, out=exp)
-        sign = self._i("sign_a", shape)
-        np.right_shift(bits, fmt.sign_shift, out=sign)
         frac = self._i("frac_a", shape)
         np.bitwise_and(bits, fmt.mantissa_mask, out=frac)
 
@@ -828,21 +746,17 @@ class FusedBackend(ComputeBackend):
         sub = self._b("sfu_sub", shape)
         np.equal(exp, 0, out=sub)
         np.logical_or(patch, sub, out=patch)
-        negative = None
-        if signed_ok:
-            negative = self._b("negative", shape)
-            np.not_equal(sign, 0, out=negative)
-        else:
+        if not signed_ok:
             neg = self._b("negative", shape)
-            np.not_equal(sign, 0, out=neg)
+            np.signbit(x, out=neg)
             np.logical_or(patch, neg, out=patch)
         if not bool(patch.any()):
-            return exp, frac, negative, None
+            return exp, frac, None
         if bool(patch.all()):
             return None
         np.copyto(exp, np.int64(fmt.bias), where=patch)
         np.copyto(frac, np.int64(0), where=patch)
-        return exp, frac, negative, patch
+        return exp, frac, patch
 
     def _mantissa_and_exponent(self, exp, frac, fmt, shape):
         """float64 mantissa 1+M in [1, 2) and unbiased exponent, in scratch."""
@@ -864,7 +778,7 @@ class FusedBackend(ComputeBackend):
         fields = self._sfu_fields(x, fmt, signed_ok=True)
         if fields is None:
             return ComputeBackend.imprecise_reciprocal(self, x, dtype=dtype)
-        exp, frac, negative, patch = fields
+        exp, frac, patch = fields
         shape = x.shape
         mant, e = self._mantissa_and_exponent(exp, frac, fmt, shape)
         xr = mant
@@ -879,9 +793,8 @@ class FusedBackend(ComputeBackend):
         np.copyto(scale, e)
         np.exp2(scale, out=scale)
         np.multiply(approx, scale, out=approx)
-        negated = self._f("negated", shape)
-        np.negative(approx, out=negated)
-        np.copyto(approx, negated, where=negative)
+        with np.errstate(invalid="ignore"):  # NaN lanes are patched
+            np.copysign(approx, x, out=approx)
         result = self._quantize(approx, fmt)
         if patch is not None:
             result[patch] = ComputeBackend.imprecise_reciprocal(
@@ -894,7 +807,7 @@ class FusedBackend(ComputeBackend):
         fields = self._sfu_fields(x, fmt, signed_ok=False)
         if fields is None:
             return ComputeBackend.imprecise_rsqrt(self, x, dtype=dtype)
-        exp, frac, _, patch = fields
+        exp, frac, patch = fields
         shape = x.shape
         mant, e = self._mantissa_and_exponent(exp, frac, fmt, shape)
         xr = mant
@@ -917,11 +830,8 @@ class FusedBackend(ComputeBackend):
         np.copyto(scale, nq)
         np.exp2(scale, out=scale)
         np.multiply(lin, scale, out=lin)
-        odd = self._b("odd", shape)
-        np.equal(r, 1, out=odd)
         factor = self._f("factor", shape)
-        np.copyto(factor, 1.0)
-        np.copyto(factor, _SQRT1_2, where=odd)
+        np.take(_RSQRT_ODD, r, out=factor)
         np.multiply(lin, factor, out=lin)
         result = self._quantize(lin, fmt)
         if patch is not None:
@@ -935,7 +845,7 @@ class FusedBackend(ComputeBackend):
         fields = self._sfu_fields(x, fmt, signed_ok=False)
         if fields is None:
             return ComputeBackend.imprecise_sqrt(self, x, dtype=dtype)
-        exp, frac, _, patch = fields
+        exp, frac, patch = fields
         shape = x.shape
         mant, e = self._mantissa_and_exponent(exp, frac, fmt, shape)
         q = self._i("q", shape)
@@ -971,7 +881,7 @@ class FusedBackend(ComputeBackend):
         fields = self._sfu_fields(x, fmt, signed_ok=False)
         if fields is None:
             return ComputeBackend.imprecise_log2(self, x, dtype=dtype)
-        exp, frac, _, patch = fields
+        exp, frac, patch = fields
         shape = x.shape
         mant, e = self._mantissa_and_exponent(exp, frac, fmt, shape)
         c0, c1 = LOG2_COEFFS

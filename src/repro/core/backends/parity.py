@@ -8,11 +8,14 @@ adversarial operand vectors (subnormals, signed zeros, inf/NaN, exact
 cancellation pairs, extreme magnitudes) and compares every backend
 operation against the reference implementation bit for bit.
 :func:`check_adder_enumeration` walks every binary32 mantissa of the
-adder's smaller operand at each exponent difference around a threshold.
+adder's smaller operand at each exponent difference around a threshold,
+and :func:`check_multiplier_enumeration` every binary32 mantissa of the
+multipliers' first operand at exponent pairs around both range edges.
 
 Used by ``tests/test_backends.py`` and ``tests/test_parallel.py`` (the
 contractual gate, also run as CI's parity smoke), and at full stride by
-``benchmarks/test_adder_enumeration.py`` (CI's adder-enumeration job).
+``benchmarks/test_adder_enumeration.py`` and
+``benchmarks/test_multiplier_enumeration.py`` (CI's adder-enumeration job).
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from .base import ComputeBackend, ReferenceBackend
 __all__ = [
     "adversarial_operands",
     "finite_operands",
+    "range_operands",
     "check_parity",
     "check_adder_enumeration",
+    "check_multiplier_enumeration",
     "PARITY_OPS",
 ]
 
@@ -36,6 +41,20 @@ __all__ = [
 PARITY_OPS = (
     "add", "sub", "mul_table1", "mul_mitchell", "mul_truncated",
     "fma", "rcp", "rsqrt", "sqrt", "log2", "div",
+)
+
+#: Mitchell configurations checked by :func:`check_parity` and
+#: :func:`check_multiplier_enumeration`.
+MITCHELL_CONFIGS = ("fp_tr0", "lp_tr0", "fp_tr8", "lp_tr16")
+
+#: binary32 exponent-field pairs of :func:`check_multiplier_enumeration`:
+#: ``E_a + E_b - bias`` at 0 and 1 (a carry decides underflow) and at the
+#: largest normal exponent and one past it (a carry decides overflow), each
+#: lopsided and balanced; the middle of the range; and a zero or subnormal
+#: ``a`` against a normal ``b`` and against a zero or subnormal ``b``.
+MULTIPLIER_EXPONENTS = (
+    (1, 126), (63, 64), (1, 127), (64, 64), (127, 127),
+    (127, 254), (190, 191), (128, 254), (191, 191), (0, 127), (0, 0),
 )
 
 
@@ -74,24 +93,62 @@ def finite_operands(dtype, n_random: int = 4096, seed: int = 8):
     """Finite normal operands spanning the exponent range, both signs."""
     fmt = format_for_dtype(dtype)
     rng = np.random.default_rng(seed)
+    span = min(30, fmt.bias - 1)  # mant * 2^span stays below the maximum
     mant = rng.uniform(1.0, 2.0, size=n_random)
-    exp = rng.integers(-30, 31, size=n_random)
+    exp = rng.integers(-span, span + 1, size=n_random)
     sign = np.where(rng.integers(0, 2, size=n_random) == 1, -1.0, 1.0)
     a = (sign * np.ldexp(mant, exp)).astype(fmt.dtype)
     b = a[::-1].copy()
     return a, b
 
 
-def _mismatch(op, param, dtype, ref, got) -> dict:
-    fmt = format_for_dtype(np.dtype(dtype))
+def range_operands(dtype, n_random: int = 4096, seed: int = 9):
+    """Operands with no NaN/inf lane, at the edges of the exponent range.
+
+    Each pair puts the product's exponent sum ``E_a + E_b - bias`` at -1,
+    0, 1 or 2 (underflow, and a carry into the smallest normal) or around
+    the largest normal exponent (a carry into overflow).  One lane in eight
+    of each operand is a signed zero or a subnormal, so those pair with
+    normals and with each other, and one in four has a short fraction,
+    which operand truncation can clear.  With no special lane, these values
+    reach the kernels' datapaths rather than the NaN/inf patch.
+    """
+    fmt = format_for_dtype(dtype)
+    rng = np.random.default_rng(seed)
+    bias, top = fmt.bias, fmt.max_exponent
+    sums = rng.choice([-1, 0, 1, 2, top - 2, top - 1, top, top + 1],
+                      size=n_random)
+    lo = np.maximum(1, sums + bias - top)
+    hi = np.minimum(top, sums + bias - 1)
+    exp_a = lo + (rng.random(n_random) * (hi - lo + 1)).astype(np.int64)
+    out = []
+    for exp in (exp_a, sums + bias - exp_a):
+        mant = rng.integers(0, fmt.implicit_one, size=n_random)
+        short = rng.random(n_random) < 0.25
+        mant[short] >>= rng.integers(0, fmt.mantissa_bits + 1,
+                                     size=int(short.sum()))
+        # Zero or subnormal: exponent field 0 with a zero or random fraction.
+        small = rng.random(n_random) < 0.125
+        exp = np.where(small, 0, exp)
+        mant = np.where(small & (rng.random(n_random) < 0.5), 0, mant)
+        sign = rng.integers(0, 2, size=n_random)
+        bits = ((sign << fmt.sign_shift) | (exp << fmt.mantissa_bits)
+                | mant).astype(fmt.uint)
+        out.append(bits.view(fmt.dtype))
+    return out[0], out[1]
+
+
+def _compare(backend, op, param, dtype, method, *args, **kwargs) -> list:
+    """``[]`` if ``backend.method`` equals the reference bit for bit, else
+    a one-item list describing the mismatch."""
+    fmt = format_for_dtype(dtype)
+    ref = getattr(ReferenceBackend(), method)(*args, dtype=dtype, **kwargs)
+    got = getattr(backend, method)(*args, dtype=dtype, **kwargs)
     bad = np.nonzero(ref.view(fmt.uint) != got.view(fmt.uint))[0]
-    return {
-        "op": op,
-        "param": param,
-        "dtype": np.dtype(dtype).name,
-        "mismatches": int(bad.size),
-        "first_index": int(bad[0]),
-    }
+    if not bad.size:
+        return []
+    return [{"op": op, "param": param, "dtype": fmt.dtype.name,
+             "mismatches": int(bad.size), "first_index": int(bad[0])}]
 
 
 def check_parity(backend: ComputeBackend, dtype=np.float32,
@@ -102,28 +159,27 @@ def check_parity(backend: ComputeBackend, dtype=np.float32,
     bit-identical on every checked operation.
     """
     fmt = format_for_dtype(dtype)
-    reference = ReferenceBackend()
     failures = []
     thresholds = sorted({1, 4, 8, max_threshold(dtype)})
-    # Two sweeps: adversarial operands hit every special-case branch, while
-    # the finite-only set keeps backends on their fast clean path (several
-    # ops delegate wholesale to reference the moment NaN/inf appear, which
-    # would otherwise leave the clean path entirely unexercised).
+    # Three sweeps: adversarial operands hit every special-case branch,
+    # while the finite-only set keeps backends on their fast clean path
+    # (several ops delegate wholesale to reference the moment NaN/inf
+    # appear, which would otherwise leave the clean path entirely
+    # unexercised), and the range set takes zeros, subnormals, underflow
+    # and overflow through that clean path.
     for tag, (a, b) in (
         ("adversarial", adversarial_operands(dtype, n_random=n_random,
                                              seed=seed)),
         ("finite", finite_operands(dtype, n_random=n_random, seed=seed + 1)),
+        ("range", range_operands(dtype, n_random=n_random, seed=seed + 2)),
     ):
         c = np.concatenate([b[1:], b[:1]])
         for op, param, method, args, kwargs in _calls(a, b, c, fmt,
                                                       thresholds):
-            if op not in ops:
-                continue
-            ref = getattr(reference, method)(*args, dtype=dtype, **kwargs)
-            got = getattr(backend, method)(*args, dtype=dtype, **kwargs)
-            if not np.array_equal(ref.view(fmt.uint), got.view(fmt.uint)):
+            if op in ops:
                 label = f"{tag}:{param}" if param else tag
-                failures.append(_mismatch(op, label, dtype, ref, got))
+                failures += _compare(backend, op, label, dtype, method,
+                                     *args, **kwargs)
     return failures
 
 
@@ -135,7 +191,7 @@ def _calls(a, b, c, fmt, thresholds) -> list:
                   ("sub", f"TH={th}", "imprecise_subtract", (a, b, th), {}),
                   ("fma", f"TH={th}", "imprecise_fma", (a, b, c, th), {})]
     calls.append(("mul_table1", "", "imprecise_multiply", (a, b), {}))
-    for name in ("fp_tr0", "lp_tr0", "fp_tr8", "lp_tr16"):
+    for name in MITCHELL_CONFIGS:
         cfg = MultiplierConfig.from_name(name)
         if cfg.truncation <= fmt.mantissa_bits:
             calls.append(("mul_mitchell", name, "configurable_multiply",
@@ -155,23 +211,26 @@ def _calls(a, b, c, fmt, thresholds) -> list:
     return calls
 
 
-def _adder_enumeration(d: int, negate: bool, stride: int = 1,
-                       block: int = 1 << 18):
+def _mantissa_blocks(stride: int, block: int = 1 << 18):
+    """Every ``stride``-th binary32 mantissa in fixed blocks, each with a
+    fixed odd-multiplier hash whose low 23 bits permute the mantissas."""
+    ms = np.arange(0, 1 << BINARY32.mantissa_bits, stride, dtype=np.uint64)
+    for lo in range(0, ms.size, block):
+        m = ms[lo:lo + block]
+        yield m, m * np.uint64(0x9E3779B1) + np.uint64(0x2545F)
+
+
+def _adder_enumeration(d: int, negate: bool, stride: int = 1):
     """binary32 adder operand blocks ``(x, y)`` at exponent difference ``d``.
 
     Every ``stride``-th mantissa of the smaller operand ``y`` (all 2^23 at
-    stride 1) is paired with a larger operand ``x`` whose mantissa is a
-    fixed odd-multiplier permutation of it; ``negate`` makes the addition
-    effective subtraction.  ``x`` lies in [1, 2), so ``y`` stays normal.
+    stride 1) is paired with a larger operand ``x`` whose mantissa is its
+    permutation; ``negate`` makes the addition effective subtraction.
+    ``x`` lies in [1, 2), so ``y`` stays normal.
     """
-    fmt = BINARY32
-    p = fmt.mantissa_bits
-    exp_x = fmt.bias
-    ys = np.arange(0, 1 << p, stride, dtype=np.uint64)
-    for lo in range(0, ys.size, block):
-        m_y = ys[lo:lo + block]
-        m_x = (m_y * np.uint64(0x9E3779B1) + np.uint64(0x2545F)) & np.uint64(
-            fmt.mantissa_mask)
+    p, exp_x = BINARY32.mantissa_bits, BINARY32.bias
+    for m_y, h in _mantissa_blocks(stride):
+        m_x = h & np.uint64(BINARY32.mantissa_mask)
         x = ((exp_x << p) | m_x).astype(np.uint32).view(np.float32)
         y = (((exp_x - d) << p) | m_y).astype(np.uint32).view(np.float32)
         yield x, (-y if negate else y)
@@ -182,17 +241,47 @@ def check_adder_enumeration(backend: ComputeBackend, stride: int = 1,
     """Compare ``backend``'s binary32 adder against the reference on
     :func:`_adder_enumeration` at every ``d`` in ``0..TH+1``, both
     effective operations; returns mismatches as :func:`check_parity`."""
-    reference = ReferenceBackend()
     failures = []
     for th in thresholds:
         for d in range(th + 2):
             for negate in (False, True):
                 for x, y in _adder_enumeration(d, negate, stride):
-                    ref = reference.imprecise_add(x, y, th)
-                    got = backend.imprecise_add(x, y, th)
-                    if not np.array_equal(ref.view(np.uint32),
-                                          got.view(np.uint32)):
-                        failures.append(_mismatch(
-                            "add", f"TH={th},d={d},negate={negate}",
-                            np.float32, ref, got))
+                    failures += _compare(
+                        backend, "add", f"TH={th},d={d},negate={negate}",
+                        np.float32, "imprecise_add", x, y, th)
+    return failures
+
+
+def _multiplier_enumeration(exp_a: int, exp_b: int, stride: int = 1):
+    """binary32 multiplier operand blocks ``(a, b)`` at exponent fields
+    ``exp_a`` and ``exp_b``.
+
+    Every ``stride``-th mantissa of ``a`` (all 2^23 at stride 1) is paired
+    with a ``b`` whose mantissa is its permutation and whose sign is the
+    next bit of the same hash, so both product signs occur.
+    """
+    p = BINARY32.mantissa_bits
+    for m_a, h in _mantissa_blocks(stride):
+        a = ((exp_a << p) | m_a).astype(np.uint32).view(np.float32)
+        b = (((h >> np.uint64(p)) & np.uint64(1)) << np.uint64(31)
+             | np.uint64(exp_b << p) | (h & np.uint64(BINARY32.mantissa_mask)))
+        yield a, b.astype(np.uint32).view(np.float32)
+
+
+def check_multiplier_enumeration(backend: ComputeBackend, stride: int = 1,
+                                 exponents=MULTIPLIER_EXPONENTS,
+                                 units=("table1",) + MITCHELL_CONFIGS) -> list:
+    """Compare ``backend``'s binary32 Table-1 and Mitchell multipliers
+    against the reference on :func:`_multiplier_enumeration` at every pair
+    of ``exponents``; returns mismatches as :func:`check_parity`."""
+    failures = []
+    for unit in units:
+        op, method, extra = "mul_table1", "imprecise_multiply", ()
+        if unit != "table1":
+            op, method = "mul_mitchell", "configurable_multiply"
+            extra = (MultiplierConfig.from_name(unit),)
+        for exp_a, exp_b in exponents:
+            for a, b in _multiplier_enumeration(exp_a, exp_b, stride):
+                failures += _compare(backend, op, f"{unit},e=({exp_a},{exp_b})",
+                                     np.float32, method, a, b, *extra)
     return failures

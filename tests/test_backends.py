@@ -20,7 +20,10 @@ from repro.core.backends.fused import FusedBackend, ScratchPool
 from repro.core.backends.parity import (
     adversarial_operands,
     check_adder_enumeration,
+    check_multiplier_enumeration,
     check_parity,
+    finite_operands,
+    range_operands,
 )
 from repro.core.floatops import format_for_dtype
 
@@ -116,6 +119,35 @@ class TestParity:
         mantissas = a.view(fmt.uint) & np.uint32(fmt.mantissa_mask)
         assert ((exponents == 0) & (mantissas != 0)).any()  # subnormals
         assert (a.view(fmt.uint) == 0).any() or (a == 0).any()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_range_operands_reach_the_multiplier_edges(self, dtype):
+        """No NaN/inf lane, so zeros, subnormals, underflow, a carry into
+        the smallest normal and overflow all reach the datapaths."""
+        a, b = range_operands(dtype)
+        fmt = format_for_dtype(dtype)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        for v in (a, b):
+            assert (v == 0).any() and np.signbit(v[v == 0]).any()
+            assert not np.signbit(v[v == 0]).all()
+            assert ((v != 0) & (np.abs(v) < np.finfo(dtype).tiny)).any()
+        out = ReferenceBackend().imprecise_multiply(a, b, dtype=dtype)
+        normal = (np.abs(a) >= np.finfo(dtype).tiny) & (
+            np.abs(b) >= np.finfo(dtype).tiny)
+        exp_a, exp_b, exp_out = (
+            (v.view(fmt.uint) >> fmt.mantissa_bits).astype(np.int64)
+            & fmt.exponent_mask for v in (a, b, out))
+        assert (normal & (out == 0)).any()  # underflow
+        carry = normal & (exp_a + exp_b - fmt.bias == 0) & (exp_out == 1)
+        assert carry.any()
+        assert (normal & np.isinf(out)).any()  # overflow
+        assert np.signbit(out[normal & (out == 0)]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_finite_operands_are_normal(self, dtype):
+        a, _ = finite_operands(dtype)
+        assert (np.abs(a) >= np.finfo(dtype).tiny).all()
+        assert np.isfinite(a).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_scalar_inputs(self, dtype):
@@ -253,6 +285,13 @@ class TestAdderBoundaries:
         """Every 1024th binary32 mantissa of the CI enumeration job."""
         assert check_adder_enumeration(get_backend("threaded"),
                                        stride=1024) == []
+
+
+class TestMultiplierBoundaries:
+    def test_enumeration_slice_bit_identical(self):
+        """Every 1024th binary32 mantissa of the CI enumeration job."""
+        assert check_multiplier_enumeration(get_backend("threaded"),
+                                            stride=1024) == []
 
 
 # ----------------------------------------------------------------------

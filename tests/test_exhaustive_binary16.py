@@ -7,7 +7,10 @@ exact worst case, checked against the Chapter-4 bound (and for closeness
 to it, so a loose bound shows).  The adder also depends on the exponent
 difference ``d`` and the effective operation, so its grid is swept at the
 ``d`` on either side of each threshold, and (strided) at every ``d`` up
-to ``TH + 1`` at both ends of the exponent range.  The unary SFUs take one
+to ``TH + 1`` at both ends of the exponent range.  The multipliers'
+exponent handling (underflow, a carry into the smallest normal or into
+overflow, zero and subnormal operands) is checked for parity on strided
+grids at exponent pairs around both ends.  The unary SFUs take one
 operand, so all 65,536 binary16 bit patterns are their whole input space; the
 divider runs over every divisor for a few numerators.  The linear log2's
 absolute-error bound is checked on every positive normal binary16 input
@@ -123,6 +126,28 @@ def test_multiplier_exhaustive(unit, backends, unit_grid):
     worst = float(np.max(np.abs(out.astype(np.float64) - exact) / exact))
     assert worst <= bound, (unit, worst, bound)
     assert worst >= floor * bound, (unit, worst, bound)
+
+
+#: Exponent-field pairs whose sum E_a + E_b - BIAS lands at 0 and 1 (a
+#: carry decides underflow) and at MAX_EXPONENT and MAX_EXPONENT + 1 (a
+#: carry decides overflow), each lopsided and balanced; then a zero or
+#: subnormal operand row against a normal row and against itself.
+MUL_EDGES = [(1, 14), (7, 8), (1, 15), (8, 8), (15, 30), (22, 23),
+             (16, 30), (23, 23), (0, BIAS), (0, 0)]
+MUL_EDGE_UNITS = ["table1", "fp_tr0", "lp_tr0", "fp_tr8", "lp_tr8"]
+#: Every 13th mantissa pair: odd, so each operand takes every mantissa.
+MUL_EDGE_STRIDE = 13
+
+
+@pytest.mark.parametrize("exp_a,exp_b", MUL_EDGES,
+                         ids=[f"e{a}-e{b}" for a, b in MUL_EDGES])
+@pytest.mark.parametrize("unit", MUL_EDGE_UNITS)
+def test_multiplier_parity_range_edges(unit, exp_a, exp_b, backends):
+    """Both product signs, strided mantissa pairs at the range edges."""
+    run = MULTIPLIERS[unit][0]
+    a, b = (v[::MUL_EDGE_STRIDE] for v in _grid(exp_a, exp_b))
+    for y in (b, -b):
+        _assert_parity(lambda be: run(be, a, y), backends)
 
 
 ADDER_CASES = [(th, d) for th in (1, 8, 27) for d in (0, th, th + 1)]
