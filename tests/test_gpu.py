@@ -1,5 +1,9 @@
 """Tests for the GPU timing simulator, power model, and savings algorithm."""
 
+import hashlib
+import json
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,11 @@ from repro.gpu import (
     GPUPowerModel,
     KernelCounters,
     OpClass,
+    StallProfile,
     build_warp_stream,
     estimate_system_savings,
     pipeline_latency_ns,
+    profile_kernel_stalls,
     simulate_kernel,
     simulate_sm_window,
 )
@@ -157,6 +163,100 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulate_sm_window({OpClass.FPU: 10}, resident_warps=0)
 
+
+
+_F, _S, _A, _M, _C = OpClass.FPU, OpClass.SFU, OpClass.ALU, OpClass.MEM, OpClass.CTRL
+
+#: Three instruction mixes drawn once from a seeded RNG and kept as literals
+#: (the second has no ALU or MEM class, the third no SFU or ALU class).
+GOLDEN_MIXES = (
+    {_F: 373, _S: 20, _A: 240, _M: 203, _C: 92},
+    {_F: 1, _S: 249, _C: 96},
+    {_F: 147, _M: 336, _C: 306},
+)
+GOLDEN_WARPS = (1, 2, 7, 16, 32, 48)
+GOLDEN_WINDOWS = (1, 5, 64, 100)
+GOLDEN_CONFIGS = {
+    "fermi": FERMI_GTX480,
+    "issue1": replace(FERMI_GTX480, issue_width=1),
+    "issue4": replace(FERMI_GTX480, issue_width=4),
+    "shortmem": replace(FERMI_GTX480, mem_latency=50, mem_pipeline_depth=4),
+    "sfu1": replace(FERMI_GTX480, sfu_lanes=1),
+    "memdep1": replace(FERMI_GTX480, mem_dependence_distance=1),
+}
+#: sha256 of the JSON list of ``[cycles, issued, *StallProfile fields]``
+#: over mixes x resident warps x windows (in that nesting order), as the
+#: cycle-by-cycle simulator returned them.
+GOLDEN_GRID_SHA256 = {
+    "fermi": "c8b7a251407d9fcc3eb8ff7217d4c42032573dc7bef4033074de68b6e712004e",
+    "issue1": "65e79c5530c84f7636f927ce3f081a9ddc1dd5dae6054f9f8b52eebb3ccfccb2",
+    "issue4": "ae94373407580dab0312d49955d13a79aa2c9da687104c898d96bcb961c307ab",
+    "shortmem": "8872e53f13d7ae3ec828cc751dc83e3a8bcf1b606e3f55d228740b1ffedbe73b",
+    "sfu1": "b066e538249aeed1bc377e16873c7374d6070f15de28fe945063f9a9b434dd30",
+    "memdep1": "092d0f00240208ba4ed13854b792dba4ab0f021323b452f6e9ddfd6843c20be3",
+}
+#: Scalar (FPU, SFU, ALU, MEM, CTRL) counts and threads of each app's
+#: precise reference run at smoke size (hotspot and srad 16^2 x 4,
+#: raytracing 16^2, cp 12, dct 16, blackscholes 64 options).
+GOLDEN_APP_COUNTS = {
+    "hotspot": (14336, 0, 3072, 2048, 128, 256),
+    "srad": (36864, 3072, 18432, 28672, 128, 256),
+    "raytracing": (53416, 3004, 12288, 9216, 5120, 256),
+    "cp": (41484, 4608, 13824, 1440, 576, 144),
+    "dct": (15360, 0, 1024, 768, 32, 4),
+    "blackscholes": (2304, 384, 384, 512, 64, 64),
+}
+#: ``simulate_kernel`` cycles and IPC, and the ``profile_kernel_stalls``
+#: fields, of each app's counts above.
+GOLDEN_APP_TIMING = {
+    "hotspot": (100, 0.41025641025641024, (512, 1584, 381, 0, 18, 0, 1)),
+    "srad": (428, 0.42454394693200664, (512, 1619, 89, 52, 139, 0, 1)),
+    "raytracing": (286, 0.6059171597633136, (512, 802, 332, 27, 16, 0, 1)),
+    "cp": (355, 0.36363636363636365, (256, 1064, 12, 75, 0, 0, 1)),
+    "dct": (366, 0.09800918836140889, (64, 1241, 0, 0, 0, 0, 1)),
+    "blackscholes": (19, 0.4155844155844156, (128, 471, 2, 12, 2, 0, 1)),
+}
+
+
+class TestGoldenTiming:
+    """The simulator's exact outputs, recorded from the cycle-by-cycle loop."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_grid(self, name):
+        config = GOLDEN_CONFIGS[name]
+        rows = []
+        for mix in GOLDEN_MIXES:
+            for warps in GOLDEN_WARPS:
+                for window in GOLDEN_WINDOWS:
+                    profile = StallProfile()
+                    result = simulate_sm_window(mix, config, warps, window,
+                                                profile=profile)
+                    assert simulate_sm_window(mix, config, warps, window) \
+                        == result
+                    rows.append([*result, *astuple(profile)])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == GOLDEN_GRID_SHA256[name]
+
+    @pytest.mark.parametrize("app", sorted(GOLDEN_APP_COUNTS))
+    def test_app_reference_mix(self, app):
+        fpu, sfu, alu, mem, ctrl, threads = GOLDEN_APP_COUNTS[app]
+        counters = KernelCounters(
+            name=app, arith={("add", "precise"): fpu, ("rcp", "precise"): sfu},
+            int_ops=alu, mem_ops=mem, ctrl_ops=ctrl, threads=threads)
+        timing = simulate_kernel(counters)
+        profile = profile_kernel_stalls(counters)
+        assert (timing.cycles, timing.ipc_per_sm, astuple(profile)) \
+            == GOLDEN_APP_TIMING[app]
+
+    def test_ends_on_max_cycles_guard(self):
+        # A zero-depth memory window never admits the load, so the one warp
+        # stalls on it until the guard at 2 x (400 + 16) cycles.
+        config = replace(FERMI_GTX480, mem_pipeline_depth=0)
+        profile = StallProfile()
+        result = simulate_sm_window({_F: 1, _M: 1}, config, 1, 2,
+                                    profile=profile)
+        assert result == (832, 1)
+        assert astuple(profile) == (1, 7, 0, 0, 0, 1656, 0)
 
 class TestGPUConfig:
     def test_peak_gflops(self):
