@@ -260,7 +260,7 @@ class ArithmeticContext:
 
         Counts the result's scalar operations; with a drift probe
         attached, also times the unit call and hands the probe the
-        float64-exact thunk.
+        float64-exact function and the operands.
         """
         unit = None if precise else self._units.get(op)
         if unit is None:
@@ -273,8 +273,8 @@ class ArithmeticContext:
             else:
                 start = time.perf_counter()
                 out = unit(*operands)
-                probe.observe(op, out, lambda: _EXACT[op](*operands),
-                              time.perf_counter() - start)
+                probe.observe(op, out, _EXACT[op],
+                              time.perf_counter() - start, operands)
             path = "imprecise"
         # Innermost loop of every kernel: results are almost always ndarrays
         # already, so only wrap the rare scalar case.

@@ -7,10 +7,12 @@ role with a sampling methodology standard in architecture studies:
 1. build a representative per-warp instruction stream from the kernel's
    measured instruction mix (largest-remainder interleaving, so the stream
    proportions match the counters exactly);
-2. simulate one SM cycle by cycle — a greedy round-robin scheduler issues up
-   to ``issue_width`` ready warps per cycle into unit pipelines with
-   realistic occupancies (FPU one warp/cycle, SFU ``warp_size/sfu_lanes``
-   cycles, memory with fixed latency and bounded outstanding requests);
+2. simulate one SM — a greedy round-robin scheduler issues up to
+   ``issue_width`` ready warps per cycle into unit pipelines with realistic
+   occupancies (FPU one warp/cycle, SFU ``warp_size/sfu_lanes`` cycles,
+   memory with fixed latency and a FIFO window of outstanding requests).
+   The loop is event driven but exact: it scans only the warps whose
+   latency has elapsed and jumps over cycles in which no warp is ready;
 3. extrapolate the measured IPC to the kernel's full warp-instruction count
    across all SMs.
 
@@ -21,7 +23,9 @@ resident warps, and memory-bound stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import astuple, dataclass, fields
+from heapq import heappop, heappush
 
 from .counters import KernelCounters
 from .isa import FERMI_GTX480, GPUConfig, OP_CLASS_LATENCY, OpClass
@@ -123,27 +127,23 @@ class StallProfile:
 
     @property
     def total_slots(self) -> int:
-        return (
-            self.issued + self.dependency + self.fpu_port + self.sfu_port
-            + self.lsu_port + self.mem_bandwidth + self.drained
-        )
+        return sum(astuple(self))
 
     def fractions(self) -> dict:
         """Slot shares per category (sums to 1)."""
         total = max(self.total_slots, 1)
-        return {
-            name: getattr(self, name) / total
-            for name in (
-                "issued", "dependency", "fpu_port", "sfu_port", "lsu_port",
-                "mem_bandwidth", "drained",
-            )
-        }
+        return {f.name: getattr(self, f.name) / total for f in fields(self)}
 
     def format_rows(self) -> str:
         lines = []
         for name, frac in self.fractions().items():
             lines.append(f"  {name:14s} {frac:6.1%} {'#' * int(round(frac * 40))}")
         return "\n".join(lines)
+
+
+#: Issue port (0 FPU, 1 SFU, 2 load/store unit) and latency of each class.
+_ISSUE = {op: ({OpClass.SFU: 1, OpClass.MEM: 2}.get(op, 0), OP_CLASS_LATENCY[op])
+          for op in OpClass}
 
 
 def simulate_sm_window(
@@ -161,90 +161,103 @@ def simulate_sm_window(
     if resident_warps < 1:
         raise ValueError("need at least one resident warp")
     stream = build_warp_stream(mix, window)
+    issue = [_ISSUE[op] for op in stream]
+    ports = [port for port, _ in issue]
+    # Cycles until a warp may issue again: loads are non-blocking, so the
+    # warp stalls for the full round trip only at its next true dependence
+    # (modeled as every mem_dependence_distance-th access); otherwise it
+    # proceeds after the LSU pipeline.
+    occupancy = (1, config.sfu_occupancy_cycles, config.lsu_occupancy_cycles)
+    dependence, mem_latency = config.mem_dependence_distance, config.mem_latency
+    delays = [
+        latency if port != 2 else mem_latency if i % dependence == 0
+        else occupancy[2] + 4
+        for i, (port, latency) in enumerate(issue)
+    ]
     pc = [0] * resident_warps
-    ready = [0] * resident_warps
-    fpu_free = 0
-    sfu_free = 0
-    lsu_free = 0
-    outstanding_mem = []
+    # ready[port]: bitmask of the warps whose last result is in and whose
+    # next instruction goes to ``port``; the others wait in ``wakes``.
+    ready = [0, 0, 0]
+    ready[ports[0]] = (1 << resident_warps) - 1
+    wakes = []  # heap of (cycle the warp is ready, warp)
+    port_free = [0, 0, 0]  # first cycle each port can issue again
+    # Completion cycles of the outstanding memory requests: the latency is
+    # constant, so they are appended in order and expire from the front.
+    outstanding_mem = deque()
+    depth = config.mem_pipeline_depth
 
-    issued = 0
-    cycle = 0
-    rr = 0  # round-robin pointer
+    issued = cycle = rr = 0  # rr: the round-robin pointer
     total_instr = resident_warps * window
-    max_cycles = total_instr * (config.mem_latency + 16)
+    max_cycles = total_instr * (mem_latency + 16)
 
     while issued < total_instr and cycle < max_cycles:
-        outstanding_mem = [c for c in outstanding_mem if c > cycle]
-        slots = config.issue_width
-        blocked_reasons = set()
-        for k in range(resident_warps):
-            if slots == 0:
-                break
-            w = (rr + k) % resident_warps
-            if pc[w] >= window:
-                continue
-            if ready[w] > cycle:
-                blocked_reasons.add("dependency")
-                continue
-            op = stream[pc[w]]
-            if op is OpClass.FPU or op is OpClass.ALU or op is OpClass.CTRL:
-                if fpu_free > cycle:
-                    blocked_reasons.add("fpu_port")
-                    continue
-                fpu_free = cycle + 1
-            elif op is OpClass.SFU:
-                if sfu_free > cycle:
-                    blocked_reasons.add("sfu_port")
-                    continue
-                sfu_free = cycle + config.sfu_occupancy_cycles
-            else:  # MEM
-                if len(outstanding_mem) >= config.mem_pipeline_depth:
-                    blocked_reasons.add("mem_bandwidth")
-                    continue
-                if lsu_free > cycle:
-                    blocked_reasons.add("lsu_port")
-                    continue
-                lsu_free = cycle + config.lsu_occupancy_cycles
-                outstanding_mem.append(cycle + config.mem_latency)
-                # Loads are non-blocking: the warp stalls for the full round
-                # trip only at its next true dependence (modeled as every
-                # mem_dependence_distance-th access); otherwise it proceeds
-                # after the LSU pipeline.
-                if pc[w] % config.mem_dependence_distance == 0:
-                    ready[w] = cycle + config.mem_latency
-                else:
-                    ready[w] = cycle + config.lsu_occupancy_cycles + 4
-                pc[w] += 1
-                issued += 1
-                slots -= 1
+        if not (ready[0] or ready[1] or ready[2]):
+            # Every remaining warp waits on its own latency: skip the idle
+            # cycles to the first wake (none if one is already due).
+            skip = min(wakes[0][0], max_cycles) - cycle
+            if skip > 0:
                 if profile is not None:
-                    profile.issued += 1
-                continue
-            ready[w] = cycle + OP_CLASS_LATENCY[op]
+                    profile.dependency += skip * config.issue_width
+                rr = (rr + skip) % resident_warps
+                cycle += skip
+                if cycle == max_cycles:
+                    break
+        while wakes and wakes[0][0] <= cycle:
+            w = heappop(wakes)[1]
+            ready[ports[pc[w]]] |= 1 << w
+        while outstanding_mem and outstanding_mem[0] <= cycle:
+            outstanding_mem.popleft()
+        # Warps ready on a free port.  Every port is busy for at least the
+        # rest of the cycle once it issues, so issuing drops its warps.
+        free = ((ready[0] if port_free[0] <= cycle else 0)
+                | (ready[1] if port_free[1] <= cycle else 0)
+                | (ready[2] if port_free[2] <= cycle and len(outstanding_mem) < depth
+                   else 0))
+        slots = config.issue_width
+        while free and slots:
+            # The first such warp in round-robin order issues.
+            first = free >> rr << rr or free
+            bit = first & -first
+            w = bit.bit_length() - 1
+            port = ports[pc[w]]
+            free &= ~ready[port]
+            ready[port] ^= bit
+            port_free[port] = cycle + occupancy[port]
+            if port == 2:
+                outstanding_mem.append(cycle + mem_latency)
+            at = cycle + delays[pc[w]]
             pc[w] += 1
+            if pc[w] < window:
+                heappush(wakes, (at, w))
             issued += 1
             slots -= 1
-            if profile is not None:
-                profile.issued += 1
-        if profile is not None and slots > 0:
-            # Charge the unfilled slots to the dominant blocking reason.
-            if not any(pc[w] < window for w in range(resident_warps)):
-                reason = "drained"
-            elif "fpu_port" in blocked_reasons:
-                reason = "fpu_port"
-            elif "sfu_port" in blocked_reasons:
-                reason = "sfu_port"
-            elif "mem_bandwidth" in blocked_reasons:
-                reason = "mem_bandwidth"
-            elif "lsu_port" in blocked_reasons:
-                reason = "lsu_port"
-            else:
-                reason = "dependency"
-            setattr(profile, reason, getattr(profile, reason) + slots)
+        if profile is not None:
+            profile.issued += config.issue_width - slots
+            if slots > 0:
+                # Charge the unfilled slots to the dominant blocking reason:
+                # a ready warp left over here was blocked by its port.
+                reason = (
+                    "drained" if issued == total_instr
+                    else "fpu_port" if ready[0] else "sfu_port" if ready[1]
+                    else "dependency" if not ready[2]
+                    else "mem_bandwidth" if len(outstanding_mem) >= depth
+                    else "lsu_port"
+                )
+                setattr(profile, reason, getattr(profile, reason) + slots)
         rr = (rr + 1) % resident_warps
         cycle += 1
     return cycle, issued
+
+
+def _window_inputs(counters: KernelCounters, config: GPUConfig,
+                   resident_warps: int) -> tuple:
+    """``(warp-instruction mix, resident warps per SM)`` of a kernel."""
+    warp_counts = counters.warp_instruction_counts(config.warp_size)
+    if sum(warp_counts.values()) == 0:
+        raise ValueError(f"kernel {counters.name!r} issued no instructions")
+    warps = max(1, counters.threads // config.warp_size)
+    return warp_counts, max(1, min(resident_warps, warps,
+                                   config.max_resident_warps))
 
 
 def profile_kernel_stalls(
@@ -254,11 +267,7 @@ def profile_kernel_stalls(
     window: int = 64,
 ) -> StallProfile:
     """Issue/stall breakdown of a kernel's representative window."""
-    warp_counts = counters.warp_instruction_counts(config.warp_size)
-    if sum(warp_counts.values()) == 0:
-        raise ValueError(f"kernel {counters.name!r} issued no instructions")
-    warps = max(1, counters.threads // config.warp_size)
-    resident = max(1, min(resident_warps, warps, config.max_resident_warps))
+    warp_counts, resident = _window_inputs(counters, config, resident_warps)
     profile = StallProfile()
     simulate_sm_window(warp_counts, config, resident, window, profile=profile)
     return profile
@@ -271,13 +280,8 @@ def simulate_kernel(
     window: int = 64,
 ) -> KernelTiming:
     """Extrapolate a window simulation to the kernel's full instruction count."""
-    warp_counts = counters.warp_instruction_counts(config.warp_size)
+    warp_counts, resident = _window_inputs(counters, config, resident_warps)
     total_warp_instr = sum(warp_counts.values())
-    if total_warp_instr == 0:
-        raise ValueError(f"kernel {counters.name!r} issued no instructions")
-
-    warps = max(1, counters.threads // config.warp_size)
-    resident = max(1, min(resident_warps, warps, config.max_resident_warps))
     cycles_window, issued = simulate_sm_window(warp_counts, config, resident, window)
     ipc = issued / cycles_window
 

@@ -25,15 +25,15 @@ Cost control (the probe must stay under the telemetry overhead budget):
 - only every ``sample_every``-th call per op is observed (the first call
   always is, so every op appears in the stats);
 - observed arrays larger than ``max_elements`` are strided down to at
-  most that many elements;
-- the exact-result thunk is only evaluated for sampled calls.
+  most that many elements, and only those are evaluated exactly;
+- the exact result is only evaluated for sampled calls.
 
 With the defaults (:data:`SAMPLE_EVERY`, :data:`MAX_ELEMENTS`) metrics
 mode is not yet under the 5% gate of
 ``benchmarks/test_runtime_sweep.py::test_telemetry_overhead`` on the
-12-configuration sweep: median overheads of +6.7% to +8.7% were measured
-on a 2-vCPU host.  Reaching the 5% bound is an open target of ROADMAP
-item 1.
+12-configuration sweep: median overheads of +0.7% to +21% were measured
+run to run on a 2-vCPU host.  Reaching the 5% bound is an open target of
+ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class OpDrift:
     seconds: float = 0.0  # wall time of the unit calls
     elements: int = 0  # scalar results produced by the unit calls
 
-    @property
-    def mean_err_pct(self) -> float:
-        return self.err_pct_sum / self.observed if self.observed else 0.0
-
-    @property
-    def error_rate(self) -> float:
-        return self.nonzero / self.observed if self.observed else 0.0
-
 
 class DriftProbe:
     """Per-op unit timings and sampled relative errors for one kernel run."""
@@ -92,11 +84,13 @@ class DriftProbe:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def observe(self, op: str, approx, exact, seconds: float = 0.0) -> None:
+    def observe(self, op: str, approx, exact, seconds: float = 0.0,
+                operands=None) -> None:
         """Record one imprecise dispatch that took ``seconds``.
 
-        ``exact`` is a zero-argument callable producing the float64 exact
-        result — evaluated only when this call is sampled.
+        ``exact`` produces the float64 exact result, only when this call is
+        sampled: from the call's ``operands`` strided down to the compared
+        elements, or, without them, as a thunk of the full result.
         """
         stats = self.ops.get(op)
         if stats is None:
@@ -107,13 +101,15 @@ class DriftProbe:
         if (stats.calls - 1) % self.sample_every:
             return
         stats.sampled_calls += 1
+        stride = max(1, -(-np.size(approx) // self.max_elements))  # ceil div
         with np.errstate(all="ignore"):
-            approx64 = np.asarray(approx, dtype=np.float64).ravel()
-            exact64 = np.asarray(exact(), dtype=np.float64).ravel()
-            if approx64.size > self.max_elements:
-                stride = -(-approx64.size // self.max_elements)  # ceil div
-                approx64 = approx64[::stride]
-                exact64 = exact64[::stride]
+            approx64 = np.asarray(np.ravel(approx)[::stride], dtype=np.float64)
+            if operands is None:
+                exact64 = np.asarray(exact(), dtype=np.float64).ravel()[::stride]
+            else:
+                exact64 = np.asarray(exact(*(
+                    x.flat[::stride] for x in np.broadcast_arrays(*operands)
+                )), dtype=np.float64)
             valid = np.isfinite(exact64) & np.isfinite(approx64) & (exact64 != 0)
             err_pct = (
                 np.abs(approx64[valid] - exact64[valid])

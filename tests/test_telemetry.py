@@ -200,6 +200,33 @@ class TestDriftProbe:
         assert stats.observed == 1
         assert stats.nonzero == 0
 
+    @pytest.mark.parametrize("op", ["add", "mul", "fma", "div", "sqrt", "log2"])
+    def test_strided_operands_match_the_full_exact_result(self, op):
+        # The context hands the probe its operands, so only the compared
+        # elements are computed exactly; a row vector and a scalar operand
+        # exercise the broadcast.  The statistics equal those of the full
+        # float64 result strided afterwards.
+        rng = np.random.default_rng(29)
+        a = rng.uniform(0.25, 8.0, (40, 30)).astype(np.float32)
+        row = rng.uniform(0.25, 8.0, 30).astype(np.float32)
+        operands = {"add": (a, row), "mul": (a, np.float32(0.7)),
+                    "fma": (a, row, a), "div": (row, a), "sqrt": (a,),
+                    "log2": (a,)}[op]
+        ctx = ArithmeticContext(IHWConfig.all_imprecise())
+        ctx.drift_probe = DriftProbe(sample_every=1)
+        out = getattr(ctx, op)(*operands)
+        wide = [np.asarray(x, dtype=np.float64) for x in operands]
+        full = {"add": np.add, "mul": np.multiply, "div": np.divide,
+                "fma": lambda x, y, z: x * y + z, "sqrt": np.sqrt,
+                "log2": np.log2}[op](*wide)
+        reference = DriftProbe(sample_every=1)
+        reference.observe(op, out, lambda: full)
+        probed, expected = ctx.drift_probe.ops[op], reference.ops[op]
+        assert probed.observed == expected.observed == 240
+        assert (probed.nonzero, probed.err_pct_sum, probed.err_pct_max,
+                probed.bins) == (expected.nonzero, expected.err_pct_sum,
+                                 expected.err_pct_max, expected.bins)
+
     def test_flush_into_registry_and_reset(self):
         probe = DriftProbe(sample_every=1, max_elements=16)
         probe.observe("mul", np.array([1.5]), lambda: np.array([1.0]))
