@@ -9,11 +9,10 @@ in saved benchmark JSON.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
-__all__ = ["emit", "format_row", "write_bench_json"]
+__all__ = ["emit", "format_row"]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,19 +28,3 @@ def emit(title: str, lines) -> None:
     out = [bar, title, bar]
     out.extend(str(line) for line in lines)
     print("\n" + "\n".join(out), file=sys.stderr)
-
-
-def write_bench_json(name: str, payload: dict, update: bool = False) -> Path:
-    """Write a ``BENCH_<name>.json`` tracking file at the repo root.
-
-    These files are committed so successive PRs can see the performance
-    trajectory (wall times, speedups, cache hit rates) without re-running
-    the benchmark suite.  With ``update=True`` the payload is merged over
-    the existing file instead of replacing it, so several benchmarks can
-    contribute keys to one tracking file.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    if update and path.exists():
-        payload = {**json.loads(path.read_text()), **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

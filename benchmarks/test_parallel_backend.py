@@ -10,16 +10,15 @@ alternating:
   so this is the fused kernels' single-core win.  Gate: >= 1.3x.
 - **thread scaling** — srad 1024^2 x 2 at ``backend_threads=1`` against
   the default thread count, where every op tiles.  Gate: >= 1.5x when
-  ``cpu_count() >= 2``; one CPU only records the numbers.  Hotspot is
+  ``cpu_count() >= 2``; one CPU only prints the numbers.  Hotspot is
   not used here: at 1024^2 its explicit step is past the forward-Euler
   limit and the app refuses the grid.
 
-Each gate asserts bit-identical outputs before it looks at time.  Results
-land under the ``parallel`` key of ``BENCH_runtime.json`` with
-``cpu_count``, once the gate has passed.
+Each gate asserts bit-identical outputs before it looks at time.  Both
+tests print their numbers, with ``cpu_count``, through ``emit`` (visible
+with ``-s``) and write no file.
 """
 
-import json
 import time
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.core.backends import ENV_VAR as BACKEND_ENV_VAR
 from repro.core.backends import threads as threads_mod
 from repro.runtime import ExperimentSpec
 
-from report import REPO_ROOT, emit, format_row, write_bench_json
+from report import emit, format_row
 
 REPEATS = 3
 ORACLE_APPS = {
@@ -40,7 +39,6 @@ ORACLE_APPS = {
 SCALING_APP = ("srad", {"rows": 1024, "cols": 1024, "iterations": 2})
 ORACLE_GATE = 1.3
 SCALING_GATE = 1.5
-GATES = ("engine_vs_oracle", "thread_scaling")
 
 
 def _default_engine(monkeypatch):
@@ -73,23 +71,12 @@ def _assert_bit_identical(evaluations):
         assert first.quality == other.quality
 
 
-def _record(gate, entry):
-    """Merge one gate's entry into ``BENCH_runtime.json``'s ``parallel``."""
-    path = REPO_ROOT / "BENCH_runtime.json"
-    current = (json.loads(path.read_text()).get("parallel", {})
-               if path.exists() else {})
-    parallel = {k: v for k, v in current.items() if k in GATES}
-    parallel[gate] = entry
-    parallel["cpu_count"] = threads_mod.cpu_count()
-    return write_bench_json("runtime", {"parallel": parallel}, update=True)
-
-
 def test_engine_vs_oracle(monkeypatch):
     _default_engine(monkeypatch)
     config = IHWConfig.all_imprecise()
     configs = {"reference": config.with_backend("reference"),
                DEFAULT_BACKEND: config.with_backend(DEFAULT_BACKEND)}
-    entry, speedups = {}, {}
+    speedups = {}
     widths = [24, 11, 11, 9]
     rows = [format_row("app", "reference s", f"{DEFAULT_BACKEND} s",
                        "speedup", widths=widths)]
@@ -100,18 +87,13 @@ def test_engine_vs_oracle(monkeypatch):
         speedup = best["reference"] / best[DEFAULT_BACKEND]
         label = f"{app} {params['rows']}^2 x {params['iterations']}"
         speedups[label] = speedup
-        entry[label] = {"reference_s": round(best["reference"], 4),
-                        f"{DEFAULT_BACKEND}_s": round(best[DEFAULT_BACKEND], 4),
-                        "speedup": round(speedup, 2)}
         rows.append(format_row(label, f"{best['reference']:.3f}",
                                f"{best[DEFAULT_BACKEND]:.3f}",
                                f"{speedup:.2f}x", widths=widths))
-    emit(f"Engine vs oracle: fw.evaluate, best of {REPEATS}, "
-         f"{threads_mod.cpu_count()} CPU(s)", rows)
-    # Gate first: a failing run must not rewrite the committed numbers.
+    rows.append(f"cpu_count {threads_mod.cpu_count()}")
+    emit(f"Engine vs oracle: fw.evaluate, best of {REPEATS}", rows)
     for label, speedup in speedups.items():
-        assert speedup >= ORACLE_GATE, (label, entry[label])
-    _record("engine_vs_oracle", entry)
+        assert speedup >= ORACLE_GATE, (label, speedup)
 
 
 def test_thread_scaling(monkeypatch):
@@ -128,15 +110,11 @@ def test_thread_scaling(monkeypatch):
     speedup = one / many
     cores = threads_mod.cpu_count()
     label = f"{app} {params['rows']}^2 x {params['iterations']}"
-    emit(f"Thread scaling: {label}, best of {REPEATS}, {cores} CPU(s)", [
+    emit(f"Thread scaling: {label}, best of {REPEATS}", [
         format_row("1 thread", f"{one:.3f} s"),
         format_row(f"{threads} threads", f"{many:.3f} s"),
         format_row("speedup", f"{speedup:.2f}x"),
+        f"cpu_count {cores}",
     ])
     if cores >= 2:
         assert speedup >= SCALING_GATE, (label, speedup)
-    _record("thread_scaling", {
-        "app": label, "threads": threads,
-        "one_thread_s": round(one, 4), "default_threads_s": round(many, 4),
-        "speedup": round(speedup, 2),
-    })

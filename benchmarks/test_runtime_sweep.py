@@ -10,9 +10,9 @@ all-imprecise threshold variants) run three ways:
 Shape requirements: all three produce bit-identical evaluations; the warm
 rerun is >= 10x faster than the sequential cold sweep; on machines with
 >= 4 cores the parallel cold sweep is >= 2x faster than sequential (on
-smaller machines the measured ratio is still recorded, not asserted).
-Results land in ``BENCH_runtime.json`` at the repo root so successive PRs
-can track the perf trajectory; a run that fails its gates writes nothing.
+smaller machines the measured ratio is still printed, not asserted).
+Both tests print their record, with ``cpu_count``, through ``emit``
+(visible with ``-s``) and write no file.
 """
 
 import os
@@ -29,7 +29,7 @@ from repro.runtime import (
     default_worker_count,
 )
 
-from report import emit, format_row, write_bench_json
+from report import emit, format_row
 
 SPEC = ExperimentSpec.create("hotspot", metric="mae", rows=64, cols=64, iterations=30)
 
@@ -111,13 +111,12 @@ def test_runtime_sweep(benchmark, tmp_path):
         format_row("warm cache", f"{warm_s:.3f}", f"{warm_speedup:.1f}x",
                    widths=[22, 10, 10]),
         f"cache hit rate (warm): {warm_runner.stats.hit_rate:.0%}",
+        f"cpu_count {cpu_count}, {workers} workers",
     ])
 
-    # Gate first: a failing run must not rewrite the committed numbers.
     assert warm_speedup >= 10.0
     if cpu_count >= 4:
         assert parallel_speedup >= 2.0
-    write_bench_json("runtime", payload, update=True)
 
 
 OVERHEAD_SPEC = ExperimentSpec.create(
@@ -184,13 +183,6 @@ def test_telemetry_overhead(benchmark):
     overheads = [met / off - 1.0 for off, met in pairs]
     metrics_overhead = float(np.median(overheads))
     trace_overhead = trace_s / off_s - 1.0
-    payload = {
-        "telemetry_off_s": round(off_s, 4),
-        "telemetry_metrics_s": round(metrics_s, 4),
-        "telemetry_trace_s": round(trace_s, 4),
-        "telemetry_metrics_overhead": round(metrics_overhead, 4),
-        "telemetry_trace_overhead": round(trace_overhead, 4),
-    }
     emit("Runtime: telemetry overhead (12-config sweep, 48x48x20)", [
         format_row("mode", "wall s", "overhead", widths=[22, 10, 10]),
         format_row("off", f"{off_s:.3f}", "-", widths=[22, 10, 10]),
@@ -200,8 +192,7 @@ def test_telemetry_overhead(benchmark):
                    f"{trace_overhead:+.1%}", widths=[22, 10, 10]),
         "metrics overhead per pair (every second pair metrics first): "
         + " ".join(f"{o:+.1%}" for o in overheads),
+        f"cpu_count {os.cpu_count() or 1}",
     ])
 
-    # Gate first: a failing run must not rewrite the committed numbers.
     assert metrics_overhead < 0.05, overheads
-    write_bench_json("runtime", payload, update=True)

@@ -64,44 +64,19 @@ class AnalysisConfig:
         layer checker resolves, e.g. ``repro`` for ``import repro.apps``).
     layer_rules:
         ``{layer: allowed imported layers}``; see :data:`DEFAULT_LAYER_RULES`.
-    kernel_layers:
-        Layers whose modules hold application kernels — the op-coverage
-        checker only walks these.
     worker_layers:
         Layers imported by worker processes, where module-level mutable
         state risks fork inheritance (fork-safety checker scope).
-    context_names:
-        Variable names treated a-priori as an :class:`ArithmeticContext`;
-        names assigned from ``make_context(...)`` / ``ArithmeticContext(...)``
-        are added per function.
-    backend_base_names:
-        Class names rooting the backend registry family; methods called on
-        unresolvable receivers dispatch to every implementation in the
-        family (mirrors ``get_backend(...)``).
-    worker_entrypoint_names:
-        Function names the process-pool runner submits to workers;
-        roots of the worker-state reachability query.
-    worker_state_layers:
-        Layers whose module-level mutable containers the worker-state
-        checker audits for worker-reachable writes without a reset hook.
     """
 
     package: str = "repro"
     layer_rules: dict = field(default_factory=lambda: dict(DEFAULT_LAYER_RULES))
-    kernel_layers: tuple = ("apps",)
     worker_layers: tuple = (
         "core", "hardware", "gpu", "apps", "quality", "erroranalysis",
         "framework", "runtime", "faults",
     )
-    context_names: tuple = ("ctx", "context")
-    backend_base_names: tuple = ("ComputeBackend",)
-    worker_entrypoint_names: tuple = ("_evaluate_chunk",)
-    worker_state_layers: tuple = ("core", "runtime")
     #: Populated by the engine: every layer directory found under the root.
     known_layers: frozenset = frozenset()
-    #: Populated by the engine: the resolved whole-program view
-    #: (:class:`repro.analysis.callgraph.Program` with ``summaries``).
-    program: object = None
 
 
 @dataclass
@@ -166,9 +141,7 @@ def run_analysis(root, config=None, checkers=None) -> AnalysisReport:
         ``{checker_id: check_fn}`` override; defaults to
         :data:`repro.analysis.checkers.ALL_CHECKERS`.
     """
-    from .callgraph import build_program
     from .checkers import ALL_CHECKERS
-    from .dataflow import compute_summaries
 
     root = Path(root)
     if not root.is_dir():
@@ -181,9 +154,6 @@ def run_analysis(root, config=None, checkers=None) -> AnalysisReport:
         known_layers=frozenset(m.layer for m in modules if m.layer)
         | frozenset(config.layer_rules),
     )
-    program = build_program(modules, config)
-    program.summaries = compute_summaries(program, config)
-    config = replace(config, program=program)
 
     findings = []
     suppressed = 0

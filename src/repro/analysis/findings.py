@@ -24,7 +24,7 @@ SEVERITIES = ("error", "warning")
 class RawFinding:
     """What a checker emits: a location plus the complaint, pre-fingerprint."""
 
-    code: str  # e.g. "op-coverage", "hygiene-float-eq"
+    code: str  # e.g. "cache-key", "hygiene-float-eq"
     severity: str  # "error" | "warning"
     line: int  # 1-based first line of the offending node
     col: int

@@ -1,18 +1,10 @@
 """Inline suppression comments recognized by the analyzer.
 
-Two forms, both valid as a trailing comment on the offending line or as a
+One form, valid as a trailing comment on the offending line or as a
 comment-only line immediately above it:
 
-``# precise: host-side``
-    The kernel contract's documented escape hatch: this arithmetic is
-    host-side setup/reduction that the paper's CUDA kernel also performs
-    outside the imprecise units.  Suppresses only the ``op-coverage``
-    checker.  Free text may follow (a justification is encouraged)::
-
-        decoded = unblock(recon) + 128.0  # precise: host-side (codec un-bias)
-
 ``# repro-lint: disable=<code>[,<code>...]``
-    General suppression of the named checker codes (a checker id such as
+    Suppression of the named checker codes (a checker id such as
     ``hygiene`` matches all of its sub-codes; ``all`` matches everything).
     An optional justification follows ``--``::
 
@@ -28,12 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-__all__ = ["SuppressionIndex", "HOST_SIDE_CODE"]
+__all__ = ["SuppressionIndex"]
 
-#: The checker code the ``# precise: host-side`` marker suppresses.
-HOST_SIDE_CODE = "op-coverage"
-
-_HOST_SIDE_RE = re.compile(r"#\s*precise:\s*host-side\b")
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_\-, ]+)")
 _COMMENT_ONLY_RE = re.compile(r"^\s*#")
 
@@ -51,8 +39,6 @@ class SuppressionIndex:
         for lineno, text in enumerate(source.splitlines(), start=1):
             codes = set(pending)
             pending = set()
-            if _HOST_SIDE_RE.search(text):
-                codes.add(HOST_SIDE_CODE)
             match = _DISABLE_RE.search(text)
             if match:
                 spec = match.group(1).split("--")[0]
@@ -65,9 +51,6 @@ class SuppressionIndex:
                     pending = codes
                 else:
                     by_line.setdefault(lineno, set()).update(codes)
-        if pending:
-            # Comment on the last line: nothing follows; keep it harmless.
-            pass
         return cls(by_line=by_line)
 
     def codes_for(self, lines) -> set:

@@ -104,7 +104,7 @@ def _window_confidence(ctx, window, template, template_energy: float):
     w = template.ravel()
     num = _reduce_sum(ctx, ctx.mul(x, w))
     energy = _reduce_sum(ctx, ctx.mul(x, x))
-    # precise: host-side (scalar confidence normalization, as in the CPU scorer)
+    # Scalar confidence normalization, as in the CPU scorer.
     return 2.0 * num / max(energy + template_energy, 1e-30)
 
 

@@ -4,9 +4,11 @@ Every application in :mod:`repro.apps` follows the same contract: a
 ``run(config=..., **params)`` function executes the numerical kernel with
 all floating point arithmetic routed through an instrumented
 :class:`~repro.core.ArithmeticContext` and returns an :class:`AppResult`
-bundling the output, the performance counters, and the context, so the
-framework can compare precise and imprecise executions and feed the power
-models.
+bundling the output and the performance counters, so the framework can
+compare precise and imprecise executions and feed the power models.
+A host-side step that touches a context value (a reduction, a scatter,
+an offset) unwraps it first with ``np.asarray``; ``tests/test_op_coverage.py``
+runs every app with context values that refuse raw numpy arithmetic.
 """
 
 from __future__ import annotations

@@ -55,8 +55,7 @@ def _erf_poly(ctx, x):
     poly = ctx.mul(
         t, ctx.add(a1, ctx.mul(t, ctx.add(a2, ctx.mul(a3, t))))
     )
-    # precise: host-side — exp is host-evaluated (the SFU exp unit is
-    # outside the paper's set).
+    # exp is host-evaluated (the SFU exp unit is outside the paper's set).
     gauss = np.exp(-np.asarray(ax, dtype=np.float64) ** 2).astype(ctx.dtype)
     magnitude = ctx.sub(np.float32(1.0), ctx.mul(poly, gauss))
     return np.where(np.asarray(x) < 0, -magnitude, magnitude).astype(ctx.dtype)
@@ -98,7 +97,7 @@ def run(
     d2 = ctx.sub(d1, vol_sqrt_t)
 
     discount = np.exp(
-        # precise: host-side (float64 discount factor, computed once per batch)
+        # float64 discount factor, computed once per batch
         -np.asarray(r, dtype=np.float64) * np.asarray(t, dtype=np.float64)
     ).astype(ctx.dtype)
     price = ctx.sub(

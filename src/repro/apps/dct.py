@@ -120,11 +120,11 @@ def run(
     # Forward DCT: C x B x C^T (two counted matmuls per block batch).
     coeffs = _matmul(ctx, _matmul(ctx, basis[None, :, :], blocks), basis_t)
     # Quantize / dequantize (integer rounding is host-side, as in the codec).
-    quantized = np.round(np.asarray(coeffs) / quant)  # precise: host-side (quantizer)
-    dequantized = ctx.array(quantized * quant)  # precise: host-side (quantizer)
+    quantized = np.round(np.asarray(coeffs) / quant)
+    dequantized = ctx.array(quantized * quant)
     # Inverse DCT: C^T x Q x C.
     recon = _matmul(ctx, _matmul(ctx, basis_t[None, :, :], dequantized), basis)
-    # precise: host-side (codec un-bias of the decoded plane)
+    # Codec un-bias of the decoded plane.
     decoded = np.clip(_unblock(np.asarray(recon, dtype=np.float64), size) + 128.0, 0, 255)
 
     pixels = size * size

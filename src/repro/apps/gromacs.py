@@ -44,9 +44,9 @@ def _pair_terms(ctx, positions, box):
     """LJ potential sum and per-particle forces over all pairs (counted)."""
     n = len(positions)
     iu, ju = np.triu_indices(n, k=1)
-    delta = positions[iu] - positions[ju]  # precise: host-side (pair deltas)
+    delta = positions[iu] - positions[ju]  # pair deltas
     # Minimum image (host-side box logic, like the neighbor search).
-    delta -= box * np.round(delta / box)  # precise: host-side
+    delta -= box * np.round(delta / box)
     dx = ctx.array(delta[:, 0])
     dy = ctx.array(delta[:, 1])
     dz = ctx.array(delta[:, 2])
@@ -70,12 +70,12 @@ def _pair_terms(ctx, positions, box):
     forces = np.zeros((n, 3), dtype=np.float64)
     # Scatter-accumulate of per-pair forces onto atoms: the paper's harness
     # performs this reduction on the host, outside the imprecise units.
-    np.add.at(forces[:, 0], iu, fx)  # precise: host-side
-    np.add.at(forces[:, 0], ju, -fx)  # precise: host-side
-    np.add.at(forces[:, 1], iu, fy)  # precise: host-side
-    np.add.at(forces[:, 1], ju, -fy)  # precise: host-side
-    np.add.at(forces[:, 2], iu, fz)  # precise: host-side
-    np.add.at(forces[:, 2], ju, -fz)  # precise: host-side
+    np.add.at(forces[:, 0], iu, np.asarray(fx))
+    np.add.at(forces[:, 0], ju, -np.asarray(fx))
+    np.add.at(forces[:, 1], iu, np.asarray(fy))
+    np.add.at(forces[:, 1], ju, -np.asarray(fy))
+    np.add.at(forces[:, 2], iu, np.asarray(fz))
+    np.add.at(forces[:, 2], ju, -np.asarray(fz))
     potential = float(np.asarray(pair_pot, dtype=np.float64).sum())
     return potential, forces
 
@@ -103,12 +103,12 @@ def run(
     # Velocity-Verlet integration runs on the host (precise), as in the
     # paper's setup: only the pair-force kernel uses the imprecise units.
     for _ in range(steps):
-        velocities = velocities + half_dt * forces  # precise: host-side
-        positions = (positions + dt * velocities) % box  # precise: host-side
+        velocities = velocities + half_dt * forces
+        positions = (positions + dt * velocities) % box
         potential, forces = _pair_terms(ctx, positions, box)
-        velocities = velocities + half_dt * forces  # precise: host-side
-        kinetic = 0.5 * float((velocities**2).sum())  # precise: host-side
-        pot_history.append(potential / n)  # precise: host-side
+        velocities = velocities + half_dt * forces
+        kinetic = 0.5 * float((velocities**2).sum())
+        pot_history.append(potential / n)
         temp_history.append(2.0 * kinetic / (3.0 * n))
 
     half = len(pot_history) // 2

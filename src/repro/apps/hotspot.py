@@ -88,7 +88,7 @@ def _coefficients(rows: int, cols: int):
     stiffness = float(coeff["step_div_cap"]) * (
         4.0 * float(coeff["rx_inv"]) + 4.0 * float(coeff["ry_inv"])
         + float(coeff["rz_inv"])
-    )  # precise: host-side stability check
+    )  # stability check
     if stiffness > 2.0:
         raise ValueError(
             f"hotspot grid {rows}x{cols} is unstable: step/cap * "
@@ -132,8 +132,8 @@ def initial_temperature(
             + (north + south - 2.0 * temp) * float(coeff["ry_inv"])
             + (east + west - 2.0 * temp) * float(coeff["rx_inv"])
             + (_AMBIENT - temp) * float(coeff["rz_inv"])
-        )  # precise: host-side (settling the precise starting trace)
-        temp = temp + float(coeff["step_div_cap"]) * flux  # precise: host-side
+        )  # settling the precise starting trace
+        temp = temp + float(coeff["step_div_cap"]) * flux
     result = temp.astype(np.float32)
     if len(_INITIAL_CACHE) > 8:
         _INITIAL_CACHE.clear()

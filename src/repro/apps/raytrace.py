@@ -158,9 +158,9 @@ def _trace(ctx, ox, oy, oz, dx, dy, dz, scene, depth: int):
             # Offset the secondary origin off the surface (standard epsilon
             # against self-intersection, host-side constant).
             eps = np.float32(0.02)
-            rox = (px + eps * nx).astype(np.float32)  # precise: host-side (origin offset)
-            roy = (py + eps * ny).astype(np.float32)  # precise: host-side (origin offset)
-            roz = (pz + eps * nz).astype(np.float32)  # precise: host-side (origin offset)
+            rox = (np.asarray(px) + eps * np.asarray(nx)).astype(np.float32)
+            roy = (np.asarray(py) + eps * np.asarray(ny)).astype(np.float32)
+            roz = (np.asarray(pz) + eps * np.asarray(nz)).astype(np.float32)
             reflected = _trace(ctx, rox, roy, roz, rx, ry, rz, scene, depth - 1)
             shade = ctx.add(shade, ctx.mul(np.float32(sphere.reflectivity), reflected))
 

@@ -101,8 +101,8 @@ def run(
         # Global speckle scale q0^2 from image statistics (host-side scalars
         # in the CUDA version's reduction kernel; kept precise like the
         # paper's essential control path).
-        mean = float(np.mean(img))
-        var = float(np.var(img))
+        mean = float(np.mean(np.asarray(img)))
+        var = float(np.var(np.asarray(img)))
         # Floor the speckle scale: a constant (speckle-free) image must not
         # divide by zero — with q0 ~ 0 the coefficient c collapses to ~0 and
         # the image is left untouched, the physically right behavior.

@@ -110,7 +110,7 @@ class _PendingTask:
 #: reference run, which can hold a large output array).
 _FRAMEWORK_MEMO_CAP = 8
 
-# repro-lint: disable=fork-safety,worker-state -- per-process memo kept for the worker's life (one runner's pool), rebuilt from the spec on first use
+# repro-lint: disable=fork-safety -- per-process memo kept for the worker's life (one runner's pool), rebuilt from the spec on first use
 _WORKER_FRAMEWORKS: dict = {}
 
 

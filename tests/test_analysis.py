@@ -11,8 +11,6 @@ import repro
 from repro.analysis import (
     AnalysisConfig,
     SuppressionIndex,
-    build_program,
-    discover_modules,
     make_fingerprint,
     run_analysis,
 )
@@ -31,38 +29,19 @@ def make_package(root: Path, files: dict) -> Path:
     return root
 
 
-GOOD_KERNEL = """\
-import numpy as np
-
-
-def run(ctx, image):
-    doubled = ctx.add(image, image)
-    scaled = ctx.mul(doubled, np.float32(0.5))
-    mean = float(np.mean(np.asarray(scaled)))
-    return scaled, mean
+CLEAN_MODULE = """\
+def close(x, y, tol=1e-9):
+    return abs(x - y) <= tol
 """
 
-BAD_KERNEL = """\
-import numpy as np
-
-
-def run(ctx, image):
-    device = ctx.array(image)
-    doubled = device + device
-    boosted = np.sqrt(device)
-    total = doubled
-    total += 1.0
-    return doubled, boosted, total
-"""
-
-SUPPRESSED_KERNEL = """\
-import numpy as np
-
-
-def run(ctx, image):
-    device = ctx.array(image)
-    host = np.asarray(device) + 128.0  # precise: host-side (un-bias)
-    return host
+BAD_MODULE = """\
+def check(x, y):
+    try:
+        same = x == 0.5
+        other = y != 1.5
+    except:
+        return False
+    return same and other
 """
 
 
@@ -74,64 +53,8 @@ def config():
             "core": frozenset(),
             "apps": frozenset({"core"}),
         },
-        kernel_layers=("apps",),
         worker_layers=("core", "apps", "runtime"),
     )
-
-
-# ----------------------------------------------------------------------
-# Op-coverage
-# ----------------------------------------------------------------------
-class TestOpCoverage:
-    def test_clean_kernel_passes(self, tmp_path, config):
-        root = make_package(tmp_path, {"apps/good.py": GOOD_KERNEL})
-        report = run_analysis(root, config)
-        assert report.ok
-        assert report.findings == []
-
-    def test_bypassed_op_is_caught(self, tmp_path, config):
-        root = make_package(tmp_path, {"apps/bad.py": BAD_KERNEL})
-        report = run_analysis(root, config)
-        codes = [f.code for f in report.findings]
-        assert codes.count("op-coverage") == 3  # +, np.sqrt, +=
-        lines = {f.line for f in report.findings}
-        assert {6, 7, 9} <= lines
-        assert not report.ok
-
-    def test_host_side_suppression_honored(self, tmp_path, config):
-        root = make_package(tmp_path, {"apps/ok.py": SUPPRESSED_KERNEL})
-        report = run_analysis(root, config)
-        assert report.ok
-        assert report.suppressed == 1
-
-    def test_kernel_layer_scoping(self, tmp_path, config):
-        # The same bypassed op outside a kernel layer is not op-coverage's
-        # business (host orchestration code does arithmetic freely).
-        root = make_package(tmp_path, {"core/bad.py": BAD_KERNEL})
-        report = run_analysis(root, config)
-        assert "op-coverage" not in {f.code for f in report.findings}
-
-    def test_context_rebinding_tracked(self, tmp_path, config):
-        source = (
-            "def run(config, image):\n"
-            "    c = make_context(config)\n"
-            "    out = c.add(image, image)\n"
-            "    return out * 2\n"
-        )
-        root = make_package(tmp_path, {"apps/rebind.py": source})
-        report = run_analysis(root, config)
-        assert [f.code for f in report.findings] == ["op-coverage"]
-        assert report.findings[0].line == 4
-
-    def test_float_extraction_untaints(self, tmp_path, config):
-        source = (
-            "def run(ctx, image):\n"
-            "    total = float(ctx.add(image, image).sum())\n"
-            "    return total / 2.0\n"
-        )
-        root = make_package(tmp_path, {"apps/extract.py": source})
-        report = run_analysis(root, config)
-        assert report.ok
 
 
 # ----------------------------------------------------------------------
@@ -352,22 +275,11 @@ class TestHygiene:
 # Suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
-    def test_trailing_host_side(self):
-        index = SuppressionIndex.from_source("x = a + b  # precise: host-side\n")
-        assert index.suppresses([1], "op-coverage", "op-coverage")
-        assert not index.suppresses([1], "hygiene-float-eq", "hygiene")
-
-    def test_comment_line_above(self):
-        source = "# precise: host-side (setup)\nx = a + b\n"
-        index = SuppressionIndex.from_source(source)
-        assert index.suppresses([2], "op-coverage", "op-coverage")
-        assert not index.suppresses([1], "op-coverage", "op-coverage")
-
     def test_disable_specific_codes(self):
         source = "_C = {}  # repro-lint: disable=fork-safety -- memo\n"
         index = SuppressionIndex.from_source(source)
         assert index.suppresses([1], "fork-safety", "fork-safety")
-        assert not index.suppresses([1], "op-coverage", "op-coverage")
+        assert not index.suppresses([1], "hygiene-float-eq", "hygiene")
 
     def test_disable_checker_covers_subcodes(self):
         source = "x = y == 0.5  # repro-lint: disable=hygiene\n"
@@ -380,14 +292,14 @@ class TestSuppressions:
 
     def test_multiline_span(self, tmp_path, config):
         source = (
-            "def run(ctx, image):\n"
-            "    d = ctx.array(image)\n"
-            "    out = (\n"
-            "        d + d\n"
-            "    )  # precise: host-side\n"
-            "    return out\n"
+            "def f(x):\n"
+            "    same = 0.5 == max(\n"
+            "        x,\n"
+            "        0,\n"
+            "    )  # repro-lint: disable=hygiene -- sentinel value\n"
+            "    return same\n"
         )
-        root = make_package(tmp_path, {"apps/multi.py": source})
+        root = make_package(tmp_path, {"core/multi.py": source})
         report = run_analysis(root, config)
         assert report.ok
         assert report.suppressed == 1
@@ -398,12 +310,13 @@ class TestSuppressions:
 # ----------------------------------------------------------------------
 class TestFingerprints:
     def test_fingerprint_survives_line_shift(self, tmp_path, config):
-        before = make_package(tmp_path / "a", {"apps/k.py": BAD_KERNEL})
+        before = make_package(tmp_path / "a", {"core/k.py": BAD_MODULE})
         shifted = make_package(
-            tmp_path / "b", {"apps/k.py": "\n\n# moved\n" + BAD_KERNEL}
+            tmp_path / "b", {"core/k.py": "\n\n# moved\n" + BAD_MODULE}
         )
         fp_before = {f.fingerprint for f in run_analysis(before, config).findings}
         fp_after = {f.fingerprint for f in run_analysis(shifted, config).findings}
+        assert len(fp_before) == 3
         assert fp_before == fp_after
 
     def test_fingerprint_changes_with_line_content(self):
@@ -427,200 +340,11 @@ class TestLintCli:
         assert "0 findings" in out
 
     def test_nonzero_exit_on_fixture_bug(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
+        root = make_package(tmp_path / "pkg", {"core/k.py": BAD_MODULE})
         code = main(["lint", "--path", str(root)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "op-coverage" in out
-
-
-# ----------------------------------------------------------------------
-# Interprocedural op-coverage (call-graph taint)
-# ----------------------------------------------------------------------
-ESCAPING_TAINT = """\
-import numpy as np
-
-
-def _scale(ctx, image):
-    return ctx.mul(image, np.float32(2.0))
-
-
-def run(ctx, image):
-    blocks = _scale(ctx, image)
-    return np.add(blocks, np.float32(1.0))
-"""
-
-METHOD_ESCAPING_TAINT = """\
-class Kernel:
-    def _scale(self, ctx, image):
-        return ctx.mul(image, 2.0)
-
-    def run(self, ctx, image):
-        blocks = self._scale(ctx, image)
-        return blocks * 2
-"""
-
-
-class TestInterprocOpCoverage:
-    def test_taint_escaping_helper_is_caught(self, tmp_path, config):
-        root = make_package(tmp_path, {"apps/k.py": ESCAPING_TAINT})
-        report = run_analysis(root, config)
-        interproc = [f for f in report.findings
-                     if f.checker == "interproc-op-coverage"]
-        assert len(interproc) >= 1
-        assert interproc[0].line == 10
-        assert "helper-call boundary" in interproc[0].message
-        assert not report.ok
-
-    def test_method_resolution_via_self(self, tmp_path, config):
-        root = make_package(tmp_path, {"apps/k.py": METHOD_ESCAPING_TAINT})
-        report = run_analysis(root, config)
-        interproc = [f for f in report.findings
-                     if f.checker == "interproc-op-coverage"]
-        assert len(interproc) == 1
-        assert interproc[0].line == 7
-
-    def test_no_double_report_with_intra(self, tmp_path, config):
-        # A site the intra-procedural checker already flags must not be
-        # reported a second time by the interprocedural pass.
-        root = make_package(tmp_path, {"apps/k.py": BAD_KERNEL})
-        report = run_analysis(root, config)
-        assert not any(f.checker == "interproc-op-coverage"
-                       for f in report.findings)
-
-    def test_host_side_suppression_round_trip(self, tmp_path, config):
-        suppressed = ESCAPING_TAINT.replace(
-            "return np.add(blocks, np.float32(1.0))",
-            "return np.add(blocks, np.float32(1.0))  # precise: host-side",
-        )
-        root = make_package(tmp_path, {"apps/k.py": suppressed})
-        report = run_analysis(root, config)
-        assert report.ok
-        assert report.suppressed == 1
-
-    def test_param_untainted_without_tainted_caller(self, tmp_path, config):
-        # A helper taking plain host arrays stays clean even though a
-        # second kernel passes it device values under a different param.
-        source = (
-            "def _shift(image, bias):\n"
-            "    return image + bias\n"
-            "\n"
-            "\n"
-            "def host_entry(image):\n"
-            "    return _shift(image, 1.0)\n"
-        )
-        root = make_package(tmp_path, {"apps/k.py": source})
-        report = run_analysis(root, config)
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# Worker-state
-# ----------------------------------------------------------------------
-WORKER_GLOBAL = """\
-_MEMO = {}
-
-
-def _evaluate_chunk(items):
-    return [_eval(i) for i in items]
-
-
-def _eval(item):
-    if item not in _MEMO:
-        _MEMO[item] = item + item
-    return _MEMO[item]
-"""
-
-WORKER_GLOBAL_ALIASED = """\
-_FRAMEWORKS = {}
-
-
-def _evaluate_chunk(spec):
-    return _memo(_FRAMEWORKS, spec)
-
-
-def _memo(memo, spec):
-    if spec not in memo:
-        memo[spec] = spec
-    return memo[spec]
-"""
-
-
-class TestWorkerState:
-    def test_worker_written_global_flagged(self, tmp_path, config):
-        root = make_package(tmp_path, {"runtime/state.py": WORKER_GLOBAL})
-        report = run_analysis(root, config)
-        ws = [f for f in report.findings if f.code == "worker-state"]
-        assert len(ws) == 1
-        assert "_MEMO" in ws[0].message
-        assert "_evaluate_chunk" in ws[0].message
-
-    def test_mutation_through_argument_aliasing(self, tmp_path, config):
-        # The `_memo_framework(_WORKER_FRAMEWORKS, spec)` idiom: the
-        # global is written through a parameter of the callee.
-        root = make_package(tmp_path,
-                            {"runtime/state.py": WORKER_GLOBAL_ALIASED})
-        report = run_analysis(root, config)
-        ws = [f for f in report.findings if f.code == "worker-state"]
-        assert len(ws) == 1
-        assert "_FRAMEWORKS" in ws[0].message
-
-    def test_reset_hook_accepts_worker_state(self, tmp_path, config):
-        source = WORKER_GLOBAL + "\n\ndef reset():\n    _MEMO.clear()\n"
-        root = make_package(tmp_path, {"runtime/state.py": source})
-        report = run_analysis(root, config)
-        assert "worker-state" not in {f.code for f in report.findings}
-
-    def test_unwritten_container_not_flagged(self, tmp_path, config):
-        # A container nobody worker-reachable writes is a static table
-        # (fork-safety may still warn; worker-state must not).
-        source = "_TABLE = {}\n\n\ndef _evaluate_chunk(items):\n    return _TABLE\n"
-        root = make_package(tmp_path, {"runtime/state.py": source})
-        report = run_analysis(root, config)
-        assert "worker-state" not in {f.code for f in report.findings}
-
-    def test_suppression_round_trip(self, tmp_path, config):
-        source = WORKER_GLOBAL.replace(
-            "_MEMO = {}",
-            "_MEMO = {}  # repro-lint: disable=worker-state,fork-safety -- per-process memo",
-        )
-        root = make_package(tmp_path, {"runtime/state.py": source})
-        report = run_analysis(root, config)
-        assert report.ok
-        assert report.suppressed == 2
-
-
-    def test_real_worker_entrypoints_resolve(self):
-        # A renamed entry point would silently switch the checker off.
-        root = Path(repro.__file__).parent
-        config = AnalysisConfig()
-        program = build_program(discover_modules(root), config)
-        names = {fn.name for fn in program.functions.values()}
-        assert set(config.worker_entrypoint_names) <= names
-        assert ("runtime/runner.py::_evaluate_chunk"
-                in program.worker_entrypoints)
-
-
-# ----------------------------------------------------------------------
-# Fingerprint stability for the interprocedural checkers
-# ----------------------------------------------------------------------
-class TestInterprocFingerprints:
-    @pytest.mark.parametrize("relpath,source", [
-        ("apps/k.py", ESCAPING_TAINT),
-        ("runtime/state.py", WORKER_GLOBAL),
-    ])
-    def test_fingerprints_survive_line_shift(self, tmp_path, config,
-                                             relpath, source):
-        before = make_package(tmp_path / "a", {relpath: source})
-        shifted = make_package(
-            tmp_path / "b", {relpath: "# moved\n# down\n\n" + source}
-        )
-        fp_before = {f.fingerprint
-                     for f in run_analysis(before, config).findings}
-        fp_after = {f.fingerprint
-                    for f in run_analysis(shifted, config).findings}
-        assert fp_before
-        assert fp_before == fp_after
+        assert "hygiene-float-eq" in out
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +366,7 @@ class TestLintCliSatellites:
         assert "no python modules" in err
 
     def test_sarif_format(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": BAD_KERNEL})
+        root = make_package(tmp_path / "pkg", {"core/k.py": BAD_MODULE})
         code = main(["lint", "--path", str(root), "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -652,19 +376,19 @@ class TestLintCliSatellites:
         assert all("reproLint/v1" in r["partialFingerprints"]
                    for r in results)
         rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert "op-coverage" in rule_ids
+        assert rule_ids == {"hygiene-float-eq", "hygiene-bare-except"}
 
         # One inline-suppressed finding and one unsuppressed: the gate
         # still fails, and only the unsuppressed finding is reported.
-        mixed = make_package(tmp_path / "mixed", {"apps/k.py": (
-            "import numpy as np\n"
+        mixed = make_package(tmp_path / "mixed", {"core/k.py": (
+            "import math\n"
             "\n"
             "\n"
-            "def run(ctx, image):\n"
-            "    device = ctx.array(image)\n"
-            "    host = np.asarray(device) + 128.0  # precise: host-side\n"
-            "    leaked = device * 2.0\n"
-            "    return host, leaked\n"
+            "def run(x, y):\n"
+            "    lo = math.floor(x)\n"
+            "    unset = lo == -1.0  # repro-lint: disable=hygiene -- sentinel\n"
+            "    hit = y == 0.5\n"
+            "    return unset, hit\n"
         )})
         code = main(["lint", "--path", str(mixed), "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
@@ -673,10 +397,10 @@ class TestLintCliSatellites:
         assert run["properties"]["suppressed"] == 1
         assert [(r["ruleId"],
                  r["locations"][0]["physicalLocation"]["region"]["startLine"])
-                for r in run["results"]] == [("op-coverage", 7)]
+                for r in run["results"]] == [("hygiene-float-eq", 7)]
 
     def test_output_file(self, tmp_path, capsys):
-        root = make_package(tmp_path / "pkg", {"apps/k.py": GOOD_KERNEL})
+        root = make_package(tmp_path / "pkg", {"core/k.py": CLEAN_MODULE})
         out_path = tmp_path / "report.sarif"
         code = main([
             "lint", "--path", str(root), "--format", "sarif",

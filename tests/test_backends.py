@@ -432,7 +432,6 @@ class TestAnalysisCoverage:
         config = AnalysisConfig(
             package="fixture",
             layer_rules={"core": frozenset(), "apps": frozenset({"core"})},
-            kernel_layers=("apps",),
             worker_layers=("core", "apps"),
         )
         report = run_analysis(root, config=config)
@@ -450,7 +449,6 @@ class TestAnalysisCoverage:
         config = AnalysisConfig(
             package="fixture",
             layer_rules={"core": frozenset()},
-            kernel_layers=(),
             worker_layers=("core",),
         )
         report = run_analysis(root, config=config)

@@ -6,19 +6,25 @@ and anything the cache cannot faithfully serve (corrupted, stale, or
 truncated entries) is recomputed, never served.
 """
 
+import ast
 import gc
+import importlib
+import inspect
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import faults
+from repro.analysis import SuppressionIndex
 from repro.core import IHWConfig
 from repro.core.config import config_family
 from repro.framework import PowerQualityFramework
@@ -182,6 +188,74 @@ class TestKeptPool:
         assert len(set(_new_children(known)) - lost) == 2  # a fresh pool
         for name in rest:
             assert_evaluations_identical(clean[name], results[name])
+
+
+def _module_state_census(_=None) -> dict:
+    """``{"module:name": len}`` of the module-level dicts, lists and sets
+    of every loaded ``repro.core`` / ``repro.runtime`` module."""
+    return {
+        f"{name}:{attr}": len(value)
+        for name, module in list(sys.modules.items())
+        if name.split(".")[:2] in (["repro", "core"], ["repro", "runtime"])
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def _fresh_census(modules) -> dict:
+    """The same census in a new interpreter that imported ``modules``."""
+    script = (
+        "import importlib, json, sys\n"
+        "for name in sys.argv[1:]: importlib.import_module(name)\n"
+        "from tests.test_runtime import _module_state_census\n"
+        "print(json.dumps(_module_state_census()))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root)])}
+    done = subprocess.run([sys.executable, "-c", script, *modules], cwd=root,
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def _state_is_accounted_for(module_name: str, attr: str) -> bool:
+    """Whether the module has a ``reset*`` hook or ``attr`` carries a
+    ``repro-lint: disable=fork-safety`` marker."""
+    module = importlib.import_module(module_name)
+    if any(callable(value) and getattr(value, "__module__", None) == module_name
+           and (name == "reset" or name.startswith(("reset_", "_reset")))
+           for name, value in vars(module).items()):
+        return True
+    source = inspect.getsource(module)
+    index = SuppressionIndex.from_source(source)
+    for stmt in ast.parse(source).body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
+            lines = range(stmt.lineno, stmt.end_lineno + 1)
+            if index.suppresses(lines, "fork-safety", "fork-safety"):
+                return True
+    return False
+
+
+class TestWorkerModuleState:
+    """Module state a pool worker grows is reset or deliberately kept."""
+
+    def test_grown_worker_state_has_a_reset_hook_or_marker(self):
+        runner = ExperimentRunner(max_workers=2, cache=None)
+        runner.sweep(HOTSPOT, SWEEP)
+        runner.sweep(SRAD, SWEEP)
+        worker: dict = {}
+        for census in runner._pool.map(_module_state_census, range(4)):
+            for key, size in census.items():
+                worker[key] = max(size, worker.get(key, 0))
+        fresh = _fresh_census(sorted({key.split(":")[0] for key in worker}))
+        grown = sorted(key for key, size in worker.items()
+                       if size > fresh.get(key, 0))
+        assert "repro.runtime.runner:_WORKER_FRAMEWORKS" in grown
+        unaccounted = [key for key in grown
+                       if not _state_is_accounted_for(*key.split(":"))]
+        assert unaccounted == []
 
 
 class TestResultCache:
