@@ -21,6 +21,16 @@ writers of one entry never share a temp file.  Entries carry a schema
 version and an output checksum; anything that fails to load, verify, or
 parse is treated as a miss, **quarantined** (moved aside for
 post-mortem, never deleted silently), and recomputed — never served.
+
+The npz is written by ``np.savez_compressed`` but read without
+``np.load``: the reader accepts only what ``put`` writes — one
+deflated ``output.npy`` member, the zip's central directory right after
+its deflate stream, and a C-order ``.npy`` header equal to the one numpy
+writes for the dtype and shape the entry document records.  It refuses
+a second member, a stored member, another member name, a cut stream, a
+header that disagrees with the document (dtype, shape, Fortran order),
+an object dtype, and a payload that fails the document's sha256.
+
 Environment knobs:
 
 - ``REPRO_CACHE=off`` (also ``0``/``no``/``false``): disable caching.
@@ -33,14 +43,18 @@ import hashlib
 import io
 import json
 import os
+import struct
 import threading
 import time
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.gpu import PowerBreakdown, SavingsReport
+from repro.gpu.simulator import KernelTiming
 
 __all__ = [
     "CacheStats",
@@ -107,6 +121,60 @@ def entry_key(spec, config) -> str:
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
+
+#: The fields of a zip local file header that :func:`_read_output` checks:
+#: signature, compression method, name length, extra-field length.
+_ZIP_MEMBER = struct.Struct("<4s4xH16x2H")
+_LOCAL_FILE = b"PK\x03\x04"
+_CENTRAL_DIRECTORY = b"PK\x01\x02"
+_DEFLATED = 8
+_MEMBER_NAME = b"output.npy"
+_NPY_V1 = b"\x93NUMPY\x01\x00"
+_NPY_HEADER = "{'descr': %r, 'fortran_order': False, 'shape': %r, }"
+
+
+def _read_output(npz: bytes, meta: dict) -> np.ndarray:
+    """The output array of one entry's npz, checked against its document.
+
+    ``meta`` is the document's ``output`` record (dtype, shape, sha256).
+    The array is rebuilt from the inflated ``.npy`` payload and is
+    writeable, like ``np.load``'s.  Anything but one deflated
+    ``output.npy`` member, ending where the central directory starts,
+    whose header is the one numpy writes for ``meta`` and whose payload
+    matches ``meta``'s sha256, raises ``ValueError``.
+    """
+    signature, method, name_len, extra_len = _ZIP_MEMBER.unpack_from(npz)
+    start = _ZIP_MEMBER.size + name_len
+    if signature != _LOCAL_FILE or npz[_ZIP_MEMBER.size:start] != _MEMBER_NAME:
+        raise ValueError("npz does not start with an output.npy member")
+    if method != _DEFLATED:
+        raise ValueError("npz member is not deflated")
+    inflater = zlib.decompressobj(-15)
+    npy = inflater.decompress(memoryview(npz)[start + extra_len:])
+    # unused_data stays empty until the stream ends, so this also
+    # refuses a cut stream.
+    if inflater.unused_data[:4] != _CENTRAL_DIRECTORY:
+        raise ValueError("npz member is cut short or not the only one")
+
+    dtype = np.dtype(meta["dtype"])
+    if dtype.hasobject or dtype.str != meta["dtype"]:
+        raise ValueError(f"output dtype {meta['dtype']!r} is not plain, "
+                         "canonical data")
+    shape = tuple(meta["shape"])
+    (header_len,) = struct.unpack_from("<H", npy, len(_NPY_V1))
+    body = len(_NPY_V1) + 2 + header_len
+    header = npy[len(_NPY_V1) + 2:body]
+    expected = (_NPY_HEADER % (dtype.str, shape)).encode("latin1")
+    if (npy[:len(_NPY_V1)] != _NPY_V1 or header[-1:] != b"\n"
+            or header[:-1].rstrip(b" ") != expected):
+        raise ValueError("npy header disagrees with the entry document")
+
+    payload = memoryview(npy)[body:]
+    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+        raise ValueError("output checksum mismatch")
+    return np.frombuffer(bytearray(payload), dtype).reshape(shape)
+
+
 _OFF_VALUES = ("off", "0", "no", "false", "disabled")
 
 
@@ -154,6 +222,7 @@ class ResultCache:
 
     def __init__(self, root=None):
         self.root = Path(root or DEFAULT_CACHE_DIR)
+        self._root = os.fspath(self.root)
         self.stats = CacheStats()
 
     @property
@@ -168,20 +237,23 @@ class ResultCache:
         """The content address of one (experiment, configuration) result."""
         return entry_key(spec, config)
 
-    def _paths(self, key: str) -> tuple:
-        shard = self.root / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.npz"
+    def _stem(self, key: str) -> str:
+        """``<root>/<key[:2]>/<key>``: the entry's paths less their suffix."""
+        return os.path.join(self._root, key[:2], key)
 
     def entry_paths(self, spec, config) -> tuple:
         """The (json, npz) paths addressing one result (tooling/tests)."""
-        return self._paths(self.key(spec, config))
+        stem = self._stem(self.key(spec, config))
+        return Path(stem + ".json"), Path(stem + ".npz")
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _read_json(self, key: str) -> str | None:
+    @staticmethod
+    def _read(path: str) -> bytes | None:
         try:
-            return self._paths(key)[0].read_text()
+            with open(path, "rb") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
 
@@ -189,11 +261,12 @@ class ResultCache:
         """The cached :class:`Evaluation`, or None (miss / invalid entry)."""
         key = self.key(spec, config)
         with telemetry.span("cache.get", key=key[:12]):
-            json_text = self._read_json(key)
+            stem = self._stem(key)
+            json_text = self._read(stem + ".json")
             if json_text is None:
                 return self._miss()
             try:
-                evaluation = self._load(json_text, key, config)
+                evaluation = self._load(json_text, stem, config)
             except Exception:
                 # Corrupted or stale entry: quarantine it (not a silent
                 # delete — the damaged bytes stay inspectable) and let the
@@ -211,7 +284,7 @@ class ResultCache:
         this level quarantines the entry just like :meth:`get`.
         """
         key = self.key(spec, config)
-        json_text = self._read_json(key)
+        json_text = self._read(self._stem(key) + ".json")
         if json_text is None:
             return self._miss()
         try:
@@ -238,7 +311,7 @@ class ResultCache:
         return None
 
     @staticmethod
-    def _parse(json_text: str, config) -> dict:
+    def _parse(json_text: bytes, config) -> dict:
         doc = json.loads(json_text)
         if doc["schema"] != SCHEMA_VERSION:
             raise ValueError(f"schema {doc['schema']} != {SCHEMA_VERSION}")
@@ -246,29 +319,18 @@ class ResultCache:
             raise ValueError("stored config does not match the request")
         return doc
 
-    def _load(self, json_text: str, key: str, config):
+    def _load(self, json_text: bytes, stem: str, config):
+        # The layer map keeps framework out of runtime's module imports.
         from repro.framework import Evaluation
-        from repro.gpu import PowerBreakdown, SavingsReport
-        from repro.gpu.simulator import KernelTiming
 
         doc = self._parse(json_text, config)
         out_meta = doc["output"]
         if out_meta["kind"] == "ndarray":
-            try:
-                npz_bytes = self._paths(key)[1].read_bytes()
-            except FileNotFoundError:
+            npz = self._read(stem + ".npz")
+            if npz is None:
                 raise ValueError(
-                    "entry document present but npz payload missing"
-                ) from None
-            with np.load(io.BytesIO(npz_bytes)) as archive:
-                output = archive["output"]
-            if output.dtype.str != out_meta["dtype"]:
-                raise ValueError("output dtype mismatch")
-            if list(output.shape) != out_meta["shape"]:
-                raise ValueError("output shape mismatch")
-            digest = hashlib.sha256(np.ascontiguousarray(output).tobytes())
-            if digest.hexdigest() != out_meta["sha256"]:
-                raise ValueError("output checksum mismatch")
+                    "entry document present but npz payload missing")
+            output = _read_output(npz, out_meta)
         else:
             output = out_meta["value"]
 
@@ -337,8 +399,9 @@ class ResultCache:
         key = self.key(spec, config)
         doc = self._document(key, spec, config, evaluation, out_meta,
                              compute_seconds)
-        json_path, npz_path = self._paths(key)
-        json_path.parent.mkdir(parents=True, exist_ok=True)
+        stem = self._stem(key)
+        json_path, npz_path = stem + ".json", stem + ".npz"
+        os.makedirs(os.path.dirname(stem), exist_ok=True)
         # npz first, json last: the json's presence is what makes the
         # entry visible to readers.
         if array is not None:
@@ -356,17 +419,19 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _quarantine(self, key: str) -> None:
         """Move a damaged entry's files aside instead of deleting them."""
-        quarantine_dir = self.root / QUARANTINE_DIRNAME
-        quarantine_dir.mkdir(parents=True, exist_ok=True)
+        quarantine_dir = os.path.join(self._root, QUARANTINE_DIRNAME)
+        os.makedirs(quarantine_dir, exist_ok=True)
         moved = False
-        for path in self._paths(key):
-            if not path.exists():
+        stem = self._stem(key)
+        for path in (stem + ".json", stem + ".npz"):
+            if not os.path.exists(path):
                 continue
             try:
-                os.replace(path, quarantine_dir / path.name)
+                os.replace(path, os.path.join(quarantine_dir,
+                                              os.path.basename(path)))
                 moved = True
             except OSError:
-                path.unlink(missing_ok=True)  # cross-device: drop instead
+                Path(path).unlink(missing_ok=True)  # cross-device: drop instead
         if moved:
             self.stats.quarantined += 1
         telemetry.counter_inc("repro_cache_quarantined_total")

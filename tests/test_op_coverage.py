@@ -212,3 +212,15 @@ def test_app_runs_under_guard(app, config):
     assert pickle.dumps(checked.output) == pickle.dumps(plain.output)
     assert checked.counters == plain.counters
     assert checked.op_counts == plain.op_counts
+
+
+def test_raytrace_reflects_under_imprecise_units():
+    """The Table-1 multiplier alone keeps an all-imprecise 8² image off
+    every sphere, so no ray reflects there; without it, rays reach the
+    reflection code under every other imprecise unit."""
+    config = IHWConfig.all_imprecise().without_units("mul")
+    test_app_runs_under_guard(APPS["raytrace-reflections"], config)
+    run, params = APPS["raytrace-reflections"]
+    flat = run(config, **{**params, "depth": 0})
+    reflected = run(config, **params)
+    assert sum(reflected.op_counts.values()) > sum(flat.op_counts.values())

@@ -7,17 +7,23 @@ truncated entries) is recomputed, never served.
 """
 
 import ast
+import dataclasses
 import gc
+import hashlib
 import importlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +307,19 @@ class TestResultCache:
         runner.sweep(HOTSPOT, SWEEP)
         assert runner.stats.cache_hits == len(SWEEP)
         assert listed == []
+
+    def test_warm_sweep_opens_no_npz_through_numpy(self, tmp_path,
+                                                   monkeypatch):
+        runner = ExperimentRunner(max_workers=1, cache=ResultCache(tmp_path))
+        runner.sweep(HOTSPOT, SWEEP)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a warm hit read its npz with np.load")
+
+        monkeypatch.setattr(np, "load", refused)
+        monkeypatch.setattr(zipfile, "ZipFile", refused)
+        runner.sweep(HOTSPOT, SWEEP)
+        assert runner.stats.cache_hits == len(SWEEP)
 
     def test_distinct_specs_do_not_collide(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -603,6 +622,146 @@ class TestCacheHardening:
         assert cache.cleanup_stale() == 2
         assert not old_npz_tmp.exists() and not old_json_tmp.exists()
         assert fresh_tmp.exists()
+
+
+# ----------------------------------------------------------------------
+# The npz reader: only what ``put`` writes, equal to ``np.load``'s array
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def add_evaluation():
+    return HOTSPOT.framework().evaluate(IHWConfig.units("add"))
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
+
+
+def _npz(*members, compress_type=zipfile.ZIP_DEFLATED) -> bytes:
+    """A zip of ``(name, data)`` members, each compressed as asked."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members:
+            archive.writestr(name, data, compress_type=compress_type)
+    return buffer.getvalue()
+
+
+def _deflate(data: bytes, finish: bool = True) -> bytes:
+    packer = zlib.compressobj(wbits=-15)
+    return packer.compress(data) + packer.flush(
+        zlib.Z_FINISH if finish else zlib.Z_SYNC_FLUSH)
+
+
+def _cut_stream(npz, output, doc):
+    """The member's stream cut where every payload byte has inflated but
+    the stream has not ended, as a torn write can leave it."""
+    name_len, extra_len = struct.unpack_from("<2H", npz, 26)
+    head = npz[:30 + name_len + extra_len]
+    return head + _deflate(_npy(output), finish=False), doc
+
+
+def _flipped_byte(npz, output, doc):
+    npy = bytearray(_npy(output))
+    npy[-1] ^= 0x01
+    return _npz(("output.npy", bytes(npy))), doc
+
+
+def _object_dtype(npz, output, doc):
+    """A pickled object array whose document records it faithfully."""
+    objects = np.array([1.5, None], dtype=object)
+    npy = _npy(objects)
+    (header_len,) = struct.unpack_from("<H", npy, 8)
+    doc["output"] = {
+        "kind": "ndarray", "dtype": objects.dtype.str, "shape": [2],
+        "sha256": hashlib.sha256(npy[10 + header_len:]).hexdigest(),
+    }
+    return _npz(("output.npy", npy)), doc
+
+
+#: Damage to a stored npz, each refused by one check of the reader:
+#: ``(npz bytes, stored output, entry document) -> (npz bytes, document)``.
+NPZ_DAMAGE = {
+    "cut-deflate-stream": _cut_stream,
+    "flipped-payload-byte": _flipped_byte,
+    "second-member": lambda npz, output, doc: (_npz(
+        ("output.npy", _npy(output)), ("extra.npy", _npy(output))), doc),
+    # Its bytes inflate to the right .npy: only the method check refuses it.
+    "stored-member": lambda npz, output, doc: (_npz(
+        ("output.npy", _deflate(_npy(output))),
+        compress_type=zipfile.ZIP_STORED), doc),
+    "wrong-member-name": lambda npz, output, doc: (
+        _npz(("result.npy", _npy(output))), doc),
+    "header-dtype": lambda npz, output, doc: (_npz(
+        ("output.npy", _npy(output.view(f"<i{output.itemsize}")))), doc),
+    "header-shape": lambda npz, output, doc: (
+        _npz(("output.npy", _npy(output.reshape(-1)))), doc),
+    "fortran-order": lambda npz, output, doc: (_npz(
+        ("output.npy", _npy(output).replace(b"'fortran_order': False",
+                                            b"'fortran_order': True "))), doc),
+    "object-dtype": _object_dtype,
+}
+
+COMPAT_SHAPES = [(), (0,), (7,), (3, 5), (2, 3, 4)]
+
+
+class TestCacheReader:
+    def _entry(self, tmp_path, evaluation):
+        cache = ResultCache(tmp_path)
+        assert cache.put(HOTSPOT, IHWConfig.units("add"), evaluation)
+        return cache.entry_paths(HOTSPOT, IHWConfig.units("add"))
+
+    def test_rebuilt_npz_is_served(self, tmp_path, add_evaluation):
+        """The zips the damage cases build are served when left whole."""
+        json_path, npz_path = self._entry(tmp_path, add_evaluation)
+        npz_path.write_bytes(_npz(("output.npy", _npy(add_evaluation.output))))
+        fresh = ResultCache(tmp_path)
+        restored = fresh.get(HOTSPOT, IHWConfig.units("add"))
+        assert fresh.stats.hits == 1
+        assert_evaluations_identical(add_evaluation, restored)
+
+    @pytest.mark.parametrize("damage", NPZ_DAMAGE.values(),
+                             ids=NPZ_DAMAGE.keys())
+    def test_damaged_npz_quarantined(self, tmp_path, add_evaluation, damage):
+        json_path, npz_path = self._entry(tmp_path, add_evaluation)
+        with np.load(npz_path) as archive:
+            output = archive["output"]
+        npz, doc = damage(npz_path.read_bytes(), output,
+                          json.loads(json_path.read_text()))
+        npz_path.write_bytes(npz)
+        json_path.write_text(json.dumps(doc))
+
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(HOTSPOT, IHWConfig.units("add")) is None
+        assert fresh.stats.invalid == 1 and fresh.stats.hits == 0
+        assert sorted(path.name for path in
+                      (tmp_path / "quarantine").iterdir()) == [
+            json_path.name, npz_path.name]
+        assert not json_path.exists() and not npz_path.exists()
+        # Nothing is left to serve, so a rerun recomputes.
+        assert fresh.get(HOTSPOT, IHWConfig.units("add")) is None
+        assert fresh.stats.invalid == 1 and fresh.stats.misses == 2
+
+    @pytest.mark.parametrize("shape", COMPAT_SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64",
+                                       "int64", "bool"])
+    def test_get_matches_np_load(self, tmp_path, add_evaluation, dtype,
+                                 shape):
+        values = np.random.default_rng(7).standard_normal(shape) * 1000
+        output = np.asarray(values > 0 if dtype == "bool"
+                            else values.astype(dtype))
+        _, npz_path = self._entry(
+            tmp_path, dataclasses.replace(add_evaluation, output=output))
+        restored = ResultCache(tmp_path).get(
+            HOTSPOT, IHWConfig.units("add")).output
+        with np.load(npz_path) as archive:
+            loaded = archive["output"]
+        assert restored.dtype == loaded.dtype == np.dtype(dtype)
+        # put stores a 0-d output as shape (1,), as np.ascontiguousarray
+        # gives it.
+        assert restored.shape == loaded.shape == (shape or (1,))
+        assert restored.tobytes() == loaded.tobytes() == output.tobytes()
+        assert restored.flags.writeable and loaded.flags.writeable
 
 
 # ----------------------------------------------------------------------
