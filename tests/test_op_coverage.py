@@ -202,16 +202,22 @@ APPS = {
 }
 
 
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
-@pytest.mark.parametrize("app", APPS.values(), ids=APPS.keys())
-def test_app_runs_under_guard(app, config):
-    run, params = app
+def _run_guarded(run, params, config):
+    """``run`` under the guard, with the same bytes and counts as without."""
     plain = run(config, **params)
     with guarded():
         checked = run(config, **params)
     assert pickle.dumps(checked.output) == pickle.dumps(plain.output)
     assert checked.counters == plain.counters
     assert checked.op_counts == plain.op_counts
+    return checked
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("app", APPS.values(), ids=APPS.keys())
+def test_app_runs_under_guard(app, config):
+    run, params = app
+    _run_guarded(run, params, config)
 
 
 def test_raytrace_reflects_under_imprecise_units():
@@ -219,8 +225,7 @@ def test_raytrace_reflects_under_imprecise_units():
     every sphere, so no ray reflects there; without it, rays reach the
     reflection code under every other imprecise unit."""
     config = IHWConfig.all_imprecise().without_units("mul")
-    test_app_runs_under_guard(APPS["raytrace-reflections"], config)
     run, params = APPS["raytrace-reflections"]
+    reflected = _run_guarded(run, params, config)
     flat = run(config, **{**params, "depth": 0})
-    reflected = run(config, **params)
     assert sum(reflected.op_counts.values()) > sum(flat.op_counts.values())

@@ -679,7 +679,7 @@ def _object_dtype(npz, output, doc):
     return _npz(("output.npy", npy)), doc
 
 
-#: Damage to a stored npz, each refused by one check of the reader:
+#: Damage to a stored npz, each aimed at one check of the reader:
 #: ``(npz bytes, stored output, entry document) -> (npz bytes, document)``.
 NPZ_DAMAGE = {
     "cut-deflate-stream": _cut_stream,
